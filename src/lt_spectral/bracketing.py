@@ -95,7 +95,7 @@ class Partition:
         return ["inf" if math.isinf(b) else b for b in self.breakpoints]
 
 
-def build_partition(V: Potential, tol: Tolerance | None = None) -> Partition:
+def build_partition(V: Potential) -> Partition:
     """Divide [0, inf) into intervals with (l_{k+1} - l_k) * mass_k = 3.
 
     V must be nonnegative with finite integral on the half line.  Each
@@ -109,7 +109,6 @@ def build_partition(V: Potential, tol: Tolerance | None = None) -> Partition:
     # breakpoints are cheap to locate precisely; the product invariant
     # (1e-8 relative) needs far better than the eigenvalue tolerance
     root_tol = Tolerance(abs=1e-13, rel=1e-13)
-    del tol
     total = V.integrate()
     if not math.isfinite(total):
         raise ValueError("int V must be finite")

@@ -149,7 +149,7 @@ def cmd_partition(args) -> int:
     V = _load_potential(args, domain_default="half_line")
     if V.domain != potential.HALF_LINE:
         raise UsageError("partition requires a half-line potential")
-    part = bracketing.build_partition(V, tol=_tol(args))
+    part = bracketing.build_partition(V)
     doc = {
         "breakpoints": part.to_json_list(),
         "masses": list(part.masses),

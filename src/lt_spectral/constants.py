@@ -132,25 +132,6 @@ class ThetaParams:
             raise ValueError("need p0, p1 > 0 and p0 != p1")
 
 
-def endpoint_integral_strong(eta: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """int_{u0}^1 u (1-u)^{(eta-2)/2} (1+u)^{(eta-1)/2} du.
-
-    Substituted v = 1 - u so the strong endpoint singularity sits at v = 0,
-    where the quadrature nodes carry full precision.
-    """
-    def f(v):
-        return (1.0 - v) * v ** ((eta - 2.0) / 2.0) \
-            * (2.0 - v) ** ((eta - 1.0) / 2.0)
-    return integrate_de(f, 0.0, 1.0 - U0, tol)
-
-
-def endpoint_integral_mild(eta: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """int_{u0}^1 u (1-u)^{eta/2} (1+u)^{(eta-3)/2} du."""
-    def f(v):
-        return (1.0 - v) * v ** (eta / 2.0) * (2.0 - v) ** ((eta - 3.0) / 2.0)
-    return integrate_de(f, 0.0, 1.0 - U0, tol)
-
-
 #: crossover abscissa where the inner infimum leaves the diagonal branch
 T_STAR = 2.0 / 3.0 * math.sqrt(1.0 + 2.0 / math.sqrt(3.0))
 

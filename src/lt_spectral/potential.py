@@ -3,7 +3,14 @@
 Every potential is immutable after construction.  Integrals of V and V^p use
 closed forms where the family admits one and adaptive quadrature otherwise
 (absolute tolerance 1e-10).  Sampled potentials are zero outside their grid,
-so all integrals are finite.
+so all integrals are finite and their nonzero end values are jumps.
+
+Each potential states its structure once.  The constant families (Zero,
+SquareWell, PiecewiseConstant) are one piece list, from which jumps, exact
+cell means, integrals and pieces() are read.  scaled, amplified and
+half_view are one mapped wrapper V(x) = c * inner(s * x) that transforms
+what its inner potential states; Sum adds up what its terms state.
+pieces() selects the exact transfer path in scattering.
 
 JSON exchange format::
 
@@ -132,10 +139,21 @@ class Potential:
         """Sum of |jump| over all discontinuities of V (0 when continuous)."""
         return 0.0
 
+    def pieces(self) -> list[tuple[float, float, float]] | None:
+        """(x0, x1, value) pieces when V is piecewise constant, else None.
+
+        Pieces meet only at their ends.  A potential with pieces takes the
+        exact transfer path in scattering (Pruess's piecewise-constant
+        method); the others are integrated as ODEs.
+        """
+        return None
+
     # -- algebra -----------------------------------------------------------
 
     def sign_split(self) -> tuple["Potential", "Potential"]:
         """(V_plus, V_minus) with V = V_plus - V_minus, both nonnegative."""
+        if self.is_nonnegative():
+            return self, Zero(self._domain_json())
         return _Clipped(self, +1), _Clipped(self, -1)
 
     def even_extension(self) -> "Potential":
@@ -145,15 +163,16 @@ class Potential:
         return _EvenExtension(self)
 
     def scaled(self, alpha: float) -> "Potential":
-        return Scaled(alpha, self)
+        """x -> alpha^2 V(alpha x), whose eigenvalues are alpha^2 times V's."""
+        if alpha <= 0:
+            raise ValueError("alpha must be positive")
+        return _Mapped(self, alpha, alpha)
 
     def amplified(self, c: float) -> "Potential":
-        """Pointwise multiple c*V (coupling constant)."""
-        return Amplified(c, self)
-
-    def restricted(self, a: float, b: float) -> "Potential":
-        """Same pointwise values on the sub-domain [a, b]."""
-        return _Restriction(self, a, b)
+        """Pointwise multiple c*V (coupling constant, c >= 0)."""
+        if c < 0:
+            raise ValueError("coupling must be nonnegative")
+        return _Mapped(self, 1.0, c)
 
     def half_view(self, side: int) -> "Potential":
         """x -> V(side*x) on [0, inf): one half of a whole-line potential."""
@@ -161,7 +180,7 @@ class Potential:
             raise ValueError("half_view requires a full-line domain")
         if side not in (+1, -1):
             raise ValueError("side must be +1 or -1")
-        return _HalfView(self, side)
+        return _Mapped(self, side, 1.0, "half_line")
 
     def is_nonnegative(self) -> bool:
         """True when V >= 0 can be read off the family parameters."""
@@ -178,69 +197,105 @@ class Potential:
         return list(self.domain)
 
 
-class Zero(Potential):
-    """The identically-zero potential."""
+class PiecewiseConstant(Potential):
+    """Constant values between strictly increasing breakpoints, zero outside.
+
+    The piece list is the one description of the constant families: jumps,
+    exact cell means, integrals and the pieces of the exact transfer path
+    are all read off it.
+    """
+
+    def __init__(self, breakpoints: Sequence[float], values: Sequence[float],
+                 domain="full_line"):
+        super().__init__(domain)
+        bp = np.asarray(breakpoints, dtype=float)
+        vals = np.asarray(values, dtype=float)
+        if bp.ndim != 1 or len(bp) != len(vals) + 1:
+            raise ValueError("need len(breakpoints) == len(values) + 1")
+        if np.any(np.diff(bp) <= 0):
+            raise ValueError("breakpoints must be strictly increasing")
+        self.breakpoints, self.values = bp, vals
+        # zero on both sides of the pieces: V on [bp_k, bp_k+1) is padded[k+1]
+        self._padded = np.concatenate(([0.0], vals, [0.0]))
 
     def _values(self, x):
-        return np.zeros_like(x)
+        return self._padded[np.searchsorted(self.breakpoints, x,
+                                            side="right")]
 
     def support(self):
-        return (0.0, 0.0)
+        return (float(self.breakpoints[0]), float(self.breakpoints[-1]))
+
+    def _breaks(self):
+        return tuple(self.breakpoints)
+
+    def _piece_overlaps(self, a, b):
+        left = np.maximum(self.breakpoints[:-1], a)
+        right = np.minimum(self.breakpoints[1:], b)
+        return np.maximum(right - left, 0.0)
 
     def _integral(self, a, b):
-        return 0.0
+        return float(np.dot(self.values, self._piece_overlaps(a, b)))
 
     def _lp(self, p, a, b):
-        return 0.0
+        if np.any(self.values < 0):
+            raise ValueError("V^p integral requires V >= 0")
+        return float(np.dot(self.values**p, self._piece_overlaps(a, b)))
+
+    def cell_average(self, lo, hi):
+        # exact means from the piecewise-linear antiderivative
+        cum = np.concatenate(
+            ([0.0], np.cumsum(self.values * np.diff(self.breakpoints))))
+
+        def anti(x):
+            return np.interp(x, self.breakpoints, cum)
+
+        return (anti(hi) - anti(lo)) / (hi - lo)
+
+    def jump_total(self):
+        return float(np.sum(np.abs(np.diff(self._padded))))
+
+    def pieces(self):
+        return [(float(a), float(b), float(v)) for a, b, v in
+                zip(self.breakpoints[:-1], self.breakpoints[1:], self.values)]
 
     def sign_split(self):
-        return self, Zero(self._domain_json())
+        dom = self._domain_json()
+        plus = PiecewiseConstant(self.breakpoints,
+                                 np.maximum(self.values, 0.0), dom)
+        minus = PiecewiseConstant(self.breakpoints,
+                                  np.maximum(-self.values, 0.0), dom)
+        return plus, minus
 
     def is_nonnegative(self):
-        return True
+        return bool(np.all(self.values >= 0))
+
+    def to_json_dict(self):
+        return {"family": "piecewise_constant",
+                "params": {"breakpoints": self.breakpoints.tolist(),
+                           "values": self.values.tolist()},
+                "domain": self._domain_json()}
+
+
+class Zero(PiecewiseConstant):
+    """The identically-zero potential: no pieces."""
+
+    def __init__(self, domain="full_line"):
+        super().__init__([0.0], [], domain)
 
     def to_json_dict(self):
         return {"family": "zero", "params": {}, "domain": self._domain_json()}
 
 
-class SquareWell(Potential):
-    """Constant depth v on [a, b], zero elsewhere."""
+class SquareWell(PiecewiseConstant):
+    """Constant depth v on [a, b], zero elsewhere: one piece."""
 
     def __init__(self, v: float, a: float, b: float, domain="full_line"):
-        super().__init__(domain)
         if v <= 0:
             raise ValueError("square well depth must be positive")
         if not a < b:
             raise ValueError("need a < b")
+        super().__init__((a, b), (v,), domain)
         self.v, self.a, self.b = float(v), float(a), float(b)
-
-    def _values(self, x):
-        return np.where((x >= self.a) & (x <= self.b), self.v, 0.0)
-
-    def support(self):
-        return (self.a, self.b)
-
-    def _breaks(self):
-        return (self.a, self.b)
-
-    def _overlap(self, a, b):
-        return max(0.0, min(b, self.b) - max(a, self.a))
-
-    def _integral(self, a, b):
-        return self.v * self._overlap(a, b)
-
-    def _lp(self, p, a, b):
-        return self.v**p * self._overlap(a, b)
-
-    def cell_average(self, lo, hi):
-        over = np.clip(hi, self.a, self.b) - np.clip(lo, self.a, self.b)
-        return self.v * np.maximum(over, 0.0) / (hi - lo)
-
-    def jump_total(self):
-        return 2.0 * self.v
-
-    def sign_split(self):
-        return self, Zero(self._domain_json())
 
     def even_extension(self):
         if self.domain != HALF_LINE:
@@ -248,9 +303,6 @@ class SquareWell(Potential):
         if self.a == 0.0:
             return SquareWell(self.v, -self.b, self.b)
         return _EvenExtension(self)
-
-    def is_nonnegative(self):
-        return True
 
     def to_json_dict(self):
         return {"family": "square_well",
@@ -292,9 +344,6 @@ class PoschlTeller(Potential):
                     * math.gamma(p) / math.gamma(p + 0.5))
         return self._quad_pow(p, a, b)
 
-    def sign_split(self):
-        return self, Zero(self._domain_json())
-
     def is_nonnegative(self):
         return True
 
@@ -333,7 +382,7 @@ class Gaussian(Potential):
 
     def sign_split(self):
         if self.amplitude >= 0:
-            return self, Zero(self._domain_json())
+            return super().sign_split()
         neg = Gaussian(-self.amplitude, self.center, self.width,
                        self._domain_json())
         return Zero(self._domain_json()), neg
@@ -348,81 +397,10 @@ class Gaussian(Potential):
                 "domain": self._domain_json()}
 
 
-class PiecewiseConstant(Potential):
-    """Constant values between strictly increasing breakpoints, zero outside."""
-
-    def __init__(self, breakpoints: Sequence[float], values: Sequence[float],
-                 domain="full_line"):
-        super().__init__(domain)
-        bp = np.asarray(breakpoints, dtype=float)
-        vals = np.asarray(values, dtype=float)
-        if bp.ndim != 1 or len(bp) != len(vals) + 1:
-            raise ValueError("need len(breakpoints) == len(values) + 1")
-        if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        self.breakpoints, self.values = bp, vals
-
-    def _values(self, x):
-        idx = np.searchsorted(self.breakpoints, x, side="right") - 1
-        inside = (idx >= 0) & (idx < len(self.values)) \
-            & (x <= self.breakpoints[-1])
-        idx = np.clip(idx, 0, len(self.values) - 1)
-        return np.where(inside, self.values[idx], 0.0)
-
-    def support(self):
-        return (float(self.breakpoints[0]), float(self.breakpoints[-1]))
-
-    def _breaks(self):
-        return tuple(self.breakpoints)
-
-    def _piece_overlaps(self, a, b):
-        left = np.maximum(self.breakpoints[:-1], a)
-        right = np.minimum(self.breakpoints[1:], b)
-        return np.maximum(right - left, 0.0)
-
-    def _integral(self, a, b):
-        return float(np.dot(self.values, self._piece_overlaps(a, b)))
-
-    def _lp(self, p, a, b):
-        if np.any(self.values < 0):
-            raise ValueError("V^p integral requires V >= 0")
-        return float(np.dot(self.values**p, self._piece_overlaps(a, b)))
-
-    def cell_average(self, lo, hi):
-        # exact means from the piecewise-linear antiderivative
-        cum = np.concatenate(
-            ([0.0], np.cumsum(self.values * np.diff(self.breakpoints))))
-
-        def anti(x):
-            return np.interp(x, self.breakpoints, cum)
-
-        return (anti(hi) - anti(lo)) / (hi - lo)
-
-    def jump_total(self):
-        padded = np.concatenate(([0.0], self.values, [0.0]))
-        return float(np.sum(np.abs(np.diff(padded))))
-
-    def sign_split(self):
-        dom = self._domain_json()
-        plus = PiecewiseConstant(self.breakpoints,
-                                 np.maximum(self.values, 0.0), dom)
-        minus = PiecewiseConstant(self.breakpoints,
-                                  np.maximum(-self.values, 0.0), dom)
-        return plus, minus
-
-    def is_nonnegative(self):
-        return bool(np.all(self.values >= 0))
-
-    def to_json_dict(self):
-        return {"family": "piecewise_constant",
-                "params": {"breakpoints": self.breakpoints.tolist(),
-                           "values": self.values.tolist()},
-                "domain": self._domain_json()}
-
-
 class Sampled(Potential):
     """Linear interpolation of samples on a strictly increasing grid;
-    zero outside the grid (compact support by convention)."""
+    zero outside the grid (compact support by convention), so nonzero end
+    values are jumps."""
 
     def __init__(self, grid: Sequence[float], values: Sequence[float],
                  domain="full_line"):
@@ -434,6 +412,8 @@ class Sampled(Potential):
         if np.any(np.diff(g) <= 0):
             raise ValueError("grid must be strictly increasing")
         self.grid, self.values = g, v
+        self._cum = np.concatenate(
+            ([0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(g))))
 
     def _values(self, x):
         inside = (x >= self.grid[0]) & (x <= self.grid[-1])
@@ -445,17 +425,23 @@ class Sampled(Potential):
     def _breaks(self):
         return (float(self.grid[0]), float(self.grid[-1]))
 
+    def _antiderivative(self, x):
+        # exact integral of the interpolant from the first grid point to x
+        g, y = self.grid, self.values
+        x = np.clip(x, g[0], g[-1])
+        j = np.clip(np.searchsorted(g, x, side="right") - 1, 0, len(g) - 2)
+        return self._cum[j] + 0.5 * (y[j] + np.interp(x, g, y)) * (x - g[j])
+
     def _integral(self, a, b):
-        a = max(a, self.grid[0])
-        b = min(b, self.grid[-1])
-        if not a < b:
-            return 0.0
-        # exact trapezoid integral of the interpolant over [a, b]
-        xs = np.concatenate(([a],
-                             self.grid[(self.grid > a) & (self.grid < b)],
-                             [b]))
-        ys = np.interp(xs, self.grid, self.values)
-        return float(np.trapezoid(ys, xs))
+        return float(self._antiderivative(b) - self._antiderivative(a))
+
+    def cell_average(self, lo, hi):
+        # exact means, also for cells that straddle an end jump
+        return (self._antiderivative(hi) - self._antiderivative(lo)) \
+            / (hi - lo)
+
+    def jump_total(self):
+        return float(abs(self.values[0]) + abs(self.values[-1]))
 
     def _lp(self, p, a, b):
         if np.any(self.values < 0):
@@ -478,12 +464,6 @@ class Sampled(Potential):
             h * (y2 ** (p + 1) - y1 ** (p + 1))
             / ((p + 1) * np.where(same, 1.0, y2 - y1)))
         return float(np.sum(seg))
-
-    def sign_split(self):
-        dom = self._domain_json()
-        plus = Sampled(self.grid, np.maximum(self.values, 0.0), dom)
-        minus = Sampled(self.grid, np.maximum(-self.values, 0.0), dom)
-        return plus, minus
 
     def is_nonnegative(self):
         return bool(np.all(self.values >= 0))
@@ -525,11 +505,6 @@ class Sum(Potential):
     def _integral(self, a, b):
         return sum(t._integral(a, b) for t in self.terms)
 
-    def _lp(self, p, a, b):
-        if p == 1.0:
-            return self._integral(a, b)
-        return self._quad_pow(p, a, b)
-
     def cell_average(self, lo, hi):
         out = np.zeros_like(np.asarray(lo, dtype=float))
         for t in self.terms:
@@ -539,110 +514,25 @@ class Sum(Potential):
     def jump_total(self):
         return sum(t.jump_total() for t in self.terms)
 
+    def pieces(self):
+        parts = [t.pieces() for t in self.terms]
+        if any(p is None for p in parts):
+            return None
+        # cut at every term's edges; each cut piece adds the terms' values
+        edges = sorted({e for p in parts for a, b, _ in p for e in (a, b)})
+        out = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            mid = 0.5 * (a + b)
+            val = sum(v for p in parts for x0, x1, v in p if x0 <= mid <= x1)
+            out.append((a, b, val))
+        return out
+
     def is_nonnegative(self):
         return all(t.is_nonnegative() for t in self.terms)
-
-    def sign_split(self):
-        if self.is_nonnegative():
-            return self, Zero(self._domain_json())
-        return _Clipped(self, +1), _Clipped(self, -1)
 
     def to_json_dict(self):
         return {"family": "sum",
                 "params": {"terms": [t.to_json_dict() for t in self.terms]},
-                "domain": self._domain_json()}
-
-
-class Scaled(Potential):
-    """scaled(alpha, V): x -> alpha^2 V(alpha x)."""
-
-    def __init__(self, alpha: float, inner: Potential):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        lo, hi = inner.domain
-        super().__init__((lo / alpha, hi / alpha) if (lo, hi) != FULL_LINE
-                         and (lo, hi) != HALF_LINE else inner._domain_json())
-        self.alpha, self.inner = float(alpha), inner
-
-    def _values(self, x):
-        return self.alpha**2 * self.inner._values(self.alpha * x)
-
-    def support(self):
-        lo, hi = self.inner.support()
-        return (lo / self.alpha, hi / self.alpha)
-
-    def _breaks(self):
-        return tuple(q / self.alpha for q in self.inner._breaks())
-
-    def _integral(self, a, b):
-        return self.alpha * self.inner._integral(self.alpha * a,
-                                                 self.alpha * b)
-
-    def _lp(self, p, a, b):
-        return self.alpha ** (2 * p - 1) * self.inner._lp(
-            p, self.alpha * a, self.alpha * b)
-
-    def cell_average(self, lo, hi):
-        return self.alpha**2 * self.inner.cell_average(self.alpha * lo,
-                                                       self.alpha * hi)
-
-    def jump_total(self):
-        return self.alpha**2 * self.inner.jump_total()
-
-    def is_nonnegative(self):
-        return self.inner.is_nonnegative()
-
-    def sign_split(self):
-        ip, im = self.inner.sign_split()
-        return Scaled(self.alpha, ip), Scaled(self.alpha, im)
-
-    def to_json_dict(self):
-        return {"family": "scaled",
-                "params": {"alpha": self.alpha,
-                           "inner": self.inner.to_json_dict()},
-                "domain": self._domain_json()}
-
-
-class Amplified(Potential):
-    """Pointwise multiple c * V(x) (coupling constant, c >= 0)."""
-
-    def __init__(self, c: float, inner: Potential):
-        if c < 0:
-            raise ValueError("coupling must be nonnegative")
-        super().__init__(inner._domain_json())
-        self.c, self.inner = float(c), inner
-
-    def _values(self, x):
-        return self.c * self.inner._values(x)
-
-    def support(self):
-        return self.inner.support()
-
-    def _breaks(self):
-        return self.inner._breaks()
-
-    def _integral(self, a, b):
-        return self.c * self.inner._integral(a, b)
-
-    def _lp(self, p, a, b):
-        return self.c**p * self.inner._lp(p, a, b)
-
-    def cell_average(self, lo, hi):
-        return self.c * self.inner.cell_average(lo, hi)
-
-    def jump_total(self):
-        return self.c * self.inner.jump_total()
-
-    def is_nonnegative(self):
-        return self.inner.is_nonnegative()
-
-    def sign_split(self):
-        ip, im = self.inner.sign_split()
-        return Amplified(self.c, ip), Amplified(self.c, im)
-
-    def to_json_dict(self):
-        return {"family": "amplified",
-                "params": {"c": self.c, "inner": self.inner.to_json_dict()},
                 "domain": self._domain_json()}
 
 
@@ -699,86 +589,83 @@ class _EvenExtension(Potential):
         return self.inner.is_nonnegative()
 
 
-class _Restriction(Potential):
-    """Pointwise values of a parent potential on an interval domain."""
+class _Mapped(Potential):
+    """V(x) = c * inner(s * x), with c = mass * |s|.
 
-    def __init__(self, inner: Potential, a: float, b: float):
-        super().__init__((a, b))
-        self.inner = inner
+    mass is the factor on integrals: the integral of V over [a, b] is mass
+    times that of inner over the image of [a, b].  scaled(alpha) is
+    s = mass = alpha (so c = alpha^2), amplified(c) is s = 1, mass = c, and
+    half_view(side) is s = side, mass = 1 restricted to the half line.
+    """
+
+    def __init__(self, inner: Potential, s: float, mass: float, domain=None):
+        self.inner, self.s, self.mass = inner, float(s), float(mass)
+        self.c = self.mass * abs(self.s)
+        image = tuple(sorted(q / self.s for q in inner.domain))
+        super().__init__(image if domain is None else domain)
+        # a half view sees only part of the image of inner's domain
+        self._restricts = self.domain != image
+
+    def _image(self, a, b):
+        # image of [a, b] under x -> s*x, as an ordered interval
+        return (self.s * a, self.s * b) if self.s > 0 else \
+            (self.s * b, self.s * a)
 
     def _values(self, x):
-        return self.inner._values(x)
+        return self.c * self.inner._values(self.s * x)
 
     def support(self):
-        lo, hi = self.inner.support()
-        return (max(lo, self.domain[0]), min(hi, self.domain[1]))
+        lo, hi = sorted(q / self.s for q in self.inner.support())
+        a, b = self.domain
+        return (min(max(lo, a), b), max(min(hi, b), a))
 
     def _breaks(self):
-        return self.inner._breaks()
+        a, b = self.domain
+        return tuple(sorted(q for q in (p / self.s
+                                        for p in self.inner._breaks())
+                            if a < q < b))
 
     def _integral(self, a, b):
-        return self.inner._integral(a, b)
+        return self.mass * self.inner._integral(*self._image(a, b))
 
     def _lp(self, p, a, b):
-        return self.inner._lp(p, a, b)
+        return self.mass * self.c ** (p - 1.0) * self.inner._lp(
+            p, *self._image(a, b))
 
     def cell_average(self, lo, hi):
-        return self.inner.cell_average(lo, hi)
+        return self.c * self.inner.cell_average(*self._image(lo, hi))
 
     def jump_total(self):
-        return self.inner.jump_total()
+        return self.c * self.inner.jump_total()
+
+    def pieces(self):
+        inner = self.inner.pieces()
+        if inner is None or self._restricts:
+            return None
+        return [(*sorted((a / self.s, b / self.s)), self.c * v)
+                for a, b, v in inner]
 
     def is_nonnegative(self):
         return self.inner.is_nonnegative()
 
-
-class _HalfView(Potential):
-    """x -> inner(side*x) on [0, inf); half of a whole-line potential."""
-
-    def __init__(self, inner: Potential, side: int):
-        super().__init__("half_line")
-        self.inner, self.side = inner, int(side)
-
-    def _map(self, a, b):
-        # image of [a, b] under x -> side*x, as an ordered interval
-        return (a, b) if self.side > 0 else (-b, -a)
-
-    def _values(self, x):
-        return self.inner._values(self.side * x)
-
-    def support(self):
-        lo, hi = self.inner.support()
-        if self.side < 0:
-            lo, hi = -hi, -lo
-        return (max(lo, 0.0), max(hi, 0.0))
-
-    def _breaks(self):
-        return tuple(sorted(q for q in
-                            (self.side * p for p in self.inner._breaks())
-                            if q > 0))
-
-    def _integral(self, a, b):
-        return self.inner._integral(*self._map(a, b))
-
-    def _lp(self, p, a, b):
-        return self.inner._lp(p, *self._map(a, b))
-
-    def cell_average(self, lo, hi):
-        if self.side > 0:
-            return self.inner.cell_average(lo, hi)
-        return self.inner.cell_average(-hi, -lo)
-
-    def jump_total(self):
-        return self.inner.jump_total()
-
-    def is_nonnegative(self):
-        return self.inner.is_nonnegative()
+    def sign_split(self):
+        dom = self._domain_json()
+        return tuple(_Mapped(part, self.s, self.mass, dom)
+                     for part in self.inner.sign_split())
 
     def to_json_dict(self):
-        return {"family": "half_view",
-                "params": {"side": self.side,
-                           "inner": self.inner.to_json_dict()},
-                "domain": "half_line"}
+        inner = self.inner.to_json_dict()
+        if self._restricts:
+            return {"family": "half_view",
+                    "params": {"side": int(self.s), "inner": inner},
+                    "domain": "half_line"}
+        if self.s == 1.0:
+            return {"family": "amplified",
+                    "params": {"c": self.mass, "inner": inner},
+                    "domain": self._domain_json()}
+        return {"family": "scaled",
+                "params": {"alpha": self.s, "inner": inner},
+                "domain": self._domain_json()}
 
 
 class _Clipped(Potential):
@@ -804,9 +691,6 @@ class _Clipped(Potential):
         return True
 
 
-_FAMILIES = {}
-
-
 def from_json_dict(doc: dict) -> Potential:
     """Build a potential from its JSON document."""
     family = doc.get("family")
@@ -830,11 +714,11 @@ def from_json_dict(doc: dict) -> Potential:
     if family == "sum":
         return Sum([from_json_dict(t) for t in params["terms"]], domain)
     if family == "scaled":
-        return Scaled(params["alpha"], from_json_dict(params["inner"]))
+        return from_json_dict(params["inner"]).scaled(params["alpha"])
     if family == "amplified":
-        return Amplified(params["c"], from_json_dict(params["inner"]))
+        return from_json_dict(params["inner"]).amplified(params["c"])
     if family == "half_view":
-        return _HalfView(from_json_dict(params["inner"]), params["side"])
+        return from_json_dict(params["inner"]).half_view(params["side"])
     raise ValueError(f"unknown potential family: {family!r}")
 
 

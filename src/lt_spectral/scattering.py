@@ -1,9 +1,11 @@
 """Reflection coefficients, the trace sum rule, and the transmission bound.
 
 For a compactly supported potential the wave equation -u'' - V u = k^2 u is
-propagated across the support by a real 2x2 transfer matrix (exact
-piece-by-piece for piecewise-constant V, adaptive Runge-Kutta otherwise) and
-matched to plane waves on both sides, giving R(k) and T(k).
+propagated across the support by a real 2x2 transfer matrix and matched to
+plane waves on both sides, giving R(k) and T(k).  A potential whose pieces()
+are known is propagated exactly piece by piece (Pruess's piecewise-constant
+method; J. D. Pryce, Numerical Solution of Sturm-Liouville Problems, OUP
+1993); any other is integrated by adaptive Runge-Kutta.
 
 The first trace identity ties the three independent pipelines together:
 
@@ -26,8 +28,7 @@ from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
 from .constants import VARSIGMA_3
 from .numerics import Tolerance
-from .potential import (Amplified, PiecewiseConstant, Potential, Scaled,
-                        SquareWell, Sum, Zero, truncation_point)
+from .potential import Potential, truncation_point
 from .sturm import riesz_mean, solve_line
 
 #: default tolerance for scattering solves and the unitarity gate
@@ -92,40 +93,6 @@ def _scatter_box(V: Potential) -> float:
     if math.isfinite(lo) and math.isfinite(hi):
         return max(abs(lo), abs(hi), 1.0)
     return truncation_point(V, TRUNCATION_TAIL, x_min=10.0)
-
-
-def _constant_pieces(V: Potential):
-    """(x0, x1, value) pieces when V is piecewise constant, else None."""
-    if isinstance(V, Zero):
-        return []
-    if isinstance(V, SquareWell):
-        return [(V.a, V.b, V.v)]
-    if isinstance(V, PiecewiseConstant):
-        return [(float(a), float(b), float(v)) for a, b, v in
-                zip(V.breakpoints[:-1], V.breakpoints[1:], V.values)]
-    if isinstance(V, Amplified):
-        inner = _constant_pieces(V.inner)
-        if inner is None:
-            return None
-        return [(a, b, V.c * v) for a, b, v in inner]
-    if isinstance(V, Scaled):
-        inner = _constant_pieces(V.inner)
-        if inner is None:
-            return None
-        return [(a / V.alpha, b / V.alpha, V.alpha**2 * v)
-                for a, b, v in inner]
-    if isinstance(V, Sum):
-        parts = [_constant_pieces(t) for t in V.terms]
-        if any(p is None for p in parts):
-            return None
-        edges = sorted({e for p in parts for a, b, _ in p for e in (a, b)})
-        out = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid = 0.5 * (a + b)
-            val = sum(v for p in parts for x0, x1, v in p if x0 <= mid <= x1)
-            out.append((a, b, val))
-        return out
-    return None
 
 
 def _piece_matrix(d: float, q: float) -> np.ndarray:
@@ -243,7 +210,7 @@ def reflection_coefficient(V: Potential, k_grid=None,
     if len(ks) == 0 or np.any(ks <= 0.0):
         raise ValueError("k_grid must contain positive wavenumbers")
     X = _scatter_box(V)
-    pieces = _constant_pieces(V)
+    pieces = V.pieces()
     ks = np.sort(ks)
     Rs = {k: _reflection_at(V, X, k, pieces, tol) for k in ks}
     extra = []
@@ -270,7 +237,7 @@ def sum_rule_residual(V: Potential, tol: Tolerance = SCATTER_TOL) -> float:
     spec = solve_line(V)
     moment = riesz_mean(spec, 0.5)
     X = _scatter_box(V)
-    pieces = _constant_pieces(V)
+    pieces = V.pieces()
     log_term = _log_integral(V, X, pieces, tol)
     return integral - 4.0 * moment.value - log_term
 
@@ -285,7 +252,7 @@ def theorem2_check(V: Potential, L_half: float | None = None,
     if L_half is None:
         L_half = VARSIGMA_3 / 3.0
     X = _scatter_box(V)
-    pieces = _constant_pieces(V)
+    pieces = V.pieces()
     lhs = -_log_integral(V, X, pieces, tol)
     plus, minus = V.sign_split()
     rhs = minus.integrate() + (4.0 * L_half - 1.0) * plus.integrate()

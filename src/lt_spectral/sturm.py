@@ -73,14 +73,6 @@ class RieszMean:
     error: float
 
 
-EMPTY = {
-    "neumann": Spectrum((), (), "neumann"),
-    "dirichlet": Spectrum((), (), "dirichlet"),
-    "whole_line": Spectrum((), (), "whole_line"),
-    "half_line_neumann": Spectrum((), (), "half_line_neumann"),
-}
-
-
 def _normalize_bc(bc) -> tuple[str, str]:
     if isinstance(bc, str):
         return (bc, bc)

@@ -119,6 +119,21 @@ class TestSignSplit:
         assert list(plus.values) == [1.0, 0.0, 3.0]
         assert list(minus.values) == [0.0, 2.0, 0.0]
 
+    def test_sampled_clips_the_interpolant(self):
+        # the parts clip the interpolant, not the samples: the sign change
+        # inside the first segment splits its area
+        V = pot.Sampled([0.0, 0.3, 1.0], [-1.0, 0.4, 1.0])
+        plus, minus = V.sign_split()
+        assert plus.integrate() == pytest.approx(0.507142857142857, abs=1e-12)
+        assert minus.integrate() == pytest.approx(0.107142857142857,
+                                                  abs=1e-12)
+        x = np.linspace(0.0, 1.0, 2_000_001)
+        y = V.evaluate(x)
+        assert plus.integrate() == pytest.approx(
+            np.trapezoid(np.maximum(y, 0.0), x), abs=1e-12)
+        assert minus.integrate() == pytest.approx(
+            np.trapezoid(np.maximum(-y, 0.0), x), abs=1e-12)
+
     def test_reconstruction_random_points(self):
         rng = splitmix64(123)
         V = pot.Sum([pot.Gaussian(2.0, -1.0), pot.Gaussian(-1.5, 1.0)])
@@ -189,6 +204,59 @@ class TestCellAverage:
         assert V.scaled(2.0).jump_total() == pytest.approx(4.0 * 6.0)
         assert pot.Gaussian(1.0).jump_total() == 0.0
 
+    def test_sampled_end_values_are_jumps(self):
+        # zero outside the grid: the plateau [0, 2] at height 3 is a well
+        V = pot.Sampled([0.0, 2.0], [3.0, 3.0])
+        assert V.jump_total() == 6.0
+        assert V.cell_average(np.array([1.9]), np.array([2.1]))[0] == \
+            pytest.approx(1.5, rel=1e-12)
+
+    @pytest.mark.parametrize("V", [
+        pot.Sampled([0.0, 0.3, 1.0], [-1.0, 0.4, 1.0]),
+        pot.Sampled([-1.0, 0.5, 0.7, 2.0], [2.0, 0.0, 3.0, 1.5]),
+    ])
+    def test_sampled_matches_integral(self, V):
+        lo = np.linspace(-1.5, 2.1, 37)
+        hi = lo + 0.13
+        avg = V.cell_average(lo, hi)
+        for i in range(len(lo)):
+            exact = V.integrate(lo[i], hi[i]) / 0.13
+            assert avg[i] == pytest.approx(exact, abs=1e-12)
+
+
+class TestPieces:
+    """pieces() is the piece list of the exact transfer path."""
+
+    @pytest.mark.parametrize("V", [
+        pot.Zero(),
+        pot.SquareWell(2.0, -0.737, 1.111),
+        pot.PiecewiseConstant([-1.5, -0.2, 0.9, 2.3], [1.0, -3.0, 0.5]),
+        pot.SquareWell(2.0, -0.737, 1.111).scaled(1.7),
+        pot.PiecewiseConstant([0.0, 1.0], [2.0]).amplified(0.6),
+        pot.Sum([pot.SquareWell(1.0, -1.0, 0.5),
+                 pot.PiecewiseConstant([0.0, 1.0, 2.0], [2.0, -1.0])]),
+        pot.Sum([pot.SquareWell(1.0, -1.0, 0.5), pot.Zero()]).scaled(0.5),
+    ])
+    def test_pieces_sum_to_values(self, V):
+        pieces = V.pieces()
+        assert pieces is not None
+        for x in np.linspace(-3.1, 3.3, 41) + 1e-3:
+            inside = sum(v for a, b, v in pieces if a <= x <= b)
+            assert inside == pytest.approx(V.evaluate(x), abs=1e-12)
+
+    @pytest.mark.parametrize("V", [
+        pot.Gaussian(1.0),
+        pot.PoschlTeller(1.0),
+        pot.Sampled([0.0, 1.0], [1.0, 1.0]),
+        pot.Sum([pot.SquareWell(1.0, -1.0, 1.0), pot.Gaussian(0.5)]),
+        pot.Gaussian(1.0).scaled(2.0),
+        pot.SquareWell(1.0, -1.0, 1.0).half_view(+1),
+        pot.SquareWell(1.0, 1.0, 2.0, domain="half_line").even_extension(),
+        pot.Sum([pot.Gaussian(1.0), pot.Gaussian(-2.0)]).sign_split()[0],
+    ])
+    def test_other_potentials_have_none(self, V):
+        assert V.pieces() is None
+
 
 class TestJsonRoundTrip:
     @pytest.mark.parametrize("V", [
@@ -209,6 +277,30 @@ class TestJsonRoundTrip:
         assert list(W.evaluate(np.array(xs))) == \
             pytest.approx(list(V.evaluate(np.array(xs))))
         assert W.domain == V.domain
+
+    @pytest.mark.parametrize("doc", [
+        {"family": "scaled",
+         "params": {"alpha": 1.7,
+                    "inner": {"family": "square_well",
+                              "params": {"v": 2.0, "a": -0.737, "b": 1.111},
+                              "domain": "full_line"}},
+         "domain": "full_line"},
+        {"family": "amplified",
+         "params": {"c": 0.6,
+                    "inner": {"family": "poschl_teller",
+                              "params": {"nu": 2.0, "c": 0.3, "alpha": 1.0},
+                              "domain": "full_line"}},
+         "domain": "full_line"},
+        {"family": "half_view",
+         "params": {"side": -1,
+                    "inner": {"family": "gaussian",
+                              "params": {"amplitude": 2.0, "center": 0.7,
+                                         "width": 1.1},
+                              "domain": "full_line"}},
+         "domain": "half_line"},
+    ])
+    def test_wrapper_documents_round_trip(self, doc):
+        assert pot.from_json_dict(doc).to_json_dict() == doc
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from lt_spectral.numerics import Tolerance
 from lt_spectral.potential import (Gaussian, PiecewiseConstant, PoschlTeller,
-                                   SquareWell, Zero)
+                                   Sampled, SquareWell, Zero)
 from lt_spectral.sturm import (SOLVER_TOL, SolverError, Spectrum, _tridiag,
                                bs_interval_bound, bs_line_ground_bound,
                                riesz_mean, sobolev_pointwise_check,
@@ -67,6 +67,27 @@ class TestAnalyticSpectra:
         for e1, e2, r1, r2 in zip(base.eigenvalues, moved.eigenvalues,
                                   base.radii, moved.radii):
             assert abs(e1 - e2) <= r1 + r2
+
+
+class TestSampledContainment:
+    """A sampled plateau is zero outside its grid, so it is a square well:
+    its ends are jumps the certified radii must account for."""
+
+    LEVEL = square_well_line_levels(3.0, 0.5)  # [-1.1736021...]
+
+    @pytest.mark.parametrize("shift", np.linspace(-0.37, 0.41, 10))
+    def test_plateau_contains_square_well_level(self, shift):
+        V = Sampled([shift - 0.5, shift + 0.5], [3.0, 3.0])
+        # 2e-4 is below the first-order jump allowance on the finest grid
+        # (1.0e-3), so the solver may refuse; it must not return a radius
+        # that misses the level
+        try:
+            spec = solve_line(V, tol=Tolerance(abs=2e-4, rel=2e-4))
+        except SolverError:
+            pass
+        else:
+            _check_against(spec, self.LEVEL, tol=2e-4)
+        _check_against(solve_line(V), self.LEVEL, tol=1e-2)
 
 
 class TestPruferOracle:
