@@ -21,8 +21,7 @@ from .scattering import (ScatteringData, ScatteringError,
                          theorem2_check)
 from .sturm import (RieszMean, SolverError, Spectrum, bs_interval_bound,
                     bs_line_ground_bound, riesz_mean,
-                    sobolev_pointwise_check, solve_interval, solve_line,
-                    sturm_count_below)
+                    sobolev_pointwise_check, solve_interval, solve_line)
 
 __version__ = "1.0.0"
 
@@ -40,6 +39,6 @@ __all__ = [
     "lt_constant", "minimize_1d", "one_state_constant",
     "reflection_coefficient", "riesz_mean", "sobolev_pointwise_check",
     "solve_interval", "solve_line", "split_indices", "star_constant",
-    "sturm_count_below", "sum_rule_residual", "theorem2_check", "theta_fn",
-    "theta_weight", "varsigma", "verify_splitting",
+    "sum_rule_residual", "theorem2_check", "theta_fn", "theta_weight",
+    "varsigma", "verify_splitting",
 ]

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .constants import VARSIGMA_3
-from .numerics import Tolerance, find_root
+from .numerics import NumericsError, Tolerance, find_root
 from .potential import FULL_LINE, HALF_LINE, Potential
 from .sturm import RieszMean, Spectrum, riesz_mean, solve_interval, solve_line
 
@@ -34,7 +34,7 @@ PARTITION_RTOL = 1e-8
 TAIL_ZERO_FRACTION = 1e-12
 
 
-class BracketingError(Exception):
+class BracketingError(NumericsError):
     """A partition invariant or the one-eigenvalue property failed."""
 
 
@@ -61,12 +61,7 @@ class Partition:
             raise ValueError("need n+1 breakpoints for n intervals")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        for k in range(len(ms)):
-            if math.isinf(bp[k + 1]) or (self.truncated
-                                         and k >= len(ms) - 2):
-                continue
-            if self.degenerate:
-                continue
+        for k in ([] if self.degenerate else self.finite_indices()):
             product = (bp[k + 1] - bp[k]) * ms[k]
             if abs(product - 3.0) > PARTITION_RTOL * 3.0:
                 raise ValueError(

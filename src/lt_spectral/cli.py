@@ -20,8 +20,7 @@ import math
 import sys
 
 from . import bracketing, constants, kyfan, potential, scattering
-from .numerics import DivergenceError, NumericsError, Tolerance
-from .sturm import SolverError
+from .numerics import NumericsError, Tolerance
 
 EXIT_PASS = 0
 EXIT_INEQUALITY = 1
@@ -234,14 +233,10 @@ def main(argv=None) -> int:
         if args.gamma is not None and args.gamma_grid is not None:
             raise UsageError("--gamma and --gamma-grid are exclusive")
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SolverError, NumericsError, DivergenceError,
-            scattering.ScatteringError, bracketing.BracketingError) as exc:
+    except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -16,7 +16,10 @@ from scipy import optimize
 
 
 class NumericsError(Exception):
-    """Raised when a kernel cannot meet its contract."""
+    """Raised when a kernel, solver or check cannot meet its contract.
+
+    The root of every numerical failure (the CLI's exit code 2).
+    """
 
 
 class BracketError(NumericsError):

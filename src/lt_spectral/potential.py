@@ -10,7 +10,8 @@ SquareWell, PiecewiseConstant) are one piece list, from which jumps, exact
 cell means, integrals and pieces() are read.  scaled, amplified and
 half_view are one mapped wrapper V(x) = c * inner(s * x) that transforms
 what its inner potential states; Sum adds up what its terms state.
-pieces() selects the exact transfer path in scattering.
+pieces() selects the exact transfer path in scattering, which reads the
+piece list as given: sorted, contiguous and inside support().
 
 JSON exchange format::
 
@@ -142,9 +143,10 @@ class Potential:
     def pieces(self) -> list[tuple[float, float, float]] | None:
         """(x0, x1, value) pieces when V is piecewise constant, else None.
 
-        Pieces meet only at their ends.  A potential with pieces takes the
-        exact transfer path in scattering (Pruess's piecewise-constant
-        method); the others are integrated as ODEs.
+        The pieces are sorted, of positive length, contiguous (each ends
+        where the next begins) and inside support().  A potential with
+        pieces takes the exact transfer path in scattering (Pruess's
+        piecewise-constant method); the others are integrated as ODEs.
         """
         return None
 
@@ -155,12 +157,6 @@ class Potential:
         if self.is_nonnegative():
             return self, Zero(self._domain_json())
         return _Clipped(self, +1), _Clipped(self, -1)
-
-    def even_extension(self) -> "Potential":
-        """Reflect a half-line potential to a symmetric one on the line."""
-        if self.domain != HALF_LINE:
-            raise ValueError("even_extension requires a half-line domain")
-        return _EvenExtension(self)
 
     def scaled(self, alpha: float) -> "Potential":
         """x -> alpha^2 V(alpha x), whose eigenvalues are alpha^2 times V's."""
@@ -297,13 +293,6 @@ class SquareWell(PiecewiseConstant):
         super().__init__((a, b), (v,), domain)
         self.v, self.a, self.b = float(v), float(a), float(b)
 
-    def even_extension(self):
-        if self.domain != HALF_LINE:
-            raise ValueError("even_extension requires a half-line domain")
-        if self.a == 0.0:
-            return SquareWell(self.v, -self.b, self.b)
-        return _EvenExtension(self)
-
     def to_json_dict(self):
         return {"family": "square_well",
                 "params": {"v": self.v, "a": self.a, "b": self.b},
@@ -322,8 +311,10 @@ class PoschlTeller(Potential):
         self.nu, self.c, self.alpha = float(nu), float(c), float(alpha)
 
     def _values(self, x):
-        return (self.nu * (self.nu + 1) * self.alpha**2
-                / np.cosh(self.alpha * (x - self.c)) ** 2)
+        # cosh overflows to inf for |alpha (x - c)| > 710, where V is 0
+        with np.errstate(over="ignore"):
+            return (self.nu * (self.nu + 1) * self.alpha**2
+                    / np.cosh(self.alpha * (x - self.c)) ** 2)
 
     def _antiderivative(self, x):
         # of nu(nu+1) a^2 sech^2(a(x-c)):  nu(nu+1) a tanh(a(x-c))
@@ -534,59 +525,6 @@ class Sum(Potential):
         return {"family": "sum",
                 "params": {"terms": [t.to_json_dict() for t in self.terms]},
                 "domain": self._domain_json()}
-
-
-class _EvenExtension(Potential):
-    """V(x) := inner(|x|) on the full line, for a half-line inner."""
-
-    def __init__(self, inner: Potential):
-        super().__init__("full_line")
-        self.inner = inner
-
-    def _values(self, x):
-        return self.inner._values(np.abs(x))
-
-    def support(self):
-        lo, hi = self.inner.support()
-        return (-hi, hi)
-
-    def _breaks(self):
-        pts = set()
-        for q in self.inner._breaks():
-            pts.update((q, -q))
-        pts.add(0.0)
-        return tuple(sorted(pts))
-
-    def _split_at_zero(self, fn, a, b):
-        total = 0.0
-        if a < 0:
-            total += fn(max(0.0, -b), -a)
-        if b > 0:
-            total += fn(max(0.0, a), b)
-        return total
-
-    def _integral(self, a, b):
-        return self._split_at_zero(self.inner._integral, a, b)
-
-    def _lp(self, p, a, b):
-        return self._split_at_zero(lambda lo, hi: self.inner._lp(p, lo, hi),
-                                   a, b)
-
-    def cell_average(self, lo, hi):
-        if self.inner.jump_total() == 0.0:
-            return self._values(0.5 * (lo + hi))
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        out = np.empty_like(lo)
-        for i in range(len(lo)):
-            out[i] = self._split_at_zero(self.inner._integral, lo[i], hi[i])
-        return out / (hi - lo)
-
-    def jump_total(self):
-        return 2.0 * self.inner.jump_total()
-
-    def is_nonnegative(self):
-        return self.inner.is_nonnegative()
 
 
 class _Mapped(Potential):

@@ -3,9 +3,10 @@
 For a compactly supported potential the wave equation -u'' - V u = k^2 u is
 propagated across the support by a real 2x2 transfer matrix and matched to
 plane waves on both sides, giving R(k) and T(k).  A potential whose pieces()
-are known is propagated exactly piece by piece (Pruess's piecewise-constant
+are known is propagated exactly step by step (Pruess's piecewise-constant
 method; J. D. Pryce, Numerical Solution of Sturm-Liouville Problems, OUP
-1993); any other is integrated by adaptive Runge-Kutta.
+1993); its step list is built once per call and reused for every k.  Any
+other potential is integrated by adaptive Runge-Kutta.
 
 The first trace identity ties the three independent pipelines together:
 
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
 from .constants import VARSIGMA_3
-from .numerics import Tolerance
+from .numerics import NumericsError, Tolerance
 from .potential import Potential, truncation_point
 from .sturm import riesz_mean, solve_line
 
@@ -41,7 +42,7 @@ K_MIN, K_MAX, K_COUNT = 0.01, 100.0, 400
 TRUNCATION_TAIL = 1e-10
 
 
-class ScatteringError(Exception):
+class ScatteringError(NumericsError):
     """Unitarity or consistency of the transfer matrix failed."""
 
 
@@ -108,19 +109,24 @@ def _piece_matrix(d: float, q: float) -> np.ndarray:
     return np.array([[1.0, d], [0.0, 1.0]])
 
 
-def _transfer_exact(pieces, X: float, k: float) -> np.ndarray:
-    edges = [-X]
-    for a, b, _ in pieces:
-        for e in (a, b):
-            if -X < e < X:
-                edges.append(e)
-    edges.append(X)
-    edges = sorted(set(edges))
+def _exact_steps(pieces, X: float) -> list[tuple[float, float]]:
+    """(length, value) steps across [-X, X]: pieces() is sorted, contiguous
+    and inside supp V, so only the two outer free steps are added."""
+    steps, x = [], -X
+    for a, b, v in pieces:
+        if a > x:
+            steps.append((a - x, 0.0))
+        steps.append((b - a, v))
+        x = b
+    if X > x:
+        steps.append((X - x, 0.0))
+    return steps
+
+
+def _transfer_exact(steps, k: float) -> np.ndarray:
     M = np.eye(2)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (a + b)
-        v = sum(val for x0, x1, val in pieces if x0 <= mid <= x1)
-        M = _piece_matrix(b - a, k * k + v) @ M
+    for d, v in steps:
+        M = _piece_matrix(d, k * k + v) @ M
     return M
 
 
@@ -139,14 +145,26 @@ def _transfer_ode(V: Potential, X: float, k: float,
     return np.array([[y[0], y[2]], [y[1], y[3]]])
 
 
-def _reflection_at(V, X, k, pieces, tol):
+class _Propagator:
+    """Transfer matrices of one potential across its box [-X, X]: exact
+    steps, built once, when V has pieces(), else one ODE solve per k."""
+
+    def __init__(self, V: Potential, tol: Tolerance):
+        self.V, self.X, self.tol = V, _scatter_box(V), tol
+        pieces = V.pieces()
+        self.steps = None if pieces is None else _exact_steps(pieces, self.X)
+
+    def matrix(self, k: float) -> np.ndarray:
+        if self.steps is None:
+            return _transfer_ode(self.V, self.X, k, self.tol)
+        return _transfer_exact(self.steps, k)
+
+
+def _reflection_at(prop: _Propagator, k: float):
     """(R, T, unitarity_defect) at one positive wavenumber."""
     if k <= 0.0:
         raise ValueError("wavenumbers must be positive")
-    if pieces is not None:
-        M = _transfer_exact(pieces, X, k)
-    else:
-        M = _transfer_ode(V, X, k, tol)
+    M, X, tol = prop.matrix(k), prop.X, prop.tol
     det_err = abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0] - 1.0)
     if det_err > 100.0 * tol.abs:
         raise ScatteringError(
@@ -165,23 +183,18 @@ def _reflection_at(V, X, k, pieces, tol):
     return R, T, defect
 
 
-def _log_integrand(V, X, pieces, tol):
+def _log_integral(prop: _Propagator) -> float:
+    """pi^(-1) int_R ln(1-|R|^2) dk = (2/pi) int_0^inf, by symmetry."""
     def f(k):
-        R, _, _ = _reflection_at(V, X, k, pieces, tol)
+        R, _, _ = _reflection_at(prop, k)
         # keep 1 - r2 representable; |R|^2 can round to exactly 1 at low k
         r2 = min(abs(R) ** 2, 1.0 - 1e-16)
         return math.log1p(-r2)
 
-    return f
-
-
-def _log_integral(V: Potential, X: float, pieces, tol: Tolerance) -> float:
-    """pi^(-1) int_R ln(1-|R|^2) dk = (2/pi) int_0^inf, by symmetry."""
-    f = _log_integrand(V, X, pieces, tol)
     # stop early once the integrand is negligible at two incommensurate
     # points (smooth potentials reflect exponentially little at large k)
     k_cut = K_MAX
-    if pieces is None:
+    if prop.steps is None:
         for kc in (2.0, 5.0, 10.0, 25.0):
             if abs(f(kc)) < 1e-14 and abs(f(1.37 * kc)) < 1e-14:
                 k_cut = 1.37 * kc
@@ -209,22 +222,21 @@ def reflection_coefficient(V: Potential, k_grid=None,
                                                             dtype=float)
     if len(ks) == 0 or np.any(ks <= 0.0):
         raise ValueError("k_grid must contain positive wavenumbers")
-    X = _scatter_box(V)
-    pieces = V.pieces()
+    prop = _Propagator(V, tol)
     ks = np.sort(ks)
-    Rs = {k: _reflection_at(V, X, k, pieces, tol) for k in ks}
+    Rs = {k: _reflection_at(prop, k) for k in ks}
     extra = []
     for k1, k2 in zip(ks[:-1], ks[1:]):
         if abs(abs(Rs[k1][0]) ** 2 - abs(Rs[k2][0]) ** 2) > 0.05:
             extra.append(math.sqrt(k1 * k2))
     for k in extra:
-        Rs[k] = _reflection_at(V, X, k, pieces, tol)
+        Rs[k] = _reflection_at(prop, k)
     grid = sorted(Rs)
     return ScatteringData(
         k_grid=tuple(grid),
         R_values=tuple(Rs[k][0] for k in grid),
         unitarity_defects=tuple(Rs[k][2] for k in grid),
-        log_integral=_log_integral(V, X, pieces, tol))
+        log_integral=_log_integral(prop))
 
 
 def sum_rule_residual(V: Potential, tol: Tolerance = SCATTER_TOL) -> float:
@@ -236,9 +248,7 @@ def sum_rule_residual(V: Potential, tol: Tolerance = SCATTER_TOL) -> float:
     integral = V.integrate()
     spec = solve_line(V)
     moment = riesz_mean(spec, 0.5)
-    X = _scatter_box(V)
-    pieces = V.pieces()
-    log_term = _log_integral(V, X, pieces, tol)
+    log_term = _log_integral(_Propagator(V, tol))
     return integral - 4.0 * moment.value - log_term
 
 
@@ -251,9 +261,7 @@ def theorem2_check(V: Potential, L_half: float | None = None,
     """
     if L_half is None:
         L_half = VARSIGMA_3 / 3.0
-    X = _scatter_box(V)
-    pieces = V.pieces()
-    lhs = -_log_integral(V, X, pieces, tol)
+    lhs = -_log_integral(_Propagator(V, tol))
     plus, minus = V.sign_split()
     rhs = minus.integrate() + (4.0 * L_half - 1.0) * plus.integrate()
     return lhs, rhs

@@ -7,6 +7,9 @@ extracted by LAPACK's Sturm-sequence bisection.  Values on grids h and h/2
 are Richardson-extrapolated; the extrapolation defect becomes the certified
 error radius.
 
+The grids run from 2^LEVEL_MIN + 1 up to 2^LEVEL_MAX + 1 nodes.  A kinetic
+share -theta u'' is -u'' with V / theta, scaled by theta (see kyfan).
+
 Whole-line (and half-line Neumann) spectra are obtained by truncating to a
 box where the discarded potential tail is negligible and sandwiching each
 eigenvalue between the Neumann-truncated value (below) and the
@@ -16,20 +19,23 @@ Dirichlet-truncated value (above).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .numerics import Tolerance
+from .numerics import NumericsError, Tolerance
+from .potential import Potential, truncation_point
 
 #: default certification target for eigenvalue radii; 1e-10 is not
 #: reachable with second-order differences on a 2^16 grid
 SOLVER_TOL = Tolerance(abs=1e-6, rel=1e-6)
-from .potential import Potential, truncation_point
+
+#: grid ladder: the coarsest and finest grids have 2^level + 1 nodes
+LEVEL_MIN, LEVEL_MAX = 8, 16
 
 
-class SolverError(Exception):
+class SolverError(NumericsError):
     """The grid budget was exhausted before the tolerance was met."""
 
 
@@ -80,9 +86,8 @@ def _normalize_bc(bc) -> tuple[str, str]:
     return (left, right)
 
 
-def _tridiag(V: Potential, a: float, b: float, n: int,
-             bc: tuple[str, str], kinetic: float):
-    """Symmetric tridiagonal FD matrix of -kinetic*u'' - V u on [a, b]."""
+def _tridiag(V: Potential, a: float, b: float, n: int, bc: tuple[str, str]):
+    """Symmetric tridiagonal FD matrix of -u'' - V u on [a, b]."""
     left, right = bc
     x = np.linspace(a, b, n)
     h = (b - a) / (n - 1)
@@ -94,8 +99,8 @@ def _tridiag(V: Potential, a: float, b: float, n: int,
     if right == "dirichlet":
         x, v = x[:-1], v[:-1]
     m = len(v)
-    d = 2.0 * kinetic / h**2 - v
-    e = np.full(m - 1, -kinetic / h**2)
+    d = 2.0 / h**2 - v
+    e = np.full(m - 1, -1.0 / h**2)
     # Neumann ghost point doubles the boundary coupling; the diagonal
     # similarity diag(1/sqrt(2), 1, ..) restores symmetry with sqrt(2)
     if left == "neumann":
@@ -103,23 +108,6 @@ def _tridiag(V: Potential, a: float, b: float, n: int,
     if right == "neumann":
         e[-1] *= math.sqrt(2.0)
     return d, e
-
-
-def sturm_count_below(d: np.ndarray, e: np.ndarray, mu: float) -> int:
-    """Number of eigenvalues of the tridiagonal matrix below mu
-    (Sturm-sequence sign count of the LDL^T pivots)."""
-    count = 0
-    q = d[0] - mu
-    if q < 0:
-        count += 1
-    tiny = 1e-300
-    for i in range(1, len(d)):
-        if q == 0.0:
-            q = tiny
-        q = d[i] - mu - e[i - 1] ** 2 / q
-        if q < 0:
-            count += 1
-    return count
 
 
 def _negative_eigs(d, e, cutoff=0.0):
@@ -132,19 +120,19 @@ def _negative_eigs(d, e, cutoff=0.0):
     return np.sort(vals)
 
 
-def _solve_fd(V, a, b, bc, tol, kinetic=1.0, k_min=8, k_max=16):
+def _solve_fd(V, a, b, bc, tol):
     """Negative eigenvalues with Richardson-certified radii.
 
     Returns (values, radii, near_threshold_count, near_threshold_bound).
     """
     threshold = -10.0 * tol.abs  # eigenvalues above this are unresolvable
     jumps = V.jump_total()
-    k = k_min
-    d, e = _tridiag(V, a, b, 2**k + 1, bc, kinetic)
+    k = LEVEL_MIN
+    d, e = _tridiag(V, a, b, 2**k + 1, bc)
     coarse = _negative_eigs(d, e)
     while True:
         k += 1
-        d, e = _tridiag(V, a, b, 2**k + 1, bc, kinetic)
+        d, e = _tridiag(V, a, b, 2**k + 1, bc)
         fine = _negative_eigs(d, e)
         m = min(len(coarse), len(fine))
         vals = (4.0 * fine[:m] - coarse[:m]) / 3.0
@@ -158,7 +146,7 @@ def _solve_fd(V, a, b, bc, tol, kinetic=1.0, k_min=8, k_max=16):
         near = int(np.sum(~keep)) + max(len(fine), len(coarse)) - m
         ok = bool(np.all(rads[keep] <= tol.abs)) \
             and bool(np.all(rads[keep] < np.abs(vals[keep])))
-        if ok or k >= k_max:
+        if ok or k >= LEVEL_MAX:
             if not ok:
                 raise SolverError(
                     f"grid budget exhausted: worst radius "
@@ -175,32 +163,29 @@ def _solve_fd(V, a, b, bc, tol, kinetic=1.0, k_min=8, k_max=16):
         coarse = fine
 
 
-def _effective_tol(V: Potential, tol, length: float,
-                   k_max: int) -> Tolerance:
+def _effective_tol(V: Potential, tol, length: float) -> Tolerance:
     """Default tolerance, relaxed to the first-order floor for jumpy V."""
     if tol is not None:
         return tol
     jumps = V.jump_total()
     if jumps > 0.0:
-        floor = 0.5 * jumps * length / 2**k_max
+        floor = 0.5 * jumps * length / 2**LEVEL_MAX
         return Tolerance(abs=max(1e-3, 4.0 * floor), rel=SOLVER_TOL.rel)
     return SOLVER_TOL
 
 
 def solve_interval(V: Potential, interval, bc="neumann",
-                   tol: Tolerance | None = None, kinetic: float = 1.0,
-                   k_max: int = 16) -> Spectrum:
-    """All negative eigenvalues of -kinetic*u'' - V u on a finite interval.
+                   tol: Tolerance | None = None) -> Spectrum:
+    """All negative eigenvalues of -u'' - V u on a finite interval.
 
     bc is "neumann", "dirichlet", or a (left, right) pair.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("need a finite interval with a < b")
-    tol = _effective_tol(V, tol, b - a, k_max)
+    tol = _effective_tol(V, tol, b - a)
     pair = _normalize_bc(bc)
-    vals, rads, near, bound = _solve_fd(V, a, b, pair, tol, kinetic,
-                                        k_max=k_max)
+    vals, rads, near, bound = _solve_fd(V, a, b, pair, tol)
     tag = pair[0] if pair[0] == pair[1] else f"{pair[0]}/{pair[1]}"
     return Spectrum(tuple(vals), tuple(rads), tag, near, bound)
 
@@ -228,8 +213,7 @@ def _tail_sup(V: Potential, X: float) -> float:
     return sup
 
 
-def solve_line(V: Potential, tol: Tolerance | None = None,
-               kinetic: float = 1.0, k_max: int = 16) -> Spectrum:
+def solve_line(V: Potential, tol: Tolerance | None = None) -> Spectrum:
     """Negative spectrum on the whole line (or Neumann half-line).
 
     Truncates to [-X, X] (or [0, X]) with negligible discarded tail mass and
@@ -239,16 +223,14 @@ def solve_line(V: Potential, tol: Tolerance | None = None,
     half = V.domain == (0.0, math.inf)
     X = _box(V, tol if tol is not None else SOLVER_TOL)
     a = 0.0 if half else -X
-    tol = _effective_tol(V, tol, X - a, k_max)
+    tol = _effective_tol(V, tol, X - a)
     # the half-line keeps its physical Neumann end at 0; only the
     # artificial truncation ends switch between Neumann and Dirichlet
     lower_bc = ("neumann", "neumann")
     upper_bc = ("neumann", "dirichlet") if half else ("dirichlet",
                                                       "dirichlet")
-    lo_vals, lo_rads, lo_near, lo_bound = _solve_fd(V, a, X, lower_bc, tol,
-                                                    kinetic, k_max=k_max)
-    up_vals, up_rads, up_near, up_bound = _solve_fd(V, a, X, upper_bc, tol,
-                                                    kinetic, k_max=k_max)
+    lo_vals, lo_rads, lo_near, lo_bound = _solve_fd(V, a, X, lower_bc, tol)
+    up_vals, up_rads, up_near, up_bound = _solve_fd(V, a, X, upper_bc, tol)
     tail = _tail_sup(V, X)
     m = min(len(lo_vals), len(up_vals))
     vals, rads = [], []

@@ -3,10 +3,14 @@ import math
 
 import pytest
 
+from lt_spectral import bracketing, scattering
+from lt_spectral.bracketing import BracketingError
 from lt_spectral.cli import (DEFAULT_SEED, EXIT_INEQUALITY, EXIT_NUMERICAL,
                              EXIT_PASS, EXIT_USAGE, main, random_piecewise,
                              splitmix64)
 from lt_spectral.potential import SquareWell
+from lt_spectral.scattering import ScatteringError
+from lt_spectral.sturm import SolverError
 
 
 def run(capsys, *argv):
@@ -196,6 +200,23 @@ class TestUsageErrors:
     def test_bad_tolerance(self, capsys, well_file):
         code = main(["certify", "--potential", well_file, "--tol", "-1"])
         assert code == EXIT_USAGE
+
+
+class TestNumericalFailures:
+    @pytest.mark.parametrize("command, module, name, error", [
+        ("certify", bracketing, "certify_theorem1", SolverError),
+        ("scatter", scattering, "reflection_coefficient", ScatteringError),
+        ("partition", bracketing, "build_partition", BracketingError),
+    ])
+    def test_exit_numerical(self, capsys, monkeypatch, command, module,
+                            name, error):
+        def fail(*args, **kwargs):
+            raise error("forced failure")
+
+        monkeypatch.setattr(module, name, fail)
+        assert main([command]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == \
+            "numerical failure: forced failure\n"
 
 
 class TestRounding:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,14 @@ class TestEvaluate:
 
     def test_poschl_teller_origin(self):
         assert pot.PoschlTeller(1.0).evaluate(0.0) == pytest.approx(2.0)
+
+    def test_poschl_teller_far_tail_is_silent_zero(self):
+        # cosh overflows beyond |alpha (x - c)| = 710; V is 0 there, quietly
+        V = pot.PoschlTeller(2.0, c=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert V.evaluate(800.0) == 0.0
+            assert np.all(V.evaluate(np.array([-800.0, 400.0])) == 0.0)
 
     def test_scaled(self):
         V = pot.SquareWell(3.0, 0.0, 2.0).scaled(2.0)
@@ -144,29 +153,6 @@ class TestSignSplit:
                 plus.evaluate(x) - minus.evaluate(x), abs=1e-12)
 
 
-class TestEvenExtension:
-    def test_square_well_from_origin(self):
-        V = pot.SquareWell(2.0, 0.0, 1.5, domain="half_line")
-        W = V.even_extension()
-        assert isinstance(W, pot.SquareWell)
-        assert (W.a, W.b) == (-1.5, 1.5)
-
-    def test_mass_doubles(self):
-        V = pot.SquareWell(2.0, 1.0, 2.0, domain="half_line")
-        W = V.even_extension()
-        assert W.integrate() == pytest.approx(2.0 * V.integrate(), rel=1e-10)
-
-    def test_symmetry(self):
-        V = pot.SquareWell(2.0, 1.0, 2.0, domain="half_line")
-        W = V.even_extension()
-        for x in (0.3, 1.2, 1.9, 2.5):
-            assert W.evaluate(-x) == W.evaluate(x)
-
-    def test_requires_half_line(self):
-        with pytest.raises(ValueError):
-            pot.Gaussian(1.0).even_extension()
-
-
 class TestHalfView:
     def test_values_and_mass(self):
         V = pot.Gaussian(2.0, 0.7, 1.1)
@@ -240,6 +226,13 @@ class TestPieces:
     def test_pieces_sum_to_values(self, V):
         pieces = V.pieces()
         assert pieces is not None
+        # the contract the exact transfer path reads the list by: sorted,
+        # contiguous, of positive length and inside support()
+        lo, hi = V.support()
+        for (_, b0, _), (a1, _, _) in zip(pieces, pieces[1:]):
+            assert b0 == a1
+        for a, b, _ in pieces:
+            assert lo <= a < b <= hi
         for x in np.linspace(-3.1, 3.3, 41) + 1e-3:
             inside = sum(v for a, b, v in pieces if a <= x <= b)
             assert inside == pytest.approx(V.evaluate(x), abs=1e-12)
@@ -251,7 +244,7 @@ class TestPieces:
         pot.Sum([pot.SquareWell(1.0, -1.0, 1.0), pot.Gaussian(0.5)]),
         pot.Gaussian(1.0).scaled(2.0),
         pot.SquareWell(1.0, -1.0, 1.0).half_view(+1),
-        pot.SquareWell(1.0, 1.0, 2.0, domain="half_line").even_extension(),
+        pot.PiecewiseConstant([-2.0, -1.0, 0.5], [1.0, -2.0]).half_view(-1),
         pot.Sum([pot.Gaussian(1.0), pot.Gaussian(-2.0)]).sign_split()[0],
     ])
     def test_other_potentials_have_none(self, V):

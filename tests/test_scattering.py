@@ -7,8 +7,10 @@ from lt_spectral.cli import random_piecewise
 from lt_spectral.constants import VARSIGMA_3
 from lt_spectral.potential import (Gaussian, PiecewiseConstant, PoschlTeller,
                                    SquareWell, Zero)
-from lt_spectral.scattering import (ScatteringData, ScatteringError,
-                                    default_k_grid, reflection_coefficient,
+from lt_spectral.scattering import (SCATTER_TOL, ScatteringData,
+                                    ScatteringError, _Propagator,
+                                    _reflection_at, default_k_grid,
+                                    reflection_coefficient,
                                     sum_rule_residual, theorem2_check)
 
 from oracles import square_well_reflection_sq
@@ -27,6 +29,22 @@ class TestClosedFormAgreement:
         for k, r in zip(data.k_grid, data.R_values):
             exact = square_well_reflection_sq(v, a, k)
             assert abs(r) ** 2 == pytest.approx(exact, abs=1e-8)
+
+    def test_exact_steps_match_ode_phase(self):
+        # |R| does not see where the free steps lie, the phase of R does;
+        # the same off-centre pieces without pieces() take the ODE path
+        class Opaque(PiecewiseConstant):
+            def pieces(self):
+                return None
+
+        args = ([-0.9, 0.2, 1.4], [2.0, -1.0])
+        exact = _Propagator(PiecewiseConstant(*args), SCATTER_TOL)
+        ode = _Propagator(Opaque(*args), SCATTER_TOL)
+        assert ode.steps is None and exact.steps is not None
+        for k in (0.3, 1.7, 6.0):
+            r_exact = _reflection_at(exact, k)[0]
+            r_ode = _reflection_at(ode, k)[0]
+            assert abs(r_exact - r_ode) < 1e-6
 
     def test_zero_potential(self):
         data = reflection_coefficient(Zero(), MODEST_GRID)

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from lt_spectral.kyfan import _solve_share
 from lt_spectral.numerics import Tolerance
 from lt_spectral.potential import (Gaussian, PiecewiseConstant, PoschlTeller,
                                    Sampled, SquareWell, Zero)
-from lt_spectral.sturm import (SOLVER_TOL, SolverError, Spectrum, _tridiag,
+from lt_spectral.sturm import (SOLVER_TOL, SolverError, Spectrum,
+                               _negative_eigs, _tridiag,
                                bs_interval_bound, bs_line_ground_bound,
                                riesz_mean, sobolev_pointwise_check,
-                               solve_interval, solve_line, sturm_count_below)
+                               solve_interval, solve_line)
 
 from oracles import (poschl_teller_levels, prufer_neumann_levels,
                      square_well_line_levels)
@@ -149,23 +151,26 @@ class TestScalingCovariance:
 
 
 class TestSturmCount:
+    """The negative count comes from LAPACK's Sturm-sequence bisection,
+    started below the Gershgorin bound; it must miss no eigenvalue."""
+
     @pytest.mark.parametrize("seed", range(50))
     def test_count_matches_eigh(self, seed):
         from lt_spectral.cli import random_piecewise
         rng = np.random.default_rng(seed)
         V = random_piecewise(seed)
         lo, hi = V.support()
-        d, e = _tridiag(V, lo, hi, 129, ("neumann", "neumann"), 1.0)
+        d, e = _tridiag(V, lo, hi, 129, ("neumann", "neumann"))
         mu = float(rng.uniform(-5.0, 5.0))
         from scipy.linalg import eigh_tridiagonal
         w = eigh_tridiagonal(d, e, eigvals_only=True)
-        assert sturm_count_below(d, e, mu) == int(np.sum(w < mu))
+        assert len(_negative_eigs(d, e, mu)) == int(np.sum(w < mu))
 
     def test_shift_consistency(self):
         V = SquareWell(4.0, 0.0, 2.0)
-        d, e = _tridiag(V, -1.0, 3.0, 257, ("dirichlet", "dirichlet"), 1.0)
-        c1 = sturm_count_below(d, e, -1.0)
-        c2 = sturm_count_below(d, e, 0.0)
+        d, e = _tridiag(V, -1.0, 3.0, 257, ("dirichlet", "dirichlet"))
+        c1 = len(_negative_eigs(d, e, -1.0))
+        c2 = len(_negative_eigs(d, e, 0.0))
         assert 0 <= c1 <= c2
 
 
@@ -278,15 +283,15 @@ class TestSolverBehavior:
         assert len(spec) == 0
 
     def test_kinetic_share(self):
-        # -theta u'' - V u with theta = 1/4 quadruples PT2's levels? no:
-        # it equals theta * (-u'' - (V/theta) u); check against the
-        # amplified problem directly
+        # -theta u'' - V u is theta * (-u'' - (V/theta) u), which is how
+        # kyfan solves a kinetic share.  For V = 6 sech^2 and theta = 1/2,
+        # V/theta = 12 sech^2 is Poschl-Teller nu = 3 with levels -9, -4, -1
         theta = 0.5
-        spec = solve_line(PoschlTeller(2.0), kinetic=theta)
-        ref = solve_line(PoschlTeller(2.0).amplified(1.0 / theta))
-        assert len(spec) == len(ref)
-        for e, er in zip(spec.eigenvalues, ref.eigenvalues):
-            assert e == pytest.approx(theta * er, abs=1e-5)
+        spec = _solve_share(PoschlTeller(2.0), theta, None)
+        exact = [theta * e for e in poschl_teller_levels(3.0)]
+        assert len(spec) == len(exact)
+        for e, ex in zip(spec.eigenvalues, exact):
+            assert e == pytest.approx(ex, abs=1e-5)
 
     def test_interval_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
