@@ -235,17 +235,15 @@ def _bracket_side(V: Potential, tol) -> tuple[Partition, float, float]:
         if k in proper:
             # exactly one negative eigenvalue per proper interval; it may
             # be too close to zero to resolve, in which case it shows up
-            # as a near-threshold candidate and is budgeted below
+            # as a near-threshold candidate that riesz_mean budgets
             if len(spec) > 1 or len(spec) + spec.near_threshold < 1:
                 raise BracketingError(
                     f"interval [{a}, {b}]: expected one negative "
                     f"eigenvalue, found {len(spec)} with "
                     f"{spec.near_threshold} unresolved")
-        for e, r in zip(spec.eigenvalues, spec.radii):
-            lam = math.sqrt(abs(e))
-            total += lam
-            err += r / (2.0 * lam)
-        err += spec.near_threshold * math.sqrt(spec.threshold)
+        mean = riesz_mean(spec, 0.5)
+        total += mean.value
+        err += mean.error
     return part, total, err
 
 

@@ -145,14 +145,19 @@ def _theta_half_threehalf_closed(eta: float, tol: Tolerance) -> float:
     #                                 (1+u)^{(eta-3)/2} du.
     # (This is a corrected coefficient pattern; it reproduces the defining
     # integral to quadrature accuracy for all eta in (0, 1).)
+    # In v = 1 - u the integrand is v^{s-1} g(v) with s = eta/2; the
+    # endpoint singularity is integrated exactly,
+    #   int_0^c v^{s-1} g = g(0) c^s / s + int_0^c v^{s-1} (g(v) - g(0)) dv,
+    # which leaves quadrature a v^s-regular integrand however small eta is.
     first = T_STAR ** (1.0 - eta) / (1.0 - eta)
+    s, c = 0.5 * eta, 1.0 - U0
 
-    def f(v):
-        return (1.0 - v) * (3.0 - v) * v ** ((eta - 2.0) / 2.0) \
-            * (2.0 - v) ** ((eta - 3.0) / 2.0)
+    def g(v):
+        return (1.0 - v) * (3.0 - v) * (2.0 - v) ** ((eta - 3.0) / 2.0)
 
-    second = (math.sqrt(2.0) / 3.0 * 1.5 ** eta
-              * integrate_de(f, 0.0, 1.0 - U0, tol))
+    g0 = g(0.0)
+    rest = integrate_de(lambda v: v ** (s - 1.0) * (g(v) - g0), 0.0, c, tol)
+    second = math.sqrt(2.0) / 3.0 * 1.5 ** eta * (g0 * c**s / s + rest)
     return first + second
 
 
@@ -165,8 +170,8 @@ def _theta_numeric(params: ThetaParams, tol: Tolerance) -> float:
         # infimum over real splittings is attained with y1 in [0, 1]
         def g(y1):
             return (1.0 - y1) ** p0 + t * y1 ** p1
-        _, val = minimize_1d(g, 0.0, 1.0, inner_tol)
-        return min(val, g(0.0), g(1.0))
+        # minimize_1d already compares against both endpoints
+        return minimize_1d(g, 0.0, 1.0, inner_tol)[1]
 
     # substitute t = e^s; integrand decays like e^{(1-eta)s} for s -> -inf
     # and e^{-eta s} for s -> +inf

@@ -30,7 +30,7 @@ from scipy.integrate import IntegrationWarning, quad, solve_ivp
 from .constants import VARSIGMA_3
 from .numerics import NumericsError, Tolerance
 from .potential import Potential, truncation_point
-from .sturm import riesz_mean, solve_line
+from .sturm import RieszMean, riesz_mean, solve_line
 
 #: default tolerance for scattering solves and the unitarity gate
 SCATTER_TOL = Tolerance(abs=1e-8, rel=1e-8)
@@ -239,17 +239,21 @@ def reflection_coefficient(V: Potential, k_grid=None,
         log_integral=_log_integral(prop))
 
 
+def _sum_rule(V: Potential, tol: Tolerance) -> tuple[float, RieszMean]:
+    """The sum-rule residual and the certified moment it subtracts."""
+    integral = V.integrate()
+    moment = riesz_mean(solve_line(V), 0.5)
+    log_term = _log_integral(_Propagator(V, tol))
+    return integral - 4.0 * moment.value - log_term, moment
+
+
 def sum_rule_residual(V: Potential, tol: Tolerance = SCATTER_TOL) -> float:
     """int V - 4 Sigma sqrt|E_i| - pi^(-1) int ln(1-|R|^2) dk.
 
     The three terms come from independent pipelines (quadrature, eigenvalue
     solver, wave propagation); the residual is a cross-check of all three.
     """
-    integral = V.integrate()
-    spec = solve_line(V)
-    moment = riesz_mean(spec, 0.5)
-    log_term = _log_integral(_Propagator(V, tol))
-    return integral - 4.0 * moment.value - log_term
+    return _sum_rule(V, tol)[0]
 
 
 def theorem2_check(V: Potential, L_half: float | None = None,

@@ -10,10 +10,11 @@ error radius.
 The grids run from 2^LEVEL_MIN + 1 up to 2^LEVEL_MAX + 1 nodes.  A kinetic
 share -theta u'' is -u'' with V / theta, scaled by theta (see kyfan).
 
-Whole-line (and half-line Neumann) spectra are obtained by truncating to a
-box where the discarded potential tail is negligible and sandwiching each
-eigenvalue between the Neumann-truncated value (below) and the
-Dirichlet-truncated value (above).
+Whole-line (and half-line Neumann) spectra are two interval spectra on a
+box where the discarded potential tail is negligible: each eigenvalue is
+sandwiched between the Neumann-truncated value (below) and the
+Dirichlet-truncated value (above).  Unresolved states are counted once,
+from the Neumann side, since N_D <= N <= N_N.
 """
 
 from __future__ import annotations
@@ -79,13 +80,6 @@ class RieszMean:
     error: float
 
 
-def _normalize_bc(bc) -> tuple[str, str]:
-    if isinstance(bc, str):
-        return (bc, bc)
-    left, right = bc
-    return (left, right)
-
-
 def _tridiag(V: Potential, a: float, b: float, n: int, bc: tuple[str, str]):
     """Symmetric tridiagonal FD matrix of -u'' - V u on [a, b]."""
     left, right = bc
@@ -120,20 +114,37 @@ def _negative_eigs(d, e, cutoff=0.0):
     return np.sort(vals)
 
 
-def _solve_fd(V, a, b, bc, tol):
-    """Negative eigenvalues with Richardson-certified radii.
+def _effective_tol(V: Potential, tol, length: float) -> Tolerance:
+    """Default tolerance, relaxed to the first-order floor for jumpy V."""
+    if tol is not None:
+        return tol
+    jumps = V.jump_total()
+    if jumps > 0.0:
+        floor = 0.5 * jumps * length / 2**LEVEL_MAX
+        return Tolerance(abs=max(1e-3, 4.0 * floor), rel=SOLVER_TOL.rel)
+    return SOLVER_TOL
 
-    Returns (values, radii, near_threshold_count, near_threshold_bound).
+
+def solve_interval(V: Potential, interval, bc="neumann",
+                   tol: Tolerance | None = None) -> Spectrum:
+    """All negative eigenvalues of -u'' - V u on a finite interval.
+
+    bc is "neumann", "dirichlet", or a (left, right) pair.  Values above
+    -10 tol.abs are unresolvable and count as near-threshold candidates.
     """
+    a, b = float(interval[0]), float(interval[1])
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError("need a finite interval with a < b")
+    tol = _effective_tol(V, tol, b - a)
+    pair = (bc, bc) if isinstance(bc, str) else tuple(bc)
+    tag = pair[0] if pair[0] == pair[1] else f"{pair[0]}/{pair[1]}"
     threshold = -10.0 * tol.abs  # eigenvalues above this are unresolvable
     jumps = V.jump_total()
     k = LEVEL_MIN
-    d, e = _tridiag(V, a, b, 2**k + 1, bc)
-    coarse = _negative_eigs(d, e)
+    coarse = _negative_eigs(*_tridiag(V, a, b, 2**k + 1, pair))
     while True:
         k += 1
-        d, e = _tridiag(V, a, b, 2**k + 1, bc)
-        fine = _negative_eigs(d, e)
+        fine = _negative_eigs(*_tridiag(V, a, b, 2**k + 1, pair))
         m = min(len(coarse), len(fine))
         vals = (4.0 * fine[:m] - coarse[:m]) / 3.0
         rads = np.abs(fine[:m] - coarse[:m]) / 3.0
@@ -159,35 +170,9 @@ def _solve_fd(V, a, b, bc, tol):
                 for extra in (fine[m:], coarse[m:]):
                     if len(extra):
                         bound = max(bound, 2.0 * float(np.max(np.abs(extra))))
-            return vals[keep], rads[keep], near, bound
+            return Spectrum(tuple(vals[keep]), tuple(rads[keep]), tag, near,
+                            bound)
         coarse = fine
-
-
-def _effective_tol(V: Potential, tol, length: float) -> Tolerance:
-    """Default tolerance, relaxed to the first-order floor for jumpy V."""
-    if tol is not None:
-        return tol
-    jumps = V.jump_total()
-    if jumps > 0.0:
-        floor = 0.5 * jumps * length / 2**LEVEL_MAX
-        return Tolerance(abs=max(1e-3, 4.0 * floor), rel=SOLVER_TOL.rel)
-    return SOLVER_TOL
-
-
-def solve_interval(V: Potential, interval, bc="neumann",
-                   tol: Tolerance | None = None) -> Spectrum:
-    """All negative eigenvalues of -u'' - V u on a finite interval.
-
-    bc is "neumann", "dirichlet", or a (left, right) pair.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError("need a finite interval with a < b")
-    tol = _effective_tol(V, tol, b - a)
-    pair = _normalize_bc(bc)
-    vals, rads, near, bound = _solve_fd(V, a, b, pair, tol)
-    tag = pair[0] if pair[0] == pair[1] else f"{pair[0]}/{pair[1]}"
-    return Spectrum(tuple(vals), tuple(rads), tag, near, bound)
 
 
 def _box(V: Potential, tol: Tolerance) -> float:
@@ -218,7 +203,9 @@ def solve_line(V: Potential, tol: Tolerance | None = None) -> Spectrum:
 
     Truncates to [-X, X] (or [0, X]) with negligible discarded tail mass and
     sandwiches each eigenvalue between the Neumann-truncated problem (below)
-    and the Dirichlet-truncated problem (above).
+    and the Dirichlet-truncated problem (above).  N_D <= N <= N_N, so every
+    Neumann state the sandwich leaves unresolved is counted once as a
+    near-threshold candidate, with its Neumann value as its worst case.
     """
     half = V.domain == (0.0, math.inf)
     X = _box(V, tol if tol is not None else SOLVER_TOL)
@@ -226,30 +213,24 @@ def solve_line(V: Potential, tol: Tolerance | None = None) -> Spectrum:
     tol = _effective_tol(V, tol, X - a)
     # the half-line keeps its physical Neumann end at 0; only the
     # artificial truncation ends switch between Neumann and Dirichlet
-    lower_bc = ("neumann", "neumann")
-    upper_bc = ("neumann", "dirichlet") if half else ("dirichlet",
-                                                      "dirichlet")
-    lo_vals, lo_rads, lo_near, lo_bound = _solve_fd(V, a, X, lower_bc, tol)
-    up_vals, up_rads, up_near, up_bound = _solve_fd(V, a, X, upper_bc, tol)
+    upper_bc = ("neumann", "dirichlet") if half else "dirichlet"
+    lower = solve_interval(V, (a, X), "neumann", tol)
+    upper = solve_interval(V, (a, X), upper_bc, tol)
     tail = _tail_sup(V, X)
-    m = min(len(lo_vals), len(up_vals))
     vals, rads = [], []
-    near = abs(len(lo_vals) - len(up_vals)) + lo_near + up_near
-    bound = max(lo_bound, up_bound, 10.0 * tol.abs)
-    # states the Dirichlet (upper) problem pushed out of the negative axis
-    for i in range(m, len(lo_vals)):
-        bound = max(bound, abs(lo_vals[i]) + lo_rads[i])
-    for i in range(m):
-        lo_i = lo_vals[i] - lo_rads[i]
-        up_i = up_vals[i] + up_rads[i] + tail
-        mid = 0.5 * (lo_i + up_i)
-        rad = 0.5 * (up_i - lo_i)
-        if mid + rad >= -10.0 * tol.abs:
-            near += 1
-            bound = max(bound, abs(lo_i))
-            continue
-        vals.append(mid)
-        rads.append(rad)
+    bound = lower.threshold
+    for i, (e, r) in enumerate(zip(lower.eigenvalues, lower.radii)):
+        lo_i = e - r
+        if i < len(upper):
+            up_i = upper.eigenvalues[i] + upper.radii[i] + tail
+            mid = 0.5 * (lo_i + up_i)
+            rad = 0.5 * (up_i - lo_i)
+            if mid + rad < -10.0 * tol.abs:
+                vals.append(mid)
+                rads.append(rad)
+                continue
+        bound = max(bound, abs(lo_i))
+    near = len(lower) + lower.near_threshold - len(vals)
     tag = "half_line_neumann" if half else "whole_line"
     return Spectrum(tuple(vals), tuple(rads), tag, near, bound)
 

@@ -10,7 +10,7 @@ from lt_spectral.cli import (DEFAULT_SEED, EXIT_INEQUALITY, EXIT_NUMERICAL,
                              splitmix64)
 from lt_spectral.potential import SquareWell
 from lt_spectral.scattering import ScatteringError
-from lt_spectral.sturm import SolverError
+from lt_spectral.sturm import RieszMean, SolverError
 
 
 def run(capsys, *argv):
@@ -156,6 +156,25 @@ class TestSumRule:
         assert doc["pass"]
         assert abs(doc["residual"]) < 1e-3
         assert doc["integral_V"] == pytest.approx(4.0)
+
+    def test_residual_within_moment_budget(self, capsys):
+        # seed 2's shallowest state is unresolved; its certified budget,
+        # not a fixed 1e-3, decides
+        code, out = run(capsys, "sumrule", "--seed", "2")
+        assert code == EXIT_PASS
+        doc = json.loads(out)
+        assert doc["pass"]
+        assert 1e-3 < abs(doc["residual"]) <= doc["budget"]
+
+    def test_residual_above_budget_fails(self, capsys, monkeypatch,
+                                         well_file):
+        monkeypatch.setattr(scattering, "_sum_rule",
+                            lambda V, tol: (0.5, RieszMean(0.5, 2.0, 0.1)))
+        code, out = run(capsys, "sumrule", "--potential", well_file)
+        assert code == EXIT_INEQUALITY
+        doc = json.loads(out)
+        assert not doc["pass"]
+        assert doc["budget"] == pytest.approx(0.4 + 1e-6)
 
 
 class TestKyfan:

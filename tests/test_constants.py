@@ -92,9 +92,18 @@ class TestOrdering:
             assert char_interp_constant(gamma) < star_constant(gamma)
 
 
+_THETA_PAIRS = [(1.0, 2.0), (0.5, 1.5)]
+# every eta for both pairs, plus eta -> 0 for (1/2, 3/2), where the closed
+# route integrates its v^(eta/2 - 1) endpoint singularity exactly
+_THETA_CASES = [pytest.param(eta, pair, id=f"pair{i}-{eta}")
+                for i, pair in enumerate(_THETA_PAIRS)
+                for eta in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)]
+_THETA_CASES += [pytest.param(eta, (0.5, 1.5), id=f"pair1-{eta}")
+                 for eta in (0.001, 0.02)]
+
+
 class TestTheta:
-    @pytest.mark.parametrize("eta", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99])
-    @pytest.mark.parametrize("pair", [(1.0, 2.0), (0.5, 1.5)])
+    @pytest.mark.parametrize("eta, pair", _THETA_CASES)
     def test_closed_matches_numeric(self, eta, pair):
         params = ThetaParams(eta, *pair)
         closed = theta_weight(params, "closed")

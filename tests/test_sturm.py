@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lt_spectral.cli import random_piecewise
 from lt_spectral.kyfan import _solve_share
 from lt_spectral.numerics import Tolerance
 from lt_spectral.potential import (Gaussian, PiecewiseConstant, PoschlTeller,
@@ -13,8 +14,8 @@ from lt_spectral.sturm import (SOLVER_TOL, SolverError, Spectrum,
                                riesz_mean, sobolev_pointwise_check,
                                solve_interval, solve_line)
 
-from oracles import (poschl_teller_levels, prufer_neumann_levels,
-                     square_well_line_levels)
+from oracles import (poschl_teller_levels, prufer_angle,
+                     prufer_neumann_levels, square_well_line_levels)
 
 
 def _check_against(spec, exact, tol=1e-6):
@@ -301,3 +302,17 @@ class TestSolverBehavior:
         # discontinuous potentials carry an explicit first-order allowance
         spec = solve_line(SquareWell(2.0, -1.0, 1.0))
         assert all(r > 1e-8 for r in spec.radii)
+
+    def test_unresolved_states_counted_once(self):
+        # random_piecewise(2) has three bound states; the shallowest,
+        # E_3 ~ -0.0622 by exact shooting, lies above the FD cut.  The
+        # zero-energy solution, flat left of the support, has one node per
+        # bound state: its Prufer angle at the right edge heads for
+        # pi/2 + 3 pi.
+        V = random_piecewise(2)
+        lo, hi = V.support()
+        theta = prufer_angle(V, lo, hi, 0.0)
+        assert math.ceil((theta - 0.5 * math.pi) / math.pi) == 3
+        spec = solve_line(V)
+        assert len(spec) + spec.near_threshold == 3
+        assert riesz_mean(spec, 0.5).error >= math.sqrt(0.0622)
