@@ -33,6 +33,9 @@ PARTITION_RTOL = 1e-8
 #: tail mass below this fraction of the total counts as zero
 TAIL_ZERO_FRACTION = 1e-12
 
+#: rounding allowance, relative, on the product length * mass at the edge
+EDGE_RTOL = 8 * 2.0**-52
+
 
 class BracketingError(NumericsError):
     """A partition invariant or the one-eigenvalue property failed."""
@@ -126,11 +129,15 @@ def build_partition(V: Potential) -> Partition:
             return (l - lk) * V.integrate(lk, l) - 3.0
 
         lo = lk + 3.0 / total
-        if math.isfinite(sup_edge) and g(max(sup_edge, lo)) < 0.0:
+        edge = max(sup_edge, lo)
+        # the largest product the remaining mass reaches, at the support
+        # edge; it rounds by a few ulps of itself, so a product within them
+        # of 3 cannot close an interval past the edge either
+        rest = V.integrate(lk, edge) if math.isfinite(edge) else math.inf
+        if (edge - lk) * rest <= 3.0 * (1.0 + EDGE_RTOL):
             # positive but unreachable tail: close at the support edge
-            edge = max(sup_edge, lo)
             breakpoints.append(edge)
-            masses.append(V.integrate(lk, edge))
+            masses.append(rest)
             breakpoints.append(math.inf)
             masses.append(0.0)
             return Partition(tuple(breakpoints), tuple(masses),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .constants import constants_row
 from .numerics import Tolerance
-from .potential import Potential, Zero
+from .potential import Potential
 from .sturm import Spectrum, riesz_mean, solve_line
 
 
@@ -122,8 +122,6 @@ def _solve_share(V: Potential, share: float,
     Dividing the equation by share shows the eigenvalues are share times
     those of the unit-kinetic operator with potential V/share.
     """
-    if isinstance(V, Zero):
-        return Spectrum((), (), "whole_line")
     inner = solve_line(V.amplified(1.0 / share), tol=tol)
     return Spectrum(tuple(share * e for e in inner.eigenvalues),
                     tuple(share * r for r in inner.radii),

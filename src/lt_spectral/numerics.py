@@ -1,4 +1,5 @@
-"""Shared numerical kernels: root finding, 1D minimization, quadrature, Gamma.
+"""Shared numerical kernels: root finding, 1D minimization, quadrature, the
+constant-coefficient step propagator, Gamma.
 
 All routines are pure functions of their arguments and safe for concurrent
 use.  The double-exponential (tanh-sinh) rule is implemented here because
@@ -28,6 +29,10 @@ class BracketError(NumericsError):
 
 class DivergenceError(NumericsError):
     """Quadrature value grows without bound across refinement levels."""
+
+
+class InvariantError(NumericsError):
+    """A computed result object failed its own consistency check."""
 
 
 @dataclass(frozen=True)
@@ -212,6 +217,24 @@ def integrate_de(f: Callable[[float], float], a: float, b: float,
     if math.isinf(a):
         return _tanhsinh_semi(lambda x: f(-x), -b, tol)
     return _tanhsinh_finite(f, a, b, tol)
+
+
+def piece_step(d: float, q: float) -> tuple[float, float, float, float]:
+    """Propagator of u'' = -q u over a step of length d, acting on (u, u').
+
+    Returns the matrix entries (m00, m01, m10, m11) row by row: rotation
+    for q > 0, hyperbolic for q < 0, shear for q = 0.  Its determinant
+    is 1 up to rounding.
+    """
+    if q > 0.0:
+        w = math.sqrt(q)
+        c, s = math.cos(w * d), math.sin(w * d)
+        return c, s / w, -w * s, c
+    if q < 0.0:
+        m = math.sqrt(-q)
+        c, s = math.cosh(m * d), math.sinh(m * d)
+        return c, s / m, m * s, c
+    return 1.0, d, 0.0, 1.0
 
 
 def gamma_fn(x: float) -> float:

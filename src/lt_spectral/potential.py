@@ -10,8 +10,10 @@ SquareWell, PiecewiseConstant) are one piece list, from which jumps, exact
 cell means, integrals and pieces() are read.  scaled, amplified and
 half_view are one mapped wrapper V(x) = c * inner(s * x) that transforms
 what its inner potential states; Sum adds up what its terms state.
-pieces() selects the exact transfer path in scattering, which reads the
-piece list as given: sorted, contiguous and inside support().
+pieces() selects the exact paths, which read the piece list as given
+(sorted, contiguous and inside support()) through piece_steps: transfer
+matrices in scattering and bound states on the whole or half line in
+sturm.
 
 JSON exchange format::
 
@@ -687,3 +689,22 @@ def truncation_point(V: Potential, tail_tol: float,
             return X
         X *= 1.5
     raise ValueError("potential tail does not decay to the requested mass")
+
+
+def piece_steps(pieces, a: float, b: float) -> list[tuple[float, float]]:
+    """(length, value) steps of a pieces() list from a to b.
+
+    V is zero between and outside the pieces, so free steps fill the gap
+    from a to the first piece and from the last piece to b; pieces that
+    start before a are cut at a.  b must not lie inside a piece.
+    """
+    steps, x = [], a
+    for p0, p1, v in pieces:
+        if p1 > x:
+            if p0 > x:
+                steps.append((p0 - x, 0.0))
+            steps.append((p1 - max(p0, x), v))
+            x = p1
+    if b > x:
+        steps.append((b - x, 0.0))
+    return steps

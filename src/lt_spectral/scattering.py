@@ -28,8 +28,8 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
 from .constants import VARSIGMA_3
-from .numerics import NumericsError, Tolerance
-from .potential import Potential, truncation_point
+from .numerics import InvariantError, NumericsError, Tolerance, piece_step
+from .potential import Potential, piece_steps, truncation_point
 from .sturm import RieszMean, riesz_mean, solve_line
 
 #: default tolerance for scattering solves and the unitarity gate
@@ -63,11 +63,11 @@ class ScatteringData:
 
     def __post_init__(self):
         if any(k2 <= k1 for k1, k2 in zip(self.k_grid, self.k_grid[1:])):
-            raise ValueError("k_grid must be strictly increasing")
+            raise InvariantError("k_grid must be strictly increasing")
         if any(abs(r) > 1.0 + 1e-9 for r in self.R_values):
-            raise ValueError("unitarity violated: |R| > 1")
+            raise InvariantError("unitarity violated: |R| > 1")
         if self.log_integral > 1e-12:
-            raise ValueError("log integral must be <= 0")
+            raise InvariantError("log integral must be <= 0")
 
     def __len__(self):
         return len(self.k_grid)
@@ -96,37 +96,11 @@ def _scatter_box(V: Potential) -> float:
     return truncation_point(V, TRUNCATION_TAIL, x_min=10.0)
 
 
-def _piece_matrix(d: float, q: float) -> np.ndarray:
-    """Propagator of u'' = -q u over a step of length d, acting on (u, u')."""
-    if q > 0.0:
-        w = math.sqrt(q)
-        c, s = math.cos(w * d), math.sin(w * d)
-        return np.array([[c, s / w], [-w * s, c]])
-    if q < 0.0:
-        m = math.sqrt(-q)
-        c, s = math.cosh(m * d), math.sinh(m * d)
-        return np.array([[c, s / m], [m * s, c]])
-    return np.array([[1.0, d], [0.0, 1.0]])
-
-
-def _exact_steps(pieces, X: float) -> list[tuple[float, float]]:
-    """(length, value) steps across [-X, X]: pieces() is sorted, contiguous
-    and inside supp V, so only the two outer free steps are added."""
-    steps, x = [], -X
-    for a, b, v in pieces:
-        if a > x:
-            steps.append((a - x, 0.0))
-        steps.append((b - a, v))
-        x = b
-    if X > x:
-        steps.append((X - x, 0.0))
-    return steps
-
-
 def _transfer_exact(steps, k: float) -> np.ndarray:
     M = np.eye(2)
     for d, v in steps:
-        M = _piece_matrix(d, k * k + v) @ M
+        m00, m01, m10, m11 = piece_step(d, k * k + v)
+        M = np.array([[m00, m01], [m10, m11]]) @ M
     return M
 
 
@@ -150,9 +124,10 @@ class _Propagator:
     steps, built once, when V has pieces(), else one ODE solve per k."""
 
     def __init__(self, V: Potential, tol: Tolerance):
-        self.V, self.X, self.tol = V, _scatter_box(V), tol
+        X = _scatter_box(V)
+        self.V, self.X, self.tol = V, X, tol
         pieces = V.pieces()
-        self.steps = None if pieces is None else _exact_steps(pieces, self.X)
+        self.steps = None if pieces is None else piece_steps(pieces, -X, X)
 
     def matrix(self, k: float) -> np.ndarray:
         if self.steps is None:

@@ -1,20 +1,31 @@
 """Negative-spectrum solvers for H = -d^2/dx^2 - V in one dimension.
 
-The primary method is second-order finite differences on a uniform grid
-(Neumann ends via ghost-point reflection, symmetrized by a diagonal
+Two methods.  A piecewise-constant V (one with pieces()) on the whole or
+half line is solved exactly: the solution decaying to the left is
+propagated across the pieces by their exact 2x2 step matrices, its zeros
+are counted exactly to give N(E), the number of eigenvalues below E, and
+each eigenvalue is isolated by bisection on N(E) and found by Brent's
+method on the matching function at the right edge (Pruess's method with
+Sturm indexing; J. D. Pryce, Numerical Solution of Sturm-Liouville
+Problems, OUP 1993).  Its radius is the half-width of a bracket on whose
+ends the matching function changes sign.
+
+Every other spectrum uses second-order finite differences (FD) on a uniform
+grid (Neumann ends via ghost-point reflection, symmetrized by a diagonal
 similarity), with the negative eigenvalues of the tridiagonal matrix
 extracted by LAPACK's Sturm-sequence bisection.  Values on grids h and h/2
 are Richardson-extrapolated; the extrapolation defect becomes the certified
-error radius.
+error radius.  The grids run from 2^LEVEL_MIN + 1 up to 2^LEVEL_MAX + 1
+nodes.  This covers all interval spectra (solve_interval), half views and
+potentials without pieces().  Their whole-line (and half-line Neumann)
+spectra are two interval spectra on a box where the discarded potential
+tail is negligible: each eigenvalue is sandwiched between the
+Neumann-truncated value (below) and the Dirichlet-truncated value (above).
+Unresolved states are counted once, from the Neumann side, since
+N_D <= N <= N_N.
 
-The grids run from 2^LEVEL_MIN + 1 up to 2^LEVEL_MAX + 1 nodes.  A kinetic
-share -theta u'' is -u'' with V / theta, scaled by theta (see kyfan).
-
-Whole-line (and half-line Neumann) spectra are two interval spectra on a
-box where the discarded potential tail is negligible: each eigenvalue is
-sandwiched between the Neumann-truncated value (below) and the
-Dirichlet-truncated value (above).  Unresolved states are counted once,
-from the Neumann side, since N_D <= N <= N_N.
+A kinetic share -theta u'' is -u'' with V / theta, scaled by theta (see
+kyfan).
 """
 
 from __future__ import annotations
@@ -25,8 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .numerics import NumericsError, Tolerance
-from .potential import Potential, truncation_point
+from .numerics import (InvariantError, NumericsError, Tolerance, find_root,
+                       piece_step)
+from .potential import (FULL_LINE, HALF_LINE, Potential, piece_steps,
+                        truncation_point)
 
 #: default certification target for eigenvalue radii; 1e-10 is not
 #: reachable with second-order differences on a 2^16 grid
@@ -59,13 +72,13 @@ class Spectrum:
 
     def __post_init__(self):
         if list(self.eigenvalues) != sorted(self.eigenvalues):
-            raise ValueError("eigenvalues must be ascending")
+            raise InvariantError("eigenvalues must be ascending")
         for e, r in zip(self.eigenvalues, self.radii):
             if e >= 0:
-                raise ValueError("eigenvalues must be strictly negative")
+                raise InvariantError("eigenvalues must be strictly negative")
             if not r < abs(e):
-                raise ValueError("radius must not reach zero: "
-                                 f"E={e}, radius={r}")
+                raise InvariantError("radius must not reach zero: "
+                                     f"E={e}, radius={r}")
 
     def __len__(self):
         return len(self.eigenvalues)
@@ -198,16 +211,136 @@ def _tail_sup(V: Potential, X: float) -> float:
     return sup
 
 
+def _line_steps(V: Potential):
+    """(length, value) steps of the exact path, or None for the FD path.
+
+    Whole line: the pieces, shot from the left end of the first.  Half
+    line: from x = 0.  V takes the FD path when it has no pieces() or its
+    domain is neither line.
+    """
+    pieces = V.pieces()
+    if pieces is None or V.domain not in (FULL_LINE, HALF_LINE):
+        return None
+    if not pieces:
+        return []
+    start = 0.0 if V.domain == HALF_LINE else pieces[0][0]
+    return piece_steps(pieces, start, pieces[-1][1])
+
+
+def _shoot(steps, E: float, half: bool) -> tuple[int, float]:
+    """(N(E), g(E)) by exact propagation at energy E = -kappa^2 <= 0.
+
+    The solution starts as e^{kappa x}, decaying to the left, with
+    (u, u') = (1, kappa) (half line: (1, 0), Neumann at 0).  Its zeros are
+    counted exactly on each step (x_a, x_b]: by the Pruefer angle of
+    (u, u'/w), which turns at the constant rate w = sqrt(V + E), where V + E
+    > 0, and by sign change elsewhere, where a solution has at most one
+    zero.  The free tail beyond the last step adds one zero when u and
+    g = u' + kappa u differ in sign.  By Sturm oscillation the count is
+    N(E), the number of eigenvalues below E; g vanishes exactly at the
+    eigenvalues, where the solution decays to the right as well.
+    """
+    kappa = math.sqrt(-E)
+    u, du = 1.0, (0.0 if half else kappa)
+    zeros = 0
+    for d, v in steps:
+        q = v + E
+        # cut hyperbolic steps so that cosh stays far from overflow
+        n = 1 if q >= 0.0 else max(1, math.ceil(math.sqrt(-q) * d / 50.0))
+        m00, m01, m10, m11 = piece_step(d / n, q)
+        for _ in range(n):
+            u0, du0 = u, du
+            u, du = m00 * u0 + m01 * du0, m10 * u0 + m11 * du0
+            if q > 0.0:
+                # the angle advances by exactly w d; the end data fix its
+                # value mod 2 pi, the advance fixes the number of turns
+                w = math.sqrt(q)
+                start = math.atan2(u0, du0 / w)
+                end = math.atan2(u, du / w)
+                end += 2.0 * math.pi * round(
+                    (start + w * d - end) / (2.0 * math.pi))
+                zeros += math.floor(end / math.pi) \
+                    - math.floor(start / math.pi)
+            else:
+                zeros += (u0 > 0.0 >= u) or (u0 < 0.0 <= u)
+            # only the direction of (u, u') matters: keep it near unit size
+            scale = max(abs(u), abs(du))
+            u, du = u / scale, du / scale
+    g = du + kappa * u
+    return zeros + (u * g < 0.0), g
+
+
+#: relative half-width of the first bracket checked around an exact root
+EXACT_RTOL = 1e-12
+#: Brent tolerance of the exact roots, well inside that bracket
+_ROOT_TOL = Tolerance(abs=1e-15, rel=1e-14)
+
+
+def _solve_exact(steps, half: bool, tol: Tolerance) -> Spectrum:
+    """Negative spectrum of a piecewise-constant V by exact shooting.
+
+    Eigenvalues below -eps, eps = 10 tol.abs, are isolated by bisection on
+    N(E) and found by Brent's method on g.  Each radius is the half-width
+    of a bracket around the root on whose ends g was seen to change sign;
+    eigenvalues closer than EXACT_RTOL share the bracket the counts put
+    them in.  The N(0) - N(-eps) states in [-eps, 0) are near-threshold
+    candidates with threshold eps.
+    """
+    eps = 10.0 * tol.abs
+    tag = "half_line_neumann" if half else "whole_line"
+
+    def count(E):
+        return _shoot(steps, E, half)[0]
+
+    def g(E):
+        return _shoot(steps, E, half)[1]
+
+    # -u'' - V u >= -max V, so every eigenvalue lies above -max V
+    bottom = -max((v for _, v in steps), default=0.0)
+    n = count(-eps) if bottom < -eps else 0
+    # bisect on N until each bracket holds one eigenvalue, or several that
+    # rounding cannot separate (a tunnelling pair split by ~e^{-kappa L})
+    brackets, stack = [], [(bottom, -eps, 0, n)]
+    while stack:
+        a, b, na, nb = stack.pop()
+        if nb - na == 1 or (nb > na and b - a <= EXACT_RTOL * abs(a)):
+            brackets.append((a, b, nb - na))
+        elif nb > na:
+            mid = 0.5 * (a + b)
+            nm = min(max(count(mid), na), nb)
+            stack += [(a, mid, na, nm), (mid, b, nm, nb)]
+    vals, rads = [], []
+    for a, b, k in sorted(brackets):
+        lo, hi = a, b
+        if k == 1:
+            root = find_root(g, a, b, _ROOT_TOL)
+            h = EXACT_RTOL * abs(root)
+            lo, hi = max(root - h, a), min(root + h, b)
+            while (lo, hi) != (a, b) and g(lo) * g(hi) > 0.0:
+                h *= 10.0
+                lo, hi = max(root - h, a), min(root + h, b)
+        vals += [0.5 * (lo + hi)] * k
+        rads += [0.5 * (hi - lo)] * k
+    near = max(count(0.0) - n, 0)
+    return Spectrum(tuple(vals), tuple(rads), tag, near, eps)
+
+
 def solve_line(V: Potential, tol: Tolerance | None = None) -> Spectrum:
     """Negative spectrum on the whole line (or Neumann half-line).
 
-    Truncates to [-X, X] (or [0, X]) with negligible discarded tail mass and
-    sandwiches each eigenvalue between the Neumann-truncated problem (below)
-    and the Dirichlet-truncated problem (above).  N_D <= N <= N_N, so every
-    Neumann state the sandwich leaves unresolved is counted once as a
+    A piecewise-constant V on either line is solved exactly by shooting
+    (_solve_exact).  Any other V is truncated to [-X, X] (or [0, X]) with
+    negligible discarded tail mass, and each eigenvalue is sandwiched
+    between the Neumann-truncated problem (below) and the
+    Dirichlet-truncated problem (above).  N_D <= N <= N_N, so every Neumann
+    state the sandwich leaves unresolved is counted once as a
     near-threshold candidate, with its Neumann value as its worst case.
     """
-    half = V.domain == (0.0, math.inf)
+    half = V.domain == HALF_LINE
+    steps = _line_steps(V)
+    if steps is not None:
+        return _solve_exact(steps, half,
+                            tol if tol is not None else SOLVER_TOL)
     X = _box(V, tol if tol is not None else SOLVER_TOL)
     a = 0.0 if half else -X
     tol = _effective_tol(V, tol, X - a)

@@ -93,6 +93,17 @@ class TestBuildPartition:
         assert math.isinf(p.breakpoints[-1])
         assert sum(p.masses) == pytest.approx(3.5, rel=1e-9)
 
+    def test_tail_closing_at_rounding(self):
+        # the +x half of random_piecewise(18) has all its mass m inside
+        # [0, 3/m]: the product at lo = 3/m is 3 exactly, but rounds to
+        # 3 + 4.4e-16, which once sent an empty bracket to the root finder
+        V = random_piecewise(18).half_view(+1)
+        m = V.integrate()
+        p = build_partition(V)
+        assert p.breakpoints == (0.0, 3.0 / m, math.inf)
+        assert p.masses[0] == pytest.approx(m, rel=1e-15)
+        assert p.truncated
+
     def test_rejects_whole_line(self):
         with pytest.raises(ValueError):
             build_partition(Gaussian(1.0))
@@ -147,7 +158,7 @@ class TestCertificate:
             <= cert.bracket_sum + cert.bracket_error
         assert cert.bracket_sum - cert.bracket_error <= cert.upper_bound
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 18])
     def test_random_potentials_pass(self, seed):
         V = random_piecewise(seed)
         cert = certify_theorem1(V)

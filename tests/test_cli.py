@@ -3,14 +3,16 @@ import math
 
 import pytest
 
-from lt_spectral import bracketing, scattering
+from lt_spectral import bracketing, scattering, sturm
 from lt_spectral.bracketing import BracketingError
 from lt_spectral.cli import (DEFAULT_SEED, EXIT_INEQUALITY, EXIT_NUMERICAL,
                              EXIT_PASS, EXIT_USAGE, main, random_piecewise,
                              splitmix64)
 from lt_spectral.potential import SquareWell
 from lt_spectral.scattering import ScatteringError
-from lt_spectral.sturm import RieszMean, SolverError
+from lt_spectral.sturm import RieszMean, SolverError, Spectrum
+
+from fd_path import FDOnly
 
 
 def run(capsys, *argv):
@@ -157,14 +159,24 @@ class TestSumRule:
         assert abs(doc["residual"]) < 1e-3
         assert doc["integral_V"] == pytest.approx(4.0)
 
-    def test_residual_within_moment_budget(self, capsys):
-        # seed 2's shallowest state is unresolved; its certified budget,
-        # not a fixed 1e-3, decides
+    def test_residual_within_moment_budget(self, capsys, monkeypatch):
+        # on the FD path seed 2's shallowest state is unresolved; its
+        # certified budget, not a fixed 1e-3, decides
+        monkeypatch.setattr(scattering, "solve_line",
+                            lambda V: sturm.solve_line(FDOnly(V)))
         code, out = run(capsys, "sumrule", "--seed", "2")
         assert code == EXIT_PASS
         doc = json.loads(out)
         assert doc["pass"]
         assert 1e-3 < abs(doc["residual"]) <= doc["budget"]
+
+    def test_exact_moment_residual(self, capsys):
+        # exact shooting resolves that state: only the quadrature is left
+        code, out = run(capsys, "sumrule", "--seed", "2")
+        assert code == EXIT_PASS
+        doc = json.loads(out)
+        assert abs(doc["residual"]) <= 1e-6
+        assert doc["budget"] == pytest.approx(1e-6, rel=1e-4)
 
     def test_residual_above_budget_fails(self, capsys, monkeypatch,
                                          well_file):
@@ -236,6 +248,16 @@ class TestNumericalFailures:
         assert main([command]) == EXIT_NUMERICAL
         assert capsys.readouterr().err == \
             "numerical failure: forced failure\n"
+
+    def test_broken_invariant_is_numerical(self, capsys, monkeypatch):
+        # a result object that fails its own check is a numerical fault,
+        # not a usage error
+        def broken(V, tol=None):
+            return Spectrum((-1.0,), (2.0,), "whole_line")
+
+        monkeypatch.setattr(bracketing, "solve_line", broken)
+        assert main(["certify"]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 class TestRounding:

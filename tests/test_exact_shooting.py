@@ -1,0 +1,156 @@
+"""Exact shooting for piecewise-constant potentials, against oracles.
+
+Random piece lists on the whole and half line, and sums, scaled and
+amplified forms of them, are drawn with hypothesis (bounded, derandomized
+examples).  Three independent checks: the count of bound states equals the
+zero-energy Pruefer count of tests/oracles.py; each exact eigenvalue lies in
+the sandwich of the finite-difference (FD) interval spectra with Neumann
+and Dirichlet ends on a box around the support; and for V >= 0 on the
+whole line the moment lies in the window (1/4) int V <= Sigma sqrt|E_i| <=
+(1/2) int V, whose constant 1/2 is sharp (Hundertmark, Lieb and Thomas,
+Adv. Theor. Math. Phys. 2 (1998) 719).
+"""
+
+import math
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from lt_spectral.numerics import piece_step
+from lt_spectral.potential import (HALF_LINE, PiecewiseConstant, SquareWell,
+                                   Sum)
+from lt_spectral.scattering import _transfer_exact
+from lt_spectral.sturm import riesz_mean, solve_interval, solve_line
+
+from oracles import prufer_angle, square_well_line_levels
+
+EXAMPLES = settings(max_examples=40, derandomize=True, deadline=None,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def piece_lists(draw, domain, signed):
+    """PiecewiseConstant with 1-4 pieces inside [-4, 4] (half line: [0, 6])
+    and values in [-3, 6] when signed, else in [0.2, 6]."""
+    n = draw(st.integers(1, 4))
+    lo, hi = (0.0, 6.0) if domain == "half_line" else (-4.0, 4.0)
+    cuts = draw(st.lists(st.floats(lo, hi), min_size=n + 1, max_size=n + 1,
+                         unique=True).map(sorted))
+    assume(min(b - a for a, b in zip(cuts, cuts[1:])) > 0.05)
+    vmin = -3.0 if signed else 0.2
+    vals = draw(st.lists(st.floats(vmin, 6.0), min_size=n, max_size=n))
+    return PiecewiseConstant(cuts, vals, domain)
+
+
+@st.composite
+def potentials(draw, signed=True):
+    """A piece list, a sum of two, or a scaled or amplified piece list."""
+    domain = draw(st.sampled_from(["full_line", "half_line"]))
+    V = draw(piece_lists(domain, signed))
+    form = draw(st.sampled_from(["plain", "sum", "scaled", "amplified"]))
+    if form == "sum":
+        V = Sum([V, draw(piece_lists(domain, signed))])
+    elif form == "scaled":
+        V = V.scaled(draw(st.floats(0.5, 2.0)))
+    elif form == "amplified":
+        V = V.amplified(draw(st.floats(0.3, 2.0)))
+    return V
+
+
+def _span(V):
+    """Where the shooting runs: the support, from 0 on the half line."""
+    lo, hi = V.support()
+    return (0.0 if V.domain == HALF_LINE else lo), hi
+
+
+@EXAMPLES
+@given(potentials())
+def test_count_matches_zero_energy_prufer(V):
+    # the zero-energy solution, flat left of the support (Neumann at 0 on
+    # the half line), has one node per bound state, the right tail included
+    a, b = _span(V)
+    turns = (prufer_angle(V, a, b, 0.0) - 0.5 * math.pi) / math.pi
+    # a zero-energy resonance sits on the boundary; the oracle cannot decide
+    assume(abs(turns - round(turns)) > 1e-6)
+    spec = solve_line(V)
+    assert len(spec) + spec.near_threshold == math.ceil(turns)
+
+
+@settings(EXAMPLES, max_examples=15)
+@given(potentials())
+def test_inside_fd_sandwich(V):
+    # Neumann ends on a box around the support lower every eigenvalue and
+    # Dirichlet ends raise it (min-max), so E_i lies between the two FD
+    # interval spectra, widened by their certified radii
+    a, b = _span(V)
+    box = (a if V.domain == HALF_LINE else a - 1.0, b + 1.0)
+    upper_bc = ("neumann", "dirichlet") if V.domain == HALF_LINE \
+        else "dirichlet"
+    lower = solve_interval(V, box, "neumann")
+    upper = solve_interval(V, box, upper_bc)
+    spec = solve_line(V)
+    assert len(upper) <= len(spec) <= len(lower) + lower.near_threshold
+    for i, (e, r) in enumerate(zip(spec.eigenvalues, spec.radii)):
+        if i < len(lower):
+            assert e + r >= lower.eigenvalues[i] - lower.radii[i]
+        if i < len(upper):
+            assert e - r <= upper.eigenvalues[i] + upper.radii[i]
+
+
+@EXAMPLES
+@given(potentials(signed=False))
+def test_moment_window(V):
+    spec = solve_line(V)
+    mean = riesz_mean(spec, 0.5)
+    mass = V.integrate()
+    if V.domain == HALF_LINE:
+        # the Neumann states are the even states of the even extension,
+        # whose mass is 2 int V
+        assert mean.value - mean.error <= mass
+    else:
+        assert 0.25 * mass <= mean.value + mean.error
+        assert mean.value - mean.error <= 0.5 * mass
+
+
+def test_half_line_well_is_even_part_of_whole():
+    # Neumann at 0 keeps the even states of the mirrored well
+    spec = solve_line(SquareWell(3.0, 0.0, 2.0, domain="half_line"))
+    even = square_well_line_levels(3.0, 2.0)[::2]
+    assert len(spec) == len(even) == 2
+    for e, r, x in zip(spec.eigenvalues, spec.radii, even):
+        assert abs(e - x) <= r + 1e-13
+
+
+def test_many_oscillations():
+    # 64 bound states: the Pruefer count has to follow 20 turns of the
+    # angle inside one piece
+    spec = solve_line(SquareWell(400.0, -5.0, 5.0))
+    exact = square_well_line_levels(400.0, 5.0)
+    assert len(spec) == len(exact) == 64
+    for e, r, x in zip(spec.eigenvalues, spec.radii, exact):
+        assert abs(e - x) <= max(r, 1e-11)
+
+
+def test_tunnelling_pair_below_rounding():
+    # two wells 200 apart: the pair splitting e^{-kappa 200} is far below
+    # rounding, so both states share one bracket instead of failing, and
+    # the long hyperbolic step must not overflow
+    V = PiecewiseConstant([-101.0, -100.0, 100.0, 101.0], [50.0, 0.0, 50.0])
+    spec = solve_line(V)
+    assert len(spec) % 2 == 0
+    for i in range(0, len(spec), 2):
+        assert spec.eigenvalues[i] == spec.eigenvalues[i + 1]
+        assert spec.radii[i] < 1e-10 * abs(spec.eigenvalues[i])
+    single = solve_line(PiecewiseConstant([-0.5, 0.5], [50.0]))
+    assert len(spec) == 2 * len(single)
+    for i, (one, r) in enumerate(zip(single.eigenvalues, single.radii)):
+        assert abs(spec.eigenvalues[2 * i] - one) <= spec.radii[2 * i] + r
+
+
+@pytest.mark.parametrize("q", [2.5, -1.5, 0.0])
+def test_scattering_steps_share_the_formula(q):
+    # the transfer matrix of one step is piece_step's entries, bit for bit
+    M = _transfer_exact([(0.7, q - 0.25)], 0.5)
+    assert tuple(M.ravel()) == piece_step(0.7, q)

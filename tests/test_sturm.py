@@ -5,7 +5,7 @@ import pytest
 
 from lt_spectral.cli import random_piecewise
 from lt_spectral.kyfan import _solve_share
-from lt_spectral.numerics import Tolerance
+from lt_spectral.numerics import InvariantError, Tolerance
 from lt_spectral.potential import (Gaussian, PiecewiseConstant, PoschlTeller,
                                    Sampled, SquareWell, Zero)
 from lt_spectral.sturm import (SOLVER_TOL, SolverError, Spectrum,
@@ -14,6 +14,7 @@ from lt_spectral.sturm import (SOLVER_TOL, SolverError, Spectrum,
                                riesz_mean, sobolev_pointwise_check,
                                solve_interval, solve_line)
 
+from fd_path import FDOnly
 from oracles import (poschl_teller_levels, prufer_angle,
                      prufer_neumann_levels, square_well_line_levels)
 
@@ -27,13 +28,13 @@ def _check_against(spec, exact, tol=1e-6):
 
 class TestSpectrumInvariants:
     def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             Spectrum((-1.0, -2.0), (0.0, 0.0), "whole_line")
 
     def test_sign_certainty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             Spectrum((-1.0,), (1.5,), "whole_line")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             Spectrum((0.0,), (0.0,), "whole_line")
 
 
@@ -299,20 +300,38 @@ class TestSolverBehavior:
             solve_interval(Zero(), (1.0, 1.0))
 
     def test_jump_floor_in_radii(self):
-        # discontinuous potentials carry an explicit first-order allowance
-        spec = solve_line(SquareWell(2.0, -1.0, 1.0))
+        # on the FD path, discontinuous potentials carry an explicit
+        # first-order allowance
+        spec = solve_line(FDOnly(SquareWell(2.0, -1.0, 1.0)))
         assert all(r > 1e-8 for r in spec.radii)
+        spec = solve_interval(SquareWell(2.0, -1.0, 1.0), (-3.0, 3.0))
+        assert all(r > 1e-8 for r in spec.radii)
+
+    def test_exact_radii_for_pieces(self):
+        # with pieces() the jumps cost nothing: exact shooting brackets
+        # the closed-form level to a relative 1e-12 or so
+        spec = solve_line(SquareWell(2.0, -1.0, 1.0))
+        _check_against(spec, square_well_line_levels(2.0, 1.0), tol=1e-13)
+        assert all(r < 1e-10 * abs(e)
+                   for e, r in zip(spec.eigenvalues, spec.radii))
 
     def test_unresolved_states_counted_once(self):
         # random_piecewise(2) has three bound states; the shallowest,
         # E_3 ~ -0.0622 by exact shooting, lies above the FD cut.  The
         # zero-energy solution, flat left of the support, has one node per
         # bound state: its Prufer angle at the right edge heads for
-        # pi/2 + 3 pi.
+        # pi/2 + 3 pi.  The FD sandwich counts the unresolved one once.
         V = random_piecewise(2)
         lo, hi = V.support()
         theta = prufer_angle(V, lo, hi, 0.0)
         assert math.ceil((theta - 0.5 * math.pi) / math.pi) == 3
-        spec = solve_line(V)
-        assert len(spec) + spec.near_threshold == 3
+        spec = solve_line(FDOnly(V))
+        assert (len(spec), spec.near_threshold) == (2, 1)
         assert riesz_mean(spec, 0.5).error >= math.sqrt(0.0622)
+
+    def test_exact_path_resolves_shallow_state(self):
+        # exact shooting resolves all three, the shallowest included
+        spec = solve_line(random_piecewise(2))
+        assert (len(spec), spec.near_threshold) == (3, 0)
+        assert spec.eigenvalues[2] == pytest.approx(-0.0622, abs=1e-4)
+        assert riesz_mean(spec, 0.5).error < 1e-10
