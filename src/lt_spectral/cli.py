@@ -171,8 +171,7 @@ def cmd_scatter(args) -> int:
 
 def cmd_sumrule(args) -> int:
     V = _load_potential(args)
-    tol = _tol(args) or scattering.SCATTER_TOL
-    residual, moment = scattering._sum_rule(V, tol)
+    residual, moment = scattering._sum_rule(V, _tol(args))
     # the moment enters four times; 1e-6 covers the log-integral quadrature
     budget = 4.0 * moment.error + 1e-6
     doc = {

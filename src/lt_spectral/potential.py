@@ -61,9 +61,19 @@ class Potential:
         raise NotImplementedError
 
     def evaluate(self, x):
-        """V(x) for a scalar or array x inside the domain."""
-        arr = np.asarray(x, dtype=float)
+        """V(x) for a scalar or array x inside the domain.
+
+        A float x (np.float64 included, which is what solve_ivp passes)
+        skips the array round-trip: it gets the same domain check and the
+        same _values on the same one-element float64 array, so the same
+        value bit for bit.  Ints, 0-d arrays and arrays take the array path.
+        """
         lo, hi = self.domain
+        if isinstance(x, float):
+            if x < lo or x > hi:
+                raise ValueError("evaluation point outside domain")
+            return float(self._values(np.array([x]))[0])
+        arr = np.asarray(x, dtype=float)
         if np.any(arr < lo) or np.any(arr > hi):
             raise ValueError("evaluation point outside domain")
         out = self._values(np.atleast_1d(arr))

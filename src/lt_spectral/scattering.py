@@ -167,11 +167,18 @@ def _log_integral(prop: _Propagator) -> float:
         return math.log1p(-r2)
 
     # stop early once the integrand is negligible at two incommensurate
-    # points (smooth potentials reflect exponentially little at large k)
+    # points (smooth potentials reflect exponentially little at large k);
+    # the tail term below reuses the probe's value at the cut
+    probed = {}
+
+    def probe(k):
+        probed[k] = f(k)
+        return probed[k]
+
     k_cut = K_MAX
     if prop.steps is None:
         for kc in (2.0, 5.0, 10.0, 25.0):
-            if abs(f(kc)) < 1e-14 and abs(f(1.37 * kc)) < 1e-14:
+            if abs(probe(kc)) < 1e-14 and abs(probe(1.37 * kc)) < 1e-14:
                 k_cut = 1.37 * kc
                 break
     with warnings.catch_warnings():
@@ -181,7 +188,8 @@ def _log_integral(prop: _Propagator) -> float:
         val, _ = quad(f, 0.0, k_cut, epsabs=1e-9, epsrel=1e-8, limit=2000)
     # beyond the cut the integrand decays at least like k^-4 (the Born
     # amplitude of an L1 potential falls off like 1/k^2 or faster)
-    tail = abs(f(k_cut)) * k_cut / 3.0
+    f_cut = probed[k_cut] if k_cut in probed else f(k_cut)
+    tail = abs(f_cut) * k_cut / 3.0
     return (2.0 / math.pi) * (val - tail)
 
 
@@ -214,19 +222,23 @@ def reflection_coefficient(V: Potential, k_grid=None,
         log_integral=_log_integral(prop))
 
 
-def _sum_rule(V: Potential, tol: Tolerance) -> tuple[float, RieszMean]:
+def _sum_rule(V: Potential, tol: Tolerance | None = None
+              ) -> tuple[float, RieszMean]:
     """The sum-rule residual and the certified moment it subtracts."""
     integral = V.integrate()
-    moment = riesz_mean(solve_line(V), 0.5)
-    log_term = _log_integral(_Propagator(V, tol))
+    moment = riesz_mean(solve_line(V, tol), 0.5)
+    log_term = _log_integral(
+        _Propagator(V, SCATTER_TOL if tol is None else tol))
     return integral - 4.0 * moment.value - log_term, moment
 
 
-def sum_rule_residual(V: Potential, tol: Tolerance = SCATTER_TOL) -> float:
+def sum_rule_residual(V: Potential, tol: Tolerance | None = None) -> float:
     """int V - 4 Sigma sqrt|E_i| - pi^(-1) int ln(1-|R|^2) dk.
 
     The three terms come from independent pipelines (quadrature, eigenvalue
     solver, wave propagation); the residual is a cross-check of all three.
+    tol goes to both solve_line and the wave propagation; None means the
+    solver's default and SCATTER_TOL.
     """
     return _sum_rule(V, tol)[0]
 

@@ -8,6 +8,7 @@ from lt_spectral.bracketing import BracketingError
 from lt_spectral.cli import (DEFAULT_SEED, EXIT_INEQUALITY, EXIT_NUMERICAL,
                              EXIT_PASS, EXIT_USAGE, main, random_piecewise,
                              splitmix64)
+from lt_spectral.numerics import Tolerance
 from lt_spectral.potential import SquareWell
 from lt_spectral.scattering import ScatteringError
 from lt_spectral.sturm import RieszMean, SolverError, Spectrum
@@ -150,6 +151,10 @@ class TestScatter:
         assert out1 == out2
 
 
+def _fd_solve_line(V, tol=None):
+    return sturm.solve_line(FDOnly(V), tol)
+
+
 class TestSumRule:
     def test_pass(self, capsys, well_file):
         code, out = run(capsys, "sumrule", "--potential", well_file)
@@ -162,13 +167,28 @@ class TestSumRule:
     def test_residual_within_moment_budget(self, capsys, monkeypatch):
         # on the FD path seed 2's shallowest state is unresolved; its
         # certified budget, not a fixed 1e-3, decides
-        monkeypatch.setattr(scattering, "solve_line",
-                            lambda V: sturm.solve_line(FDOnly(V)))
+        monkeypatch.setattr(scattering, "solve_line", _fd_solve_line)
         code, out = run(capsys, "sumrule", "--seed", "2")
         assert code == EXIT_PASS
         doc = json.loads(out)
         assert doc["pass"]
         assert 1e-3 < abs(doc["residual"]) <= doc["budget"]
+
+    def test_tol_reaches_solver(self, capsys, monkeypatch):
+        # on the FD path the solver tolerance sets the moment's radius, so
+        # --tol must reach solve_line, as it does for certify
+        monkeypatch.setattr(scattering, "solve_line", _fd_solve_line)
+        V = random_piecewise(2)
+        _, out = run(capsys, "sumrule", "--seed", "2")
+        budgets = {json.loads(out)["budget"]}
+        for t in (1e-2, 5e-3):
+            _, out = run(capsys, "sumrule", "--seed", "2", "--tol", str(t))
+            spec = _fd_solve_line(V, Tolerance(abs=t, rel=t))
+            expected = 4.0 * sturm.riesz_mean(spec, 0.5).error + 1e-6
+            budget = json.loads(out)["budget"]
+            assert budget == float(f"{expected:.15g}")
+            budgets.add(budget)
+        assert len(budgets) == 3
 
     def test_exact_moment_residual(self, capsys):
         # exact shooting resolves that state: only the quadrature is left

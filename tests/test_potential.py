@@ -1,9 +1,12 @@
 import json
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lt_spectral import potential as pot
 from lt_spectral.cli import random_piecewise, splitmix64
@@ -41,6 +44,123 @@ class TestEvaluate:
         assert out[0] == pytest.approx(2.0)
         assert out[1] == pytest.approx(2.0 * math.exp(-1.0))
 
+
+
+_G = pot.Gaussian(2.0, 0.7, 1.1)
+_PT = pot.PoschlTeller(2.0, c=0.3, alpha=1.5)
+_PC = pot.PiecewiseConstant([-1.5, -0.2, 0.9, 2.3], [1.0, -3.0, 0.5])
+_SM = pot.Sampled([-2.0, -0.5, 1.0, 2.5], [1.5, -0.5, 2.0, 0.75])
+_MIX = pot.Sum([_G, _PC, _SM, _PT.amplified(0.1)])
+
+#: every family and wrapper; the signed ones give clipped sign_split parts
+SCALAR_CASES = {
+    "piecewise_constant": _PC,
+    "square_well": pot.SquareWell(3.0, 0.0, 2.0),
+    "zero": pot.Zero(),
+    "poschl_teller": _PT,
+    "gaussian": _G,
+    "sampled": _SM,
+    "sum": _MIX,
+    "scaled": _PT.scaled(1.7),
+    "amplified": _G.amplified(0.6),
+    "half_view_plus": _MIX.half_view(+1),
+    "half_view_minus": _MIX.half_view(-1),
+    "sign_split_plus": _MIX.sign_split()[0],
+    "sign_split_minus": _MIX.sign_split()[1],
+    "pieces_split_minus": _PC.scaled(1.3).sign_split()[1],
+    "gaussian_split_minus": pot.Gaussian(-1.5, 0.2, 0.8).sign_split()[1],
+    "interval": pot.Gaussian(1.0, 0.5, domain=[-1.0, 2.0]),
+    "half_line_well": pot.SquareWell(3.0, 0.0, 2.0, domain="half_line"),
+}
+
+#: V(nan), V(inf), V(-inf) as the array path gives them (None: ValueError)
+SPECIAL_VALUES = {
+    "piecewise_constant": (0.0, 0.0, 0.0),
+    "square_well": (0.0, 0.0, 0.0),
+    "zero": (0.0, 0.0, 0.0),
+    "poschl_teller": (math.nan, 0.0, 0.0),
+    "gaussian": (math.nan, 0.0, 0.0),
+    "sampled": (0.0, 0.0, 0.0),
+    "sum": (math.nan, 0.0, 0.0),
+    "scaled": (math.nan, 0.0, 0.0),
+    "amplified": (math.nan, 0.0, 0.0),
+    "half_view_plus": (math.nan, 0.0, None),
+    "half_view_minus": (math.nan, 0.0, None),
+    "sign_split_plus": (math.nan, 0.0, 0.0),
+    "sign_split_minus": (math.nan, 0.0, 0.0),
+    "pieces_split_minus": (0.0, 0.0, 0.0),
+    "gaussian_split_minus": (math.nan, 0.0, 0.0),
+    "interval": (math.nan, None, None),
+    "half_line_well": (0.0, 0.0, None),
+}
+
+SCALAR_EXAMPLES = settings(max_examples=200, derandomize=True,
+                           deadline=None, database=None)
+
+
+def _bits(v):
+    return struct.pack("<d", v)
+
+
+def _in_domain(V, u):
+    """The point at fraction u of V's domain cut to [-12, 12]."""
+    lo, hi = max(V.domain[0], -12.0), min(V.domain[1], 12.0)
+    return lo + (hi - lo) * u if u < 1.0 else hi
+
+
+class TestScalarPath:
+    """A float x takes evaluate's scalar path; it must give the bits and
+    the checks of the array path on np.array([x])."""
+
+    @SCALAR_EXAMPLES
+    @given(st.sampled_from(sorted(SCALAR_CASES)), st.floats(0.0, 1.0))
+    def test_matches_array_bitwise(self, name, u):
+        V = SCALAR_CASES[name]
+        x = _in_domain(V, u)
+        ref = V.evaluate(np.array([x]))[0]
+        for arg in (x, np.float64(x), np.array(x)):
+            out = V.evaluate(arg)
+            assert type(out) is float
+            assert _bits(out) == _bits(ref)
+
+    @SCALAR_EXAMPLES
+    @given(st.sampled_from(sorted(SCALAR_CASES)), st.integers(-12, 12))
+    def test_int_matches_float(self, name, n):
+        V = SCALAR_CASES[name]
+        if not V.domain[0] <= n <= V.domain[1]:
+            with pytest.raises(ValueError):
+                V.evaluate(n)
+            return
+        assert _bits(V.evaluate(n)) == _bits(V.evaluate(float(n)))
+
+    @pytest.mark.parametrize("arg", [float, np.float64, np.array])
+    def test_out_of_domain_raises(self, arg):
+        half = _MIX.half_view(+1)
+        with pytest.raises(ValueError, match="outside domain"):
+            half.evaluate(arg(-1e-300))
+        V = SCALAR_CASES["interval"]
+        a, b = V.domain
+        for x in (np.nextafter(a, -math.inf), np.nextafter(b, math.inf)):
+            with pytest.raises(ValueError, match="outside domain"):
+                V.evaluate(arg(float(x)))
+        assert V.evaluate(arg(a)) == V.evaluate(np.array([a]))[0]
+        assert V.evaluate(arg(b)) == V.evaluate(np.array([b]))[0]
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_CASES))
+    @pytest.mark.parametrize("arg", [float, np.float64, np.array])
+    def test_nan_and_inf_pinned(self, name, arg):
+        V = SCALAR_CASES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, want in zip((math.nan, math.inf, -math.inf),
+                               SPECIAL_VALUES[name]):
+                if want is None:
+                    with pytest.raises(ValueError, match="outside domain"):
+                        V.evaluate(arg(x))
+                elif math.isnan(want):
+                    assert math.isnan(V.evaluate(arg(x)))
+                else:
+                    assert _bits(V.evaluate(arg(x))) == _bits(want)
 
 class TestIntegrate:
     def test_square_well(self):
