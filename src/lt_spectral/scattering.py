@@ -1,12 +1,12 @@
 """Reflection coefficients, the trace sum rule, and the transmission bound.
 
 For a compactly supported potential the wave equation -u'' - V u = k^2 u is
-propagated across the support by a real 2x2 transfer matrix and matched to
-plane waves on both sides, giving R(k) and T(k).  A potential whose pieces()
-are known is propagated exactly step by step (Pruess's piecewise-constant
-method; J. D. Pryce, Numerical Solution of Sturm-Liouville Problems, OUP
-1993); its step list is built once per call and reused for every k.  Any
-other potential is integrated by adaptive Runge-Kutta.
+propagated across the support by a real 2x2 transfer matrix; its closed-form
+projection on plane waves at both ends gives R(k) and T(k).  With pieces(),
+V is propagated exactly by scalar products of piece steps (Pruess's method;
+J. D. Pryce, Numerical Solution of Sturm-Liouville Problems, OUP 1993), its
+step list built once per call and reused for every k.  Any other potential
+is integrated by adaptive Runge-Kutta.
 
 The first trace identity ties the three independent pipelines together:
 
@@ -32,7 +32,7 @@ from .numerics import InvariantError, NumericsError, Tolerance, piece_step
 from .potential import Potential, piece_steps, truncation_point
 from .sturm import RieszMean, riesz_mean, solve_line
 
-#: default tolerance for scattering solves and the unitarity gate
+#: default tolerance of the gates, and the loosest the ODE ever runs at
 SCATTER_TOL = Tolerance(abs=1e-8, rel=1e-8)
 
 #: default k-grid limits (geometric) for sampled reflection data
@@ -96,32 +96,32 @@ def _scatter_box(V: Potential) -> float:
     return truncation_point(V, TRUNCATION_TAIL, x_min=10.0)
 
 
-def _transfer_exact(steps, k: float) -> np.ndarray:
-    M = np.eye(2)
-    for d, v in steps:
-        m00, m01, m10, m11 = piece_step(d, k * k + v)
-        M = np.array([[m00, m01], [m10, m11]]) @ M
-    return M
+def _transfer_exact(steps, k: float) -> tuple[float, float, float, float]:
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for length, v in steps:
+        m00, m01, m10, m11 = piece_step(length, k * k + v)
+        a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
+                      m10 * a + m11 * c, m10 * b + m11 * d)
+    return a, b, c, d
 
 
 def _transfer_ode(V: Potential, X: float, k: float,
-                  tol: Tolerance) -> np.ndarray:
+                  tol: Tolerance) -> tuple[float, float, float, float]:
     def rhs(x, y):
         q = k * k + float(V.evaluate(x))
         return [y[1], -q * y[0], y[3], -q * y[2]]
 
     sol = solve_ivp(rhs, (-X, X), [1.0, 0.0, 0.0, 1.0], method="DOP853",
-                    rtol=max(tol.rel, 1e-12),
-                    atol=max(tol.abs * 1e-2, 1e-13))
+                    rtol=max(min(tol.rel, SCATTER_TOL.rel), 1e-12),
+                    atol=max(min(tol.abs, SCATTER_TOL.abs) * 1e-2, 1e-13))
     if not sol.success:
         raise ScatteringError(f"wave propagation failed at k={k}")
-    y = sol.y[:, -1]
-    return np.array([[y[0], y[2]], [y[1], y[3]]])
+    return tuple(sol.y[[0, 2, 1, 3], -1].tolist())
 
 
 class _Propagator:
-    """Transfer matrices of one potential across its box [-X, X]: exact
-    steps, built once, when V has pieces(), else one ODE solve per k."""
+    """Transfer matrices (m00, m01, m10, m11) of V across its box [-X, X]:
+    exact steps, built once, when V has pieces(), else one ODE per k."""
 
     def __init__(self, V: Potential, tol: Tolerance):
         X = _scatter_box(V)
@@ -129,7 +129,7 @@ class _Propagator:
         pieces = V.pieces()
         self.steps = None if pieces is None else piece_steps(pieces, -X, X)
 
-    def matrix(self, k: float) -> np.ndarray:
+    def matrix(self, k: float) -> tuple[float, float, float, float]:
         if self.steps is None:
             return _transfer_ode(self.V, self.X, k, self.tol)
         return _transfer_exact(self.steps, k)
@@ -139,19 +139,19 @@ def _reflection_at(prop: _Propagator, k: float):
     """(R, T, unitarity_defect) at one positive wavenumber."""
     if k <= 0.0:
         raise ValueError("wavenumbers must be positive")
-    M, X, tol = prop.matrix(k), prop.X, prop.tol
-    det_err = abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0] - 1.0)
+    (a, b, c, d), X, tol = prop.matrix(k), prop.X, prop.tol
+    det_err = abs(a * d - b * c - 1.0)
     if det_err > 100.0 * tol.abs:
         raise ScatteringError(
             f"transfer matrix determinant drifted by {det_err:.2e} at k={k}")
-    ik = 1j * k
-    em, ep = cmath.exp(-ik * X), cmath.exp(ik * X)
-    # columns of W(x) are the plane waves e^{ikx}, e^{-ikx} as (u, u') data
-    Wm = np.array([[em, ep], [ik * em, -ik * ep]])
-    Wp = np.array([[ep, em], [ik * ep, -ik * em]])
-    P = np.linalg.solve(Wp, M @ Wm)
-    R = -P[1, 0] / P[1, 1]
-    T = P[0, 0] + P[0, 1] * R
+    ik, kkb = 1j * k, k * k * b
+    h, e2 = 0.5 / ik, cmath.exp(2.0 * ik * X)
+    # P = W(X)^-1 M W(-X) in closed form; W(x) has columns e^{ikx}, e^{-ikx}
+    # as (u, u').  T not via det M = 1, so the unitarity gate tests more
+    P00, P01 = (ik * (a + d) - kkb + c) * h / e2, (ik * (a - d) + kkb + c) * h
+    P10, P11 = (ik * (a - d) - kkb - c) * h, (ik * (a + d) + kkb - c) * h * e2
+    R = -P10 / P11
+    T = P00 + P01 * R
     defect = abs(1.0 - abs(R) ** 2 - abs(T) ** 2)
     if defect > 100.0 * tol.abs:
         raise ScatteringError(f"unitarity defect {defect:.2e} at k={k}")

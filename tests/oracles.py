@@ -2,10 +2,11 @@
 
 Nothing here shares code paths with the library: eigenvalues come from
 Prüfer-angle shooting or transcendental closed forms, reflection amplitudes
-from textbook closed forms.  Agreement between these and the library is the
-point of the comparisons.
+from textbook closed forms or a linear solve of the plane-wave matching.
+Agreement between these and the library is the point of the comparisons.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -112,3 +113,19 @@ def poschl_teller_levels(nu, alpha=1.0):
         out.append(-((alpha * (nu - n)) ** 2))
         n += 1
     return sorted(out)
+
+
+def plane_wave_projection(M, k, X):
+    """(R, T) of a transfer matrix M = (m00, m01, m10, m11) across [-X, X].
+
+    Solves Wp P = M Wm for the matrix P that takes the plane-wave
+    amplitudes at -X to those at +X; the columns of W(x) are the waves
+    e^{ikx}, e^{-ikx} as (u, u') data.  Then R = -P10/P11, T = P00 + P01 R.
+    """
+    ik = 1j * k
+    em, ep = cmath.exp(-ik * X), cmath.exp(ik * X)
+    Wm = np.array([[em, ep], [ik * em, -ik * ep]])
+    Wp = np.array([[ep, em], [ik * ep, -ik * em]])
+    P = np.linalg.solve(Wp, np.reshape(M, (2, 2)) @ Wm)
+    R = -P[1, 0] / P[1, 1]
+    return complex(R), complex(P[0, 0] + P[0, 1] * R)

@@ -13,13 +13,14 @@ Adv. Theor. Math. Phys. 2 (1998) 719).
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from lt_spectral.numerics import piece_step
 from lt_spectral.potential import (HALF_LINE, PiecewiseConstant, SquareWell,
-                                   Sum)
+                                   Sum, piece_steps)
 from lt_spectral.scattering import _transfer_exact
 from lt_spectral.sturm import riesz_mean, solve_interval, solve_line
 
@@ -153,4 +154,16 @@ def test_tunnelling_pair_below_rounding():
 def test_scattering_steps_share_the_formula(q):
     # the transfer matrix of one step is piece_step's entries, bit for bit
     M = _transfer_exact([(0.7, q - 0.25)], 0.5)
-    assert tuple(M.ravel()) == piece_step(0.7, q)
+    assert M == piece_step(0.7, q)
+
+
+@EXAMPLES
+@given(V=piece_lists("full_line", signed=True), k=st.floats(0.01, 30.0))
+def test_scalar_transfer_matches_matrix_product(V, k):
+    # the scalar product of the piece steps against numpy's 2x2 products
+    steps = piece_steps(V.pieces(), -5.0, 5.0)
+    M = np.eye(2)
+    for d, v in steps:
+        M = np.array(piece_step(d, k * k + v)).reshape(2, 2) @ M
+    scalar = np.array(_transfer_exact(steps, k))
+    assert np.max(np.abs(scalar - M.ravel())) <= 1e-12 * np.max(np.abs(M))

@@ -5,7 +5,7 @@ import pytest
 
 from lt_spectral.cli import random_piecewise
 from lt_spectral.constants import VARSIGMA_3
-from lt_spectral.numerics import InvariantError
+from lt_spectral.numerics import InvariantError, Tolerance
 from lt_spectral.potential import (Gaussian, PiecewiseConstant, PoschlTeller,
                                    SquareWell, Zero)
 from lt_spectral.scattering import (SCATTER_TOL, ScatteringData,
@@ -14,9 +14,26 @@ from lt_spectral.scattering import (SCATTER_TOL, ScatteringData,
                                     reflection_coefficient,
                                     sum_rule_residual, theorem2_check)
 
-from oracles import square_well_reflection_sq
+from oracles import plane_wave_projection, square_well_reflection_sq
 
 MODEST_GRID = np.geomspace(0.02, 20.0, 40)
+
+
+class Opaque(PiecewiseConstant):
+    """A piece list without pieces(): scattering takes the ODE path."""
+
+    def pieces(self):
+        return None
+
+
+class StubPropagator:
+    """A fixed transfer matrix (m00, m01, m10, m11) across [-X, X]."""
+
+    def __init__(self, M, X=1.0, tol=SCATTER_TOL):
+        self.M, self.X, self.tol = M, X, tol
+
+    def matrix(self, k):
+        return self.M
 
 
 class TestClosedFormAgreement:
@@ -34,10 +51,6 @@ class TestClosedFormAgreement:
     def test_exact_steps_match_ode_phase(self):
         # |R| does not see where the free steps lie, the phase of R does;
         # the same off-centre pieces without pieces() take the ODE path
-        class Opaque(PiecewiseConstant):
-            def pieces(self):
-                return None
-
         args = ([-0.9, 0.2, 1.4], [2.0, -1.0])
         exact = _Propagator(PiecewiseConstant(*args), SCATTER_TOL)
         ode = _Propagator(Opaque(*args), SCATTER_TOL)
@@ -51,6 +64,20 @@ class TestClosedFormAgreement:
         data = reflection_coefficient(Zero(), MODEST_GRID)
         assert data.max_reflection() < 1e-12
         assert data.log_integral == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("V", [
+        *(random_piecewise(seed) for seed in range(1, 6)),
+        SquareWell(5.0, -0.5, 0.5),
+        Opaque([-0.9, 0.2, 1.4], [2.0, -1.0])],
+        ids=[*(f"seed{seed}" for seed in range(1, 6)), "well", "ode"])
+    def test_projection_matches_linear_solve(self, V):
+        # the closed-form projection against np.linalg.solve(Wp, M Wm)
+        prop = _Propagator(V, SCATTER_TOL)
+        for k in np.geomspace(0.01, 100.0, 40):
+            M = prop.matrix(k)
+            R, T, _ = _reflection_at(StubPropagator(M, prop.X), k)
+            R_ref, T_ref = plane_wave_projection(M, k, prop.X)
+            assert abs(R - R_ref) <= 1e-13 and abs(T - T_ref) <= 1e-13
 
 
 class TestReflectionless:
@@ -72,6 +99,23 @@ class TestUnitarity:
         data = reflection_coefficient(V, MODEST_GRID)
         assert data.max_reflection() <= 1.0 + 1e-9
         assert max(data.unitarity_defects) < 1e-8
+
+    @pytest.mark.parametrize("k", [0.3, 3.0])
+    def test_determinant_gate(self, k):
+        # the gate sits at 100 tol.abs = 1e-6; M = diag(1 + delta, 1) has
+        # det M - 1 = delta and unitarity defect delta (1 + O(delta^2))
+        defect = _reflection_at(StubPropagator((1.0 + 5e-7, 0.0, 0.0, 1.0)),
+                                k)[2]
+        assert defect == pytest.approx(5e-7, abs=1e-12)
+        with pytest.raises(ScatteringError,
+                           match="transfer matrix determinant drifted"):
+            _reflection_at(StubPropagator((1.0 + 2e-6, 0.0, 0.0, 1.0)), k)
+
+    def test_loose_tol_keeps_the_ode_tight(self):
+        # at rtol 1e-3 DOP853 let det M drift by 0.1 here, past the gate
+        prop = _Propagator(PoschlTeller(1.0, alpha=2.0),
+                           Tolerance(1e-3, 1e-3))
+        assert _reflection_at(prop, 34.25)[2] <= 100.0 * prop.tol.abs
 
     def test_gaussian_ode_path(self):
         # the ODE path accumulates slightly more drift than the exact
