@@ -14,12 +14,11 @@ sandwiches the square-root moment sum between explicit multiples of int V.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 from .constants import VARSIGMA_3
-from .numerics import NumericsError, Tolerance, find_root
+from .numerics import InvariantError, NumericsError, Tolerance, find_root
 from .potential import FULL_LINE, HALF_LINE, Potential
 from .sturm import RieszMean, Spectrum, riesz_mean, solve_interval, solve_line
 
@@ -61,13 +60,13 @@ class Partition:
     def __post_init__(self):
         bp, ms = self.breakpoints, self.masses
         if len(bp) < 2 or len(ms) != len(bp) - 1:
-            raise ValueError("need n+1 breakpoints for n intervals")
+            raise InvariantError("need n+1 breakpoints for n intervals")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+            raise InvariantError("breakpoints must be strictly increasing")
         for k in ([] if self.degenerate else self.finite_indices()):
             product = (bp[k + 1] - bp[k]) * ms[k]
             if abs(product - 3.0) > PARTITION_RTOL * 3.0:
-                raise ValueError(
+                raise InvariantError(
                     f"interval {k}: length*mass = {product!r}, expected 3")
 
     def __len__(self):
@@ -178,7 +177,8 @@ class Theorem1Certificate:
     """Certified sandwich for the square-root moment sum.
 
     The chain lower <= sum_sqrt <= bracket_sum <= upper is checked with the
-    certified radii folded in; checks holds the per-inequality verdicts.
+    certified radii folded in; checks holds the per-inequality verdicts,
+    with "lower_le_sum" only where the lower bound applies.
     """
 
     integral_V: float
@@ -187,7 +187,6 @@ class Theorem1Certificate:
     bracket_error: float
     upper_bound: float
     lower_bound: float
-    lower_checked: bool
     checks: dict = field(repr=False)
     partitions: tuple[Partition, ...] = field(repr=False)
     spectrum: Spectrum = field(repr=False, default=None)
@@ -209,9 +208,6 @@ class Theorem1Certificate:
             "checks": dict(self.checks),
             "partition": [p.to_json_list() for p in self.partitions],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def raw_moment_constant(gamma: float) -> float:
@@ -294,11 +290,9 @@ def certify_theorem1(V: Potential, tol: Tolerance | None = None,
         "bracket_le_upper": bool(bracket_sum - bracket_err <= upper),
         "sum_le_upper": bool(direct.value - direct.error <= upper),
     }
-    lower_checked = full or assume_even
-    if lower_checked:
+    if full or assume_even:
         checks["lower_le_sum"] = bool(lower <= direct.value + direct.error)
     return Theorem1Certificate(
         integral_V=integral, sum_sqrt=direct, bracket_sum=bracket_sum,
         bracket_error=bracket_err, upper_bound=upper, lower_bound=lower,
-        lower_checked=lower_checked, checks=checks,
-        partitions=tuple(partitions), spectrum=spec)
+        checks=checks, partitions=tuple(partitions), spectrum=spec)

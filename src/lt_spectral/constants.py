@@ -209,11 +209,13 @@ def theta_weight(params: ThetaParams, mode: str = "closed",
     raise ValueError("closed form known only for (1,2) and (1/2,3/2)")
 
 
-def m_factor(eta: float, window: int = 64) -> tuple[float, float]:
-    """Minimum of (1+N)^{1-eta} (1+1/N)^{eta} over N in {k, 1/k: k <= window}.
+def m_factor(eta: float) -> tuple[float, float]:
+    """Minimum of (1+N)^{1-eta} (1+1/N)^{eta} over N in {k, 1/k: k >= 1}.
 
-    Returns (minimum, argmin N).  The objective is eventually increasing in
-    k and in 1/k, so a finite window suffices; the boundary is asserted.
+    Returns (minimum, argmin N).  The objective is (1+N) N^{-eta}, convex in
+    log N with its minimum at N* = eta/(1-eta), so the minimum over the set
+    is at one of the two members next to N*.  Ties go to the integer, then
+    to 1/k with the smaller k.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
@@ -221,14 +223,15 @@ def m_factor(eta: float, window: int = 64) -> tuple[float, float]:
     def obj(n):
         return (1.0 + n) ** (1.0 - eta) * (1.0 + 1.0 / n) ** eta
 
-    while window <= 2**20:
-        candidates = [float(k) for k in range(1, window + 1)]
-        candidates += [1.0 / k for k in range(2, window + 1)]
-        best_n = min(candidates, key=obj)
-        if best_n not in (float(window), 1.0 / window):
-            return obj(best_n), best_n
-        window *= 2  # argmin is near max(eta, 1-eta)/min(eta, 1-eta)
-    raise ValueError("M(eta) minimum not bracketed by any finite window")
+    star = eta / (1.0 - eta)
+    if star >= 1.0:
+        k = math.floor(star)
+        candidates = [float(k), float(k + 1)]
+    else:
+        k = math.floor(1.0 / star)
+        candidates = [1.0 / k, 1.0 / (k + 1)]
+    best_n = min(candidates, key=obj)
+    return obj(best_n), best_n
 
 
 def c_factor(eta: float, tol: Tolerance = DEFAULT_TOL) -> float:

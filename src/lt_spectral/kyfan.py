@@ -125,8 +125,7 @@ def _solve_share(V: Potential, share: float,
     inner = solve_line(V.amplified(1.0 / share), tol=tol)
     return Spectrum(tuple(share * e for e in inner.eigenvalues),
                     tuple(share * r for r in inner.radii),
-                    inner.boundary, inner.near_threshold,
-                    share * inner.threshold)
+                    inner.near_threshold, share * inner.threshold)
 
 
 def _moment_factor(p: float, share: float, N_factor: float):

@@ -9,7 +9,9 @@ Each potential states its structure once.  The constant families (Zero,
 SquareWell, PiecewiseConstant) are one piece list, from which jumps, exact
 cell means, integrals and pieces() are read.  scaled, amplified and
 half_view are one mapped wrapper V(x) = c * inner(s * x) that transforms
-what its inner potential states; Sum adds up what its terms state.
+what its inner potential states; Sum adds up what its terms state.  jumps()
+alone says where V jumps and by how much: quadrature takes the points as
+hints, the finite-difference solver the sizes inside each interval it solves.
 pieces() selects the exact paths, which read the piece list as given
 (sorted, contiguous and inside support()) through piece_steps: transfer
 matrices in scattering and bound states on the whole or half line in
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -43,10 +45,18 @@ def _domain_tuple(domain) -> tuple[float, float]:
         return FULL_LINE
     if domain == "half_line":
         return HALF_LINE
-    a, b = float(domain[0]), float(domain[1])
+    try:
+        a, b = (float(q) for q in domain)
+    except (TypeError, ValueError):
+        raise ValueError(f"malformed domain {domain!r}") from None
     if not a < b:
         raise ValueError("interval domain needs a < b")
     return (a, b)
+
+
+def _on_domain(domain, jumps) -> list[tuple[float, float]]:
+    lo, hi = domain
+    return [(x, d) for x, d in jumps if lo <= x <= hi]
 
 
 class Potential:
@@ -127,17 +137,13 @@ class Potential:
                 raise ValueError("V < 0 encountered in V^p quadrature")
             return max(v, 0.0) ** p if p != 1.0 else v
 
-        pts = [q for q in self._breaks() if a < q < b]
+        pts = sorted({x for x, _ in self.jumps() if a < x < b})
         if math.isinf(a) or math.isinf(b):
             val, _ = quad(f, a, b, epsabs=QUAD_ABS_TOL, limit=500)
         else:
             val, _ = quad(f, a, b, epsabs=QUAD_ABS_TOL, limit=500,
                           points=pts or None)
         return val
-
-    def _breaks(self) -> Iterable[float]:
-        """Interior points where V may be non-smooth (quadrature hints)."""
-        return ()
 
     def cell_average(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Mean of V over the cells [lo_i, hi_i].
@@ -148,9 +154,10 @@ class Potential:
         """
         return self._values(0.5 * (lo + hi))
 
-    def jump_total(self) -> float:
-        """Sum of |jump| over all discontinuities of V (0 when continuous)."""
-        return 0.0
+    def jumps(self) -> list[tuple[float, float]]:
+        """(x, size) for every point x of the domain where V may jump, with
+        size >= |V(x+) - V(x-)|; empty when V is continuous."""
+        return []
 
     def pieces(self) -> list[tuple[float, float, float]] | None:
         """(x0, x1, value) pieces when V is piecewise constant, else None.
@@ -233,9 +240,6 @@ class PiecewiseConstant(Potential):
     def support(self):
         return (float(self.breakpoints[0]), float(self.breakpoints[-1]))
 
-    def _breaks(self):
-        return tuple(self.breakpoints)
-
     def _piece_overlaps(self, a, b):
         left = np.maximum(self.breakpoints[:-1], a)
         right = np.minimum(self.breakpoints[1:], b)
@@ -259,8 +263,9 @@ class PiecewiseConstant(Potential):
 
         return (anti(hi) - anti(lo)) / (hi - lo)
 
-    def jump_total(self):
-        return float(np.sum(np.abs(np.diff(self._padded))))
+    def jumps(self):
+        sizes = np.abs(np.diff(self._padded)).tolist()
+        return _on_domain(self.domain, zip(self.breakpoints.tolist(), sizes))
 
     def pieces(self):
         return [(float(a), float(b), float(v)) for a, b, v in
@@ -425,9 +430,6 @@ class Sampled(Potential):
     def support(self):
         return (float(self.grid[0]), float(self.grid[-1]))
 
-    def _breaks(self):
-        return (float(self.grid[0]), float(self.grid[-1]))
-
     def _antiderivative(self, x):
         # exact integral of the interpolant from the first grid point to x
         g, y = self.grid, self.values
@@ -443,8 +445,10 @@ class Sampled(Potential):
         return (self._antiderivative(hi) - self._antiderivative(lo)) \
             / (hi - lo)
 
-    def jump_total(self):
-        return float(abs(self.values[0]) + abs(self.values[-1]))
+    def jumps(self):
+        g, v = self.grid, self.values
+        return _on_domain(self.domain, [(float(g[0]), abs(float(v[0]))),
+                                        (float(g[-1]), abs(float(v[-1])))])
 
     def _lp(self, p, a, b):
         if np.any(self.values < 0):
@@ -499,12 +503,6 @@ class Sum(Potential):
         los, his = zip(*(t.support() for t in self.terms))
         return (min(los), max(his))
 
-    def _breaks(self):
-        pts = []
-        for t in self.terms:
-            pts.extend(t._breaks())
-        return tuple(sorted(set(pts)))
-
     def _integral(self, a, b):
         return sum(t._integral(a, b) for t in self.terms)
 
@@ -514,8 +512,10 @@ class Sum(Potential):
             out = out + t.cell_average(lo, hi)
         return out
 
-    def jump_total(self):
-        return sum(t.jump_total() for t in self.terms)
+    def jumps(self):
+        # sizes at a shared point add up, which still bounds the jump there
+        return _on_domain(self.domain, (j for t in self.terms
+                                        for j in t.jumps()))
 
     def pieces(self):
         parts = [t.pieces() for t in self.terms]
@@ -569,12 +569,6 @@ class _Mapped(Potential):
         a, b = self.domain
         return (min(max(lo, a), b), max(min(hi, b), a))
 
-    def _breaks(self):
-        a, b = self.domain
-        return tuple(sorted(q for q in (p / self.s
-                                        for p in self.inner._breaks())
-                            if a < q < b))
-
     def _integral(self, a, b):
         return self.mass * self.inner._integral(*self._image(a, b))
 
@@ -585,8 +579,10 @@ class _Mapped(Potential):
     def cell_average(self, lo, hi):
         return self.c * self.inner.cell_average(*self._image(lo, hi))
 
-    def jump_total(self):
-        return self.c * self.inner.jump_total()
+    def jumps(self):
+        # a half view keeps only the jumps on its own side
+        return _on_domain(self.domain, ((x / self.s, self.c * d)
+                                        for x, d in self.inner.jumps()))
 
     def pieces(self):
         inner = self.inner.pieces()
@@ -631,44 +627,48 @@ class _Clipped(Potential):
     def support(self):
         return self.inner.support()
 
-    def _breaks(self):
-        return self.inner._breaks()
-
-    def jump_total(self):
-        return self.inner.jump_total()
+    def jumps(self):
+        return self.inner.jumps()
 
     def is_nonnegative(self):
         return True
 
 
 def from_json_dict(doc: dict) -> Potential:
-    """Build a potential from its JSON document."""
+    """Build a potential from its JSON document, the one door for outside
+    input: any malformed document raises ValueError."""
+    params = doc.get("params", {}) if isinstance(doc, dict) else None
+    if not isinstance(params, dict):
+        raise ValueError("a potential document and its params must be "
+                         "JSON objects")
     family = doc.get("family")
-    params = doc.get("params", {})
     domain = doc.get("domain", "full_line")
-    if family == "zero":
-        return Zero(domain)
-    if family == "square_well":
-        return SquareWell(params["v"], params["a"], params["b"], domain)
-    if family == "poschl_teller":
-        return PoschlTeller(params["nu"], params.get("c", 0.0),
-                            params.get("alpha", 1.0), domain)
-    if family == "gaussian":
-        return Gaussian(params["amplitude"], params.get("center", 0.0),
-                        params.get("width", 1.0), domain)
-    if family == "piecewise_constant":
-        return PiecewiseConstant(params["breakpoints"], params["values"],
-                                 domain)
-    if family == "sampled":
-        return Sampled(params["grid"], params["values"], domain)
-    if family == "sum":
-        return Sum([from_json_dict(t) for t in params["terms"]], domain)
-    if family == "scaled":
-        return from_json_dict(params["inner"]).scaled(params["alpha"])
-    if family == "amplified":
-        return from_json_dict(params["inner"]).amplified(params["c"])
-    if family == "half_view":
-        return from_json_dict(params["inner"]).half_view(params["side"])
+    try:
+        if family == "zero":
+            return Zero(domain)
+        if family == "square_well":
+            return SquareWell(params["v"], params["a"], params["b"], domain)
+        if family == "poschl_teller":
+            return PoschlTeller(params["nu"], params.get("c", 0.0),
+                                params.get("alpha", 1.0), domain)
+        if family == "gaussian":
+            return Gaussian(params["amplitude"], params.get("center", 0.0),
+                            params.get("width", 1.0), domain)
+        if family == "piecewise_constant":
+            return PiecewiseConstant(params["breakpoints"], params["values"],
+                                     domain)
+        if family == "sampled":
+            return Sampled(params["grid"], params["values"], domain)
+        if family == "sum":
+            return Sum([from_json_dict(t) for t in params["terms"]], domain)
+        if family == "scaled":
+            return from_json_dict(params["inner"]).scaled(params["alpha"])
+        if family == "amplified":
+            return from_json_dict(params["inner"]).amplified(params["c"])
+        if family == "half_view":
+            return from_json_dict(params["inner"]).half_view(params["side"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{family}: bad or missing parameter {exc}") from None
     raise ValueError(f"unknown potential family: {family!r}")
 
 

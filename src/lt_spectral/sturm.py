@@ -65,7 +65,6 @@ class Spectrum:
 
     eigenvalues: tuple[float, ...]
     radii: tuple[float, ...]
-    boundary: str
     near_threshold: int = 0
     #: worst-case |E| of each unresolved near-threshold candidate
     threshold: float = 0.0
@@ -88,7 +87,6 @@ class Spectrum:
 class RieszMean:
     """Moment sum over a spectrum with first-order error propagation."""
 
-    gamma: float
     value: float
     error: float
 
@@ -127,13 +125,20 @@ def _negative_eigs(d, e, cutoff=0.0):
     return np.sort(vals)
 
 
-def _effective_tol(V: Potential, tol, length: float) -> Tolerance:
-    """Default tolerance, relaxed to the first-order floor for jumpy V."""
+def _jump_sum(V: Potential, a: float, b: float) -> float:
+    """Sum of the sizes of V's jumps in the closed interval [a, b]."""
+    return sum(d for x, d in V.jumps() if a <= x <= b)
+
+
+def _effective_tol(tol, jumps: float, length: float) -> Tolerance:
+    """Default tolerance, relaxed to the first-order floor for jumps."""
     if tol is not None:
         return tol
-    jumps = V.jump_total()
     if jumps > 0.0:
         floor = 0.5 * jumps * length / 2**LEVEL_MAX
+        if 4.0 * floor >= 1.0:
+            raise SolverError(f"jump sum {jumps:.6g} gives a first-order "
+                              f"floor {floor:.3e}; 4 x floor must be < 1")
         return Tolerance(abs=max(1e-3, 4.0 * floor), rel=SOLVER_TOL.rel)
     return SOLVER_TOL
 
@@ -148,11 +153,10 @@ def solve_interval(V: Potential, interval, bc="neumann",
     a, b = float(interval[0]), float(interval[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("need a finite interval with a < b")
-    tol = _effective_tol(V, tol, b - a)
+    jumps = _jump_sum(V, a, b)
+    tol = _effective_tol(tol, jumps, b - a)
     pair = (bc, bc) if isinstance(bc, str) else tuple(bc)
-    tag = pair[0] if pair[0] == pair[1] else f"{pair[0]}/{pair[1]}"
     threshold = -10.0 * tol.abs  # eigenvalues above this are unresolvable
-    jumps = V.jump_total()
     k = LEVEL_MIN
     coarse = _negative_eigs(*_tridiag(V, a, b, 2**k + 1, pair))
     while True:
@@ -183,8 +187,7 @@ def solve_interval(V: Potential, interval, bc="neumann",
                 for extra in (fine[m:], coarse[m:]):
                     if len(extra):
                         bound = max(bound, 2.0 * float(np.max(np.abs(extra))))
-            return Spectrum(tuple(vals[keep]), tuple(rads[keep]), tag, near,
-                            bound)
+            return Spectrum(tuple(vals[keep]), tuple(rads[keep]), near, bound)
         coarse = fine
 
 
@@ -287,7 +290,6 @@ def _solve_exact(steps, half: bool, tol: Tolerance) -> Spectrum:
     candidates with threshold eps.
     """
     eps = 10.0 * tol.abs
-    tag = "half_line_neumann" if half else "whole_line"
 
     def count(E):
         return _shoot(steps, E, half)[0]
@@ -322,7 +324,7 @@ def _solve_exact(steps, half: bool, tol: Tolerance) -> Spectrum:
         vals += [0.5 * (lo + hi)] * k
         rads += [0.5 * (hi - lo)] * k
     near = max(count(0.0) - n, 0)
-    return Spectrum(tuple(vals), tuple(rads), tag, near, eps)
+    return Spectrum(tuple(vals), tuple(rads), near, eps)
 
 
 def solve_line(V: Potential, tol: Tolerance | None = None) -> Spectrum:
@@ -343,7 +345,7 @@ def solve_line(V: Potential, tol: Tolerance | None = None) -> Spectrum:
                             tol if tol is not None else SOLVER_TOL)
     X = _box(V, tol if tol is not None else SOLVER_TOL)
     a = 0.0 if half else -X
-    tol = _effective_tol(V, tol, X - a)
+    tol = _effective_tol(tol, _jump_sum(V, a, X), X - a)
     # the half-line keeps its physical Neumann end at 0; only the
     # artificial truncation ends switch between Neumann and Dirichlet
     upper_bc = ("neumann", "dirichlet") if half else "dirichlet"
@@ -364,8 +366,7 @@ def solve_line(V: Potential, tol: Tolerance | None = None) -> Spectrum:
                 continue
         bound = max(bound, abs(lo_i))
     near = len(lower) + lower.near_threshold - len(vals)
-    tag = "half_line_neumann" if half else "whole_line"
-    return Spectrum(tuple(vals), tuple(rads), tag, near, bound)
+    return Spectrum(tuple(vals), tuple(rads), near, bound)
 
 
 def riesz_mean(spec: Spectrum, gamma: float) -> RieszMean:
@@ -377,7 +378,7 @@ def riesz_mean(spec: Spectrum, gamma: float) -> RieszMean:
                 for e, r in zip(spec.eigenvalues, spec.radii))
     # unresolved near-threshold states contribute at most threshold^gamma
     error += spec.near_threshold * spec.threshold**gamma
-    return RieszMean(gamma, value, error)
+    return RieszMean(value, error)
 
 
 def bs_interval_bound(V: Potential, interval, E: float) -> float:

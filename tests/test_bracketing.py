@@ -9,6 +9,7 @@ from lt_spectral.bracketing import (LOWER_FACTOR, UPPER_FACTOR,
                                     raw_moment_constant)
 from lt_spectral.cli import random_piecewise
 from lt_spectral.constants import VARSIGMA_3
+from lt_spectral.numerics import InvariantError
 from lt_spectral.potential import (Gaussian, PiecewiseConstant,
                                    PoschlTeller, SquareWell, Zero)
 from lt_spectral.sturm import solve_interval
@@ -16,14 +17,14 @@ from lt_spectral.sturm import solve_interval
 
 class TestPartitionInvariants:
     def test_product_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             Partition((0.0, 1.0, math.inf), (2.0, 0.0))
         Partition((0.0, 1.0, math.inf), (3.0, 0.0))
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             Partition((0.0,), ())
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             Partition((0.0, 1.0, 1.0), (3.0, 3.0))
 
     def test_lambda_bounds(self):
@@ -181,10 +182,9 @@ class TestCertificate:
     def test_half_line_skips_lower(self):
         V = SquareWell(2.0, 0.0, 1.0, domain="half_line")
         cert = certify_theorem1(V)
-        assert not cert.lower_checked
         assert "lower_le_sum" not in cert.checks
         even = certify_theorem1(V, assume_even=True)
-        assert even.lower_checked
+        assert "lower_le_sum" in even.checks
 
     def test_rejects_signed_potential(self):
         with pytest.raises(ValueError):
@@ -200,7 +200,7 @@ class TestCertificate:
         assert all(isinstance(v, bool) for v in d["checks"].values())
         assert len(d["partition"]) == 2  # one partition per half line
         import json
-        json.loads(cert.to_json())  # serializable end to end
+        json.dumps(d)  # serializable end to end
 
 
 class TestRawMomentConstant:

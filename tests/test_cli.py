@@ -9,7 +9,7 @@ from lt_spectral.cli import (DEFAULT_SEED, EXIT_INEQUALITY, EXIT_NUMERICAL,
                              EXIT_PASS, EXIT_USAGE, main, random_piecewise,
                              splitmix64)
 from lt_spectral.numerics import Tolerance
-from lt_spectral.potential import SquareWell
+from lt_spectral.potential import Gaussian, SquareWell, Sum
 from lt_spectral.scattering import ScatteringError
 from lt_spectral.sturm import RieszMean, SolverError, Spectrum
 
@@ -66,6 +66,16 @@ class TestCertify:
         assert code == EXIT_PASS
         doc = json.loads(out)
         assert doc["integral_V"] == pytest.approx(4.0, rel=1e-9)
+
+    def test_smooth_plus_well(self, tmp_path, capsys):
+        # the well's jumps lie on the right half only; the left half's
+        # partition intervals are charged for none of them
+        V = Sum([Gaussian(1.0), SquareWell(1.0, 0.5, 1.5)])
+        path = tmp_path / "mix.json"
+        path.write_text(json.dumps(V.to_json_dict()))
+        code, out = run(capsys, "certify", "--potential", str(path))
+        assert code == EXIT_PASS
+        assert json.loads(out)["verdict"] == "pass"
 
     def test_deterministic_bytes(self, capsys):
         _, out1 = run(capsys, "certify", "--seed", "7")
@@ -201,7 +211,7 @@ class TestSumRule:
     def test_residual_above_budget_fails(self, capsys, monkeypatch,
                                          well_file):
         monkeypatch.setattr(scattering, "_sum_rule",
-                            lambda V, tol: (0.5, RieszMean(0.5, 2.0, 0.1)))
+                            lambda V, tol: (0.5, RieszMean(2.0, 0.1)))
         code, out = run(capsys, "sumrule", "--potential", well_file)
         assert code == EXIT_INEQUALITY
         doc = json.loads(out)
@@ -252,6 +262,18 @@ class TestUsageErrors:
         code = main(["certify", "--potential", well_file, "--tol", "-1"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("doc", [
+        '{"family": "square_well", "params": {"v": 1}}',
+        '[1, 2]',
+        '{"family": "scaled", "params": {"alpha": 2}}',
+        '{"family": "gaussian", "params": {"amplitude": 1}, "domain": [0]}',
+    ])
+    def test_malformed_document(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        assert main(["certify", "--potential", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: ")
+
 
 class TestNumericalFailures:
     @pytest.mark.parametrize("command, module, name, error", [
@@ -269,11 +291,27 @@ class TestNumericalFailures:
         assert capsys.readouterr().err == \
             "numerical failure: forced failure\n"
 
+    @pytest.mark.parametrize("doc", [
+        # jumps of 1e4 over a partition interval of length 50: the FD
+        # solver's first-order floor exceeds any tolerance
+        {"family": "piecewise_constant",
+         "params": {"breakpoints": [-1000, 10, 10.000001, 1000],
+                    "values": [0.001, 10000, 0.001]}},
+        # the partition root rounds length * mass away from 3
+        {"family": "square_well", "params": {"v": 1000, "a": 200,
+                                             "b": 200.0001}},
+    ])
+    def test_valid_input_numerical_failure(self, tmp_path, capsys, doc):
+        path = tmp_path / "hard.json"
+        path.write_text(json.dumps(doc))
+        assert main(["certify", "--potential", str(path)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
     def test_broken_invariant_is_numerical(self, capsys, monkeypatch):
         # a result object that fails its own check is a numerical fault,
         # not a usage error
         def broken(V, tol=None):
-            return Spectrum((-1.0,), (2.0,), "whole_line")
+            return Spectrum((-1.0,), (2.0,))
 
         monkeypatch.setattr(bracketing, "solve_line", broken)
         assert main(["certify"]) == EXIT_NUMERICAL

@@ -162,7 +162,7 @@ class TestMFactor:
         assert obj(n) == pytest.approx(val, rel=1e-12)
 
     def test_small_eta_pushes_window(self):
-        # argmin ~ eta/(1-eta) forces the auto-widening path
+        # argmin ~ eta/(1-eta) lies among the 1/k far below 1/64
         val, n = m_factor(0.005)
         assert n < 1.0 / 64.0
         assert val > 1.0

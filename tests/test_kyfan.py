@@ -62,7 +62,7 @@ class TestSplittingValidation:
 
 class TestInterleaving:
     def _spec(self, *vals):
-        return Spectrum(tuple(vals), tuple(0.0 for _ in vals), "whole_line")
+        return Spectrum(tuple(vals), tuple(0.0 for _ in vals))
 
     def test_padding_beyond_spectrum(self):
         s0 = self._spec(-4.0, -1.0)
@@ -98,8 +98,8 @@ class TestCountingConsequence:
     def test_moment_inflation(self, N, p):
         # each source eigenvalue appears at most (1+N) times among a_k, so
         # Sigma |a_k|^p <= (1+N) Sigma |E(H0)|^p
-        s0 = Spectrum((-5.0, -3.0, -1.0, -0.25), (0.0,) * 4, "whole_line")
-        s1 = Spectrum((-2.0, -0.5), (0.0,) * 2, "whole_line")
+        s0 = Spectrum((-5.0, -3.0, -1.0, -0.25), (0.0,) * 4)
+        s1 = Spectrum((-2.0, -0.5), (0.0,) * 2)
         seqs = build_interleaving(s0, s1, N, 40)
         lhs = sum(abs(a) ** p for a in seqs.a)
         rhs = (1 + N) * riesz_mean(s0, p).value

@@ -304,16 +304,18 @@ class TestCellAverage:
             assert avg[i] == pytest.approx(exact, abs=1e-12)
 
     def test_jump_totals(self):
-        assert pot.SquareWell(2.0, 0.0, 1.0).jump_total() == 4.0
+        assert pot.SquareWell(2.0, 0.0, 1.0).jumps() == [(0.0, 2.0),
+                                                         (1.0, 2.0)]
         V = pot.PiecewiseConstant([0.0, 1.0, 2.0], [1.0, 3.0])
-        assert V.jump_total() == 1.0 + 2.0 + 3.0
-        assert V.scaled(2.0).jump_total() == pytest.approx(4.0 * 6.0)
-        assert pot.Gaussian(1.0).jump_total() == 0.0
+        assert V.jumps() == [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
+        # scaled(2) is 4 V(2x): the points halve and the sizes quadruple
+        assert V.scaled(2.0).jumps() == [(0.0, 4.0), (0.5, 8.0), (1.0, 12.0)]
+        assert pot.Gaussian(1.0).jumps() == []
 
     def test_sampled_end_values_are_jumps(self):
         # zero outside the grid: the plateau [0, 2] at height 3 is a well
         V = pot.Sampled([0.0, 2.0], [3.0, 3.0])
-        assert V.jump_total() == 6.0
+        assert V.jumps() == [(0.0, 3.0), (2.0, 3.0)]
         assert V.cell_average(np.array([1.9]), np.array([2.1]))[0] == \
             pytest.approx(1.5, rel=1e-12)
 
@@ -328,6 +330,63 @@ class TestCellAverage:
         for i in range(len(lo)):
             exact = V.integrate(lo[i], hi[i]) / 0.13
             assert avg[i] == pytest.approx(exact, abs=1e-12)
+
+
+#: above the steepest slope of any SCALAR_CASES member away from its jumps
+#: (about 77, the scaled Poschl-Teller well)
+SLOPE = 100.0
+
+
+def _step(V, x, delta):
+    """|V(x + delta) - V(x - delta)|, both points cut to V's domain."""
+    lo, hi = V.domain
+    return abs(V.evaluate(min(x + delta, hi)) - V.evaluate(max(x - delta, lo)))
+
+
+class TestJumps:
+    """jumps() names each point of the domain where V may jump, with a
+    bound on the size of the jump there."""
+
+    @SCALAR_EXAMPLES
+    @given(st.sampled_from(sorted(SCALAR_CASES)), st.floats(0.0, 1.0),
+           st.floats(-12.0, -4.0))
+    def test_jumps_bound_steps(self, name, u, log_delta):
+        V = SCALAR_CASES[name]
+        delta = 10.0**log_delta
+        lo, hi = V.domain
+        jumps = V.jumps()
+        for x, size in jumps:
+            assert lo <= x <= hi
+            assert _step(V, x, delta) <= size + 2.0 * delta * SLOPE
+        # away from the reported points V moves no faster than SLOPE
+        x = _in_domain(V, u)
+        if not any(abs(x - q) <= delta for q, _ in jumps):
+            assert _step(V, x, delta) <= 2.0 * delta * SLOPE
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_CASES))
+    def test_every_step_is_reported(self, name):
+        # each grid cell in which V moves faster than SLOPE holds a jump
+        V = SCALAR_CASES[name]
+        lo, hi = max(V.domain[0], -12.0), min(V.domain[1], 12.0)
+        xs = np.linspace(lo, hi, 24001)
+        steep = np.abs(np.diff(V.evaluate(xs))) > SLOPE * (xs[1] - xs[0])
+        points = [x for x, _ in V.jumps()]
+        for i in np.nonzero(steep)[0]:
+            assert any(xs[i] <= q <= xs[i + 1] for q in points), xs[i]
+
+    def test_half_views_keep_their_side(self):
+        V = pot.Sum([pot.Gaussian(1.0), pot.SquareWell(1.0, 0.5, 1.5)])
+        assert V.half_view(-1).jumps() == []
+        assert V.half_view(+1).jumps() == [(0.5, 1.0), (1.5, 1.0)]
+        # W jumps at -0.75 and 0.5; its left half sees -0.75, at 0.75
+        W = pot.PiecewiseConstant([-1.5, 1.0], [2.0]).scaled(2.0)
+        assert W.half_view(-1).jumps() == [(0.75, 8.0)]
+
+    def test_sum_adds_sizes_at_a_shared_point(self):
+        V = pot.Sum([pot.SquareWell(1.0, 0.0, 1.0),
+                     pot.SquareWell(2.0, 1.0, 2.0)])
+        # V steps up from 1 to 2 at x = 1; 1 + 2 bounds that step
+        assert sum(d for x, d in V.jumps() if x == 1.0) == 3.0
 
 
 class TestPieces:

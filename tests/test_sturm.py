@@ -7,7 +7,7 @@ from lt_spectral.cli import random_piecewise
 from lt_spectral.kyfan import _solve_share
 from lt_spectral.numerics import InvariantError, Tolerance
 from lt_spectral.potential import (Gaussian, PiecewiseConstant, PoschlTeller,
-                                   Sampled, SquareWell, Zero)
+                                   Sampled, SquareWell, Sum, Zero)
 from lt_spectral.sturm import (SOLVER_TOL, SolverError, Spectrum,
                                _negative_eigs, _tridiag,
                                bs_interval_bound, bs_line_ground_bound,
@@ -29,13 +29,13 @@ def _check_against(spec, exact, tol=1e-6):
 class TestSpectrumInvariants:
     def test_ordering_enforced(self):
         with pytest.raises(InvariantError):
-            Spectrum((-1.0, -2.0), (0.0, 0.0), "whole_line")
+            Spectrum((-1.0, -2.0), (0.0, 0.0))
 
     def test_sign_certainty(self):
         with pytest.raises(InvariantError):
-            Spectrum((-1.0,), (1.5,), "whole_line")
+            Spectrum((-1.0,), (1.5,))
         with pytest.raises(InvariantError):
-            Spectrum((0.0,), (0.0,), "whole_line")
+            Spectrum((0.0,), (0.0,))
 
 
 class TestAnalyticSpectra:
@@ -178,26 +178,26 @@ class TestSturmCount:
 
 class TestRieszMean:
     def test_exact_sum(self):
-        spec = Spectrum((-4.0, -1.0), (0.0, 1e-12), "whole_line")
+        spec = Spectrum((-4.0, -1.0), (0.0, 1e-12))
         rm = riesz_mean(spec, 1.0)
         assert rm.value == pytest.approx(5.0)
         rm = riesz_mean(spec, 0.5)
         assert rm.value == pytest.approx(3.0)
 
     def test_error_propagation(self):
-        spec = Spectrum((-4.0,), (0.1,), "whole_line")
+        spec = Spectrum((-4.0,), (0.1,))
         rm = riesz_mean(spec, 0.5)
         # d|E|^1/2 = r / (2 sqrt|E|)
         assert rm.error == pytest.approx(0.1 / 4.0)
 
     def test_near_threshold_budget(self):
-        spec = Spectrum((-4.0,), (0.0,), "whole_line", near_threshold=2,
+        spec = Spectrum((-4.0,), (0.0,), near_threshold=2,
                         threshold=1e-4)
         rm = riesz_mean(spec, 0.5)
         assert rm.error == pytest.approx(2.0 * 1e-2)
 
     def test_gamma_domain(self):
-        spec = Spectrum((), (), "whole_line")
+        spec = Spectrum((), ())
         with pytest.raises(ValueError):
             riesz_mean(spec, 0.4)
 
@@ -306,6 +306,19 @@ class TestSolverBehavior:
         assert all(r > 1e-8 for r in spec.radii)
         spec = solve_interval(SquareWell(2.0, -1.0, 1.0), (-3.0, 3.0))
         assert all(r > 1e-8 for r in spec.radii)
+
+    def test_interval_charged_only_for_its_jumps(self):
+        # the well's jumps at 5 and 6 lie outside [-3, 3], so the solve
+        # there sees the Gaussian alone, bit for bit
+        mix = Sum([Gaussian(1.0), SquareWell(1.0, 5.0, 6.0)])
+        assert solve_interval(mix, (-3.0, 3.0)) == \
+            solve_interval(Gaussian(1.0), (-3.0, 3.0))
+
+    def test_jump_floor_beyond_any_tolerance(self):
+        # jumps of 2e4 over a length 2000 put the first-order floor near
+        # 300: no tolerance covers it, which is a numerical failure
+        with pytest.raises(SolverError, match="first-order floor"):
+            solve_interval(SquareWell(1e4, 0.0, 1e-6), (0.0, 2000.0))
 
     def test_exact_radii_for_pieces(self):
         # with pieces() the jumps cost nothing: exact shooting brackets
