@@ -128,6 +128,8 @@ class ThetaParams:
     def __post_init__(self):
         if not 0.0 < self.eta < 1.0:
             raise ValueError("eta must lie in (0, 1)")
+        if not (math.isfinite(self.p0) and math.isfinite(self.p1)):
+            raise ValueError("p0 and p1 must be finite")
         if self.p0 <= 0 or self.p1 <= 0 or self.p0 == self.p1:
             raise ValueError("need p0, p1 > 0 and p0 != p1")
 
@@ -161,32 +163,93 @@ def _theta_half_threehalf_closed(eta: float, tol: Tolerance) -> float:
     return first + second
 
 
+#: bound on |u| for the logit u = ln(y/(1-y)) of the inner minimiser: a
+#: critical point beyond has y or 1-y below e^-700, where its value equals
+#: the end value up to a relative O(e^-700)
+_U_CUT = 700.0
+
+_CRIT_TOL = Tolerance(abs=1e-13, rel=1e-13)
+
+
+def _log_sigmoid(u: float) -> float:
+    """ln(1 / (1 + e^-u)), without overflow for any finite u."""
+    if u >= 0.0:
+        return -math.log1p(math.exp(-u))
+    return u - math.log1p(math.exp(u))
+
+
+def _theta_log_inf(s: float, p0: float, p1: float) -> tuple[int, float]:
+    """(branch, ln inf_y g) for g(y) = (1-y)^p0 + e^s y^p1 on [0, 1].
+
+    The infimum is attained at y = 1 (branch 0, value e^s), at an interior
+    critical point (branch 1) or at y = 0 (branch 2, value 1).  The sign of
+    g'(y) is that of s - ln r(y), r = (p0/p1) (1-y)^(p0-1) y^(1-p1), and
+    d ln r/dy has the numerator (1-p1) - (p0-p1) y, linear in y: ln r is
+    monotone on each side of its one turning point, so each side holds at
+    most one local minimum, where s - ln r goes from - to +.  The search
+    runs in the logit u, where y = 0 and y = 1 sit at u = -inf and +inf and
+    ln y, ln(1-y) stay finite and exact.
+    """
+    c = math.log(p0 / p1)
+
+    def slope_sign(u):
+        return (s - c - (p0 - 1.0) * _log_sigmoid(-u)
+                - (1.0 - p1) * _log_sigmoid(u))
+
+    cuts = [-_U_CUT, _U_CUT]
+    if (1.0 - p0) * (1.0 - p1) < 0.0:
+        # turning point y* = (1-p1)/(p0-p1) lies in (0, 1)
+        u_star = math.log((1.0 - p1) / (p0 - 1.0))
+        cuts.insert(1, min(max(u_star, -_U_CUT), _U_CUT))
+    signs = [slope_sign(u) for u in cuts]
+    best = min((s, 0), (0.0, 2))
+    for a, b, fa, fb in zip(cuts, cuts[1:], signs, signs[1:]):
+        if fa < 0.0 <= fb:
+            u = find_root(slope_sign, a, b, _CRIT_TOL)
+            # ln((1-y)^p0 + e^s y^p1) as a log-sum-exp of the two terms
+            x0, x1 = p0 * _log_sigmoid(-u), s + p1 * _log_sigmoid(u)
+            top = max(x0, x1)
+            best = min(best, (top + math.log1p(math.exp(-abs(x0 - x1))), 1))
+    return best[1], best[0]
+
+
 def _theta_numeric(params: ThetaParams, tol: Tolerance) -> float:
-    """Direct evaluation of int_0^inf t^{-eta-1} inf_{y0+y1=1}(...) dt."""
+    """Direct evaluation of int_0^inf t^{-eta-1} inf_{y0+y1=1}(...) dt.
+
+    With t = e^s the integrand is e^{-eta s} inf_y g, and the infimum is
+    solved exactly at each node from the critical points of g
+    (_theta_log_inf).  Since d^2 g/dy dt = p1 y^(p1-1) > 0, the minimiser
+    does not increase with t, so the branch attaining the infimum runs from
+    y = 1 through the interior to y = 0 and switches at most twice; at a
+    switch the infimum is only Lipschitz.  Each switch in s in [-50, 50] is
+    located by bisection on the branch index, and the s-integral is split
+    there and at s = 0, which keeps the bulk of the integral in pieces of
+    their own when a rounding tie far out reads as a switch.
+    """
     eta, p0, p1 = params.eta, params.p0, params.p1
-    inner_tol = Tolerance(abs=1e-12, rel=1e-12, max_iter=500)
 
-    def inner(t):
-        # infimum over real splittings is attained with y1 in [0, 1]
-        def g(y1):
-            return (1.0 - y1) ** p0 + t * y1 ** p1
-        # minimize_1d already compares against both endpoints
-        return minimize_1d(g, 0.0, 1.0, inner_tol)[1]
-
-    # substitute t = e^s; integrand decays like e^{(1-eta)s} for s -> -inf
-    # and e^{-eta s} for s -> +inf
     def h(s):
-        if s > 50.0:
-            # inner(t) -> 1 from below with defect O(t^{-1/(p1-1)})
-            return math.exp(-eta * s)
-        if s < -50.0:
-            # inner(t) -> t (take y1 = 1)
-            return math.exp((1.0 - eta) * s)
-        t = math.exp(s)
-        return math.exp(-eta * s) * inner(t)
+        return math.exp(_theta_log_inf(s, p0, p1)[1] - eta * s)
 
-    return integrate_de(h, -math.inf, 0.0, tol) \
-        + integrate_de(h, 0.0, math.inf, tol)
+    def branch(s):
+        return _theta_log_inf(s, p0, p1)[0]
+
+    splits = {0.0}
+    lo, hi = -50.0, 50.0
+    for k in range(branch(lo) + 1, branch(hi) + 1):
+        # first s with branch >= k; 1e-14 exceeds the spacing of doubles
+        # below 50, so the bracket always shrinks to it
+        a, b = lo, hi
+        while b - a > 1e-14:
+            mid = 0.5 * (a + b)
+            if branch(mid) >= k:
+                b = mid
+            else:
+                a = mid
+        splits.add(b)
+        lo = a
+    edges = [-math.inf, *sorted(splits), math.inf]
+    return sum(integrate_de(h, a, b, tol) for a, b in zip(edges, edges[1:]))
 
 
 def theta_weight(params: ThetaParams, mode: str = "closed",

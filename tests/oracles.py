@@ -129,3 +129,45 @@ def plane_wave_projection(M, k, X):
     P = np.linalg.solve(Wp, np.reshape(M, (2, 2)) @ Wm)
     R = -P[1, 0] / P[1, 1]
     return complex(R), complex(P[0, 0] + P[0, 1] * R)
+
+
+def theta_inner_inf(s, p0, p1, dps=20):
+    """inf over y in [0, 1] of (1-y)^p0 + e^s y^p1, in mpmath at dps digits.
+
+    A brute-force search: g is tabulated on a grid of step 1/2 in the logit
+    u = ln(y/(1-y)) over [-40, 40], every grid point not above its
+    neighbours is refined by golden-section search on the two cells around
+    it, and the result is the least of these and the end values 1 and e^s.
+    A minimiser beyond |u| = 40 has y or 1-y below e^-40, where g differs
+    from its end value by a relative O(e^-40).  Returned as an mpf.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        t, p0, p1 = mp.exp(mp.mpf(s)), mp.mpf(p0), mp.mpf(p1)
+
+        def g(u):
+            y, rest = 1 / (1 + mp.exp(-u)), 1 / (1 + mp.exp(u))
+            return rest**p0 + t * y**p1
+
+        us = [mp.mpf(k) / 2 for k in range(-80, 81)]
+        vals = [g(u) for u in us]
+        best = min(mp.mpf(1), t)
+        r = (mp.sqrt(5) - 1) / 2
+        for i in range(1, len(us) - 1):
+            if vals[i] > vals[i - 1] or vals[i] > vals[i + 1]:
+                continue
+            a, b = us[i - 1], us[i + 1]
+            c, d = b - r * (b - a), a + r * (b - a)
+            fc, fd = g(c), g(d)
+            for _ in range(60):
+                if fc < fd:
+                    b, d, fd = d, c, fc
+                    c = b - r * (b - a)
+                    fc = g(c)
+                else:
+                    a, c, fc = c, d, fd
+                    d = a + r * (b - a)
+                    fd = g(d)
+            best = min(best, fc, fd)
+        return +best

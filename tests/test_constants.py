@@ -1,9 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lt_spectral.constants import (CSV_HEADER, U0, VARSIGMA_3, ConstantsRow,
-                                   ThetaParams, c_factor, char_interp_constant,
+                                   ThetaParams, _theta_log_inf, c_factor,
+                                   char_interp_constant,
                                    classical_constant, constants_row,
                                    crossover, density_constants,
                                    doublestar_constant, ggm_constant,
@@ -11,6 +14,8 @@ from lt_spectral.constants import (CSV_HEADER, U0, VARSIGMA_3, ConstantsRow,
                                    rows_to_csv, star_constant, theta_fn,
                                    theta_weight, varsigma)
 from lt_spectral.numerics import Tolerance
+
+from oracles import theta_inner_inf
 
 
 class TestVarsigma:
@@ -108,7 +113,34 @@ class TestTheta:
         params = ThetaParams(eta, *pair)
         closed = theta_weight(params, "closed")
         numeric = theta_weight(params, "numeric")
-        assert closed == pytest.approx(numeric, rel=1e-6)
+        assert closed == pytest.approx(numeric, rel=1e-12)
+
+    @pytest.mark.parametrize("eta", [0.05, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("pair", [(1.0, 2.0), (0.5, 1.5)])
+    def test_exponent_swap_symmetry(self, eta, pair):
+        # t -> 1/t and y -> 1 - y give Theta(eta, p0, p1) =
+        # Theta(1 - eta, p1, p0); the closed route covers the right side
+        swapped = theta_weight(ThetaParams(eta, pair[1], pair[0]), "numeric")
+        closed = theta_weight(ThetaParams(1.0 - eta, *pair), "closed")
+        assert swapped == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("pair", [(0.5, 1.0), (1.0, 0.3), (0.2, 0.7),
+                                      (0.9, 0.4)])
+    @pytest.mark.parametrize("eta", [0.01, 0.5, 0.99])
+    def test_concave_pairs(self, eta, pair):
+        # for p0, p1 <= 1 the inner function is concave in y, its infimum
+        # is min(1, t), and Theta = 1/(1 - eta) + 1/eta
+        val = theta_weight(ThetaParams(eta, *pair), "numeric")
+        assert val == pytest.approx(1.0 / (eta * (1.0 - eta)), rel=1e-12)
+
+    @settings(max_examples=20, derandomize=True, deadline=None,
+              database=None)
+    @given(st.floats(0.2, 4.0), st.floats(0.2, 4.0), st.floats(-40.0, 40.0))
+    def test_inner_infimum_matches_mpmath(self, p0, p1, s):
+        pytest.importorskip("mpmath")
+        _, log_inf = _theta_log_inf(s, p0, p1)
+        exact = float(theta_inner_inf(s, p0, p1))
+        assert math.exp(log_inf) == pytest.approx(exact, rel=1e-13)
 
     def test_one_two_closed_form(self):
         eta = 0.4
@@ -128,6 +160,11 @@ class TestTheta:
             ThetaParams(0.0, 0.5, 1.5)
         with pytest.raises(ValueError):
             ThetaParams(0.5, 1.0, 1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                ThetaParams(0.5, bad, 1.5)
+            with pytest.raises(ValueError):
+                ThetaParams(0.5, 0.5, bad)
         with pytest.raises(ValueError):
             theta_weight(ThetaParams(0.5, 0.7, 1.9), "closed")
 
