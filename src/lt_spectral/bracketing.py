@@ -145,8 +145,35 @@ def build_partition(V: Potential) -> Partition:
         while g(hi) < 0.0:
             hi = lk + 2.0 * (hi - lk)
         lnext = find_root(g, min(lo, hi), hi, root_tol)
+        mass = V.integrate(lk, lnext)
+        if abs((lnext - lk) * mass - 3.0) > PARTITION_RTOL * 3.0:
+            # within half the slack of the invariant, as a margin
+            lnext = _bisect_to_value(g, min(lo, hi), hi, lnext,
+                                     1.5 * PARTITION_RTOL)
+            mass = V.integrate(lk, lnext)
         breakpoints.append(lnext)
-        masses.append(V.integrate(lk, lnext))
+        masses.append(mass)
+
+
+def _bisect_to_value(g, lo: float, hi: float, x: float,
+                     gtol: float) -> float:
+    """A point of [lo, hi] where |g| <= gtol, by bisection from x in it.
+
+    g increases through a root in [lo, hi].  Where g is steep, as around a
+    narrow tall well far out, a root tolerance in x does not bound |g|.
+    """
+    while True:
+        gx = g(x)
+        if abs(gx) <= gtol:
+            return x
+        if gx < 0.0:
+            lo = x
+        else:
+            hi = x
+        x = 0.5 * (lo + hi)
+        if not lo < x < hi:
+            raise InvariantError(
+                f"no float in [{lo!r}, {hi!r}] brings |g| within {gtol}")
 
 
 def interval_ground_bounds(V: Potential, partition: Partition, k: int,

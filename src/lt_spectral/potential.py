@@ -60,7 +60,12 @@ def _on_domain(domain, jumps) -> list[tuple[float, float]]:
 
 
 class Potential:
-    """Base class; subclasses implement pointwise evaluation and support."""
+    """Base class; subclasses implement pointwise evaluation and support.
+
+    Potentials are immutable after construction: every attribute is set in
+    __init__ and nothing changes it later.  Results cached per potential
+    object, such as scattering's log integral, rely on that.
+    """
 
     def __init__(self, domain="full_line"):
         self.domain = _domain_tuple(domain)

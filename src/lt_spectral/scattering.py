@@ -6,7 +6,9 @@ projection on plane waves at both ends gives R(k) and T(k).  With pieces(),
 V is propagated exactly by scalar products of piece steps (Pruess's method;
 J. D. Pryce, Numerical Solution of Sturm-Liouville Problems, OUP 1993), its
 step list built once per call and reused for every k.  Any other potential
-is integrated by adaptive Runge-Kutta.
+is integrated by adaptive Runge-Kutta.  The log-transmission integral below
+is computed once per potential object and tolerance and then reused by
+reflection_coefficient, sum_rule_residual and theorem2_check.
 
 The first trace identity ties the three independent pipelines together:
 
@@ -22,6 +24,7 @@ import cmath
 import io
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +56,7 @@ class ScatteringData:
     log_integral = pi^(-1) int_R ln(1 - |R(k)|^2) dk, using the symmetry
     R(-k) = conj(R(k)) so the whole-line integral is twice the positive-k
     one.  It is computed by adaptive quadrature of the underlying solver,
-    not from the grid samples.
+    not from the grid samples, once per potential object and tolerance.
     """
 
     k_grid: tuple[float, ...]
@@ -158,7 +161,24 @@ def _reflection_at(prop: _Propagator, k: float):
     return R, T, defect
 
 
+#: log integrals by potential, then by tolerance.  Keyed on identity, so
+#: that equal-valued potentials (an ODE twin of a piece list, say) each get
+#: their own; weak, so that an entry dies with its potential.
+_LOG_INTEGRALS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _log_integral(prop: _Propagator) -> float:
+    """_log_integral_uncached(prop), once per (prop.V, prop.tol).
+
+    prop.X depends only on V.  A failed computation stores nothing.
+    """
+    by_tol = _LOG_INTEGRALS.setdefault(prop.V, {})
+    if prop.tol not in by_tol:
+        by_tol[prop.tol] = _log_integral_uncached(prop)
+    return by_tol[prop.tol]
+
+
+def _log_integral_uncached(prop: _Propagator) -> float:
     """pi^(-1) int_R ln(1-|R|^2) dk = (2/pi) int_0^inf, by symmetry."""
     def f(k):
         R, _, _ = _reflection_at(prop, k)

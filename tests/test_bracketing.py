@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from lt_spectral.bracketing import (LOWER_FACTOR, UPPER_FACTOR,
-                                    BracketingError, Partition,
+from lt_spectral import bracketing
+from lt_spectral.bracketing import (LOWER_FACTOR, PARTITION_RTOL,
+                                    UPPER_FACTOR, BracketingError, Partition,
                                     Theorem1Certificate, build_partition,
                                     certify_theorem1, interval_ground_bounds,
                                     raw_moment_constant)
@@ -104,6 +105,35 @@ class TestBuildPartition:
         assert p.breakpoints == (0.0, 3.0 / m, math.inf)
         assert p.masses[0] == pytest.approx(m, rel=1e-15)
         assert p.truncated
+
+    def test_narrow_far_well_closes(self):
+        # g(l) = l * int_0^l V - 3 has slope l * v = 2e5 at the root near
+        # l = 200: the root tolerance in l alone leaves the product 2.9e-7
+        # off 3, past the invariant, so the partition bisects on g itself
+        V = SquareWell(1000.0, 200.0, 200.0001, domain="half_line")
+        p = build_partition(V)
+        l1 = p.breakpoints[1]
+        assert 200.0 < l1 < 200.0001
+        assert abs(l1 * p.masses[0] - 3.0) <= 1.5 * PARTITION_RTOL
+        assert p.masses[0] == V.integrate(0.0, l1)
+        assert p.truncated
+
+    def test_bisection_runs_only_on_a_miss(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("bisection ran")
+
+        monkeypatch.setattr(bracketing, "_bisect_to_value", fail)
+        for seed in range(8):
+            build_partition(random_piecewise(seed, domain="half_line"))
+
+    def test_bisection_between_adjacent_floats(self):
+        # g jumps from -1 to 1 between two adjacent floats: no float
+        # brings |g| within the target, so the bisection must give up
+        def g(l):
+            return -1.0 if l < 1.0 else 1.0
+
+        with pytest.raises(InvariantError, match="no float in"):
+            bracketing._bisect_to_value(g, 0.5, 2.0, 1.5, 1e-8)
 
     def test_rejects_whole_line(self):
         with pytest.raises(ValueError):

@@ -145,6 +145,19 @@ class TestPartition:
         assert code == EXIT_PASS
         json.loads(out)
 
+    def test_narrow_far_well(self, tmp_path, capsys):
+        # g = l * mass - 3 is steep near its root l = 200: a root
+        # tolerance in l alone misses the product invariant by 2.9e-7
+        V = SquareWell(1000.0, 200.0, 200.0001, domain="half_line")
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(V.to_json_dict()))
+        code, out = run(capsys, "partition", "--potential", str(path))
+        assert code == EXIT_PASS
+        doc = json.loads(out)
+        assert doc["truncated"]
+        assert doc["breakpoints"][1] * doc["masses"][0] == \
+            pytest.approx(3.0, rel=1e-8)
+
 
 class TestScatter:
     def test_csv_output(self, capsys, well_file):
@@ -297,7 +310,8 @@ class TestNumericalFailures:
         {"family": "piecewise_constant",
          "params": {"breakpoints": [-1000, 10, 10.000001, 1000],
                     "values": [0.001, 10000, 0.001]}},
-        # the partition root rounds length * mass away from 3
+        # the partition closes at l = 200.000015, but its first interval
+        # carries a jump of 1000 over length 200: the same FD floor
         {"family": "square_well", "params": {"v": 1000, "a": 200,
                                              "b": 200.0001}},
     ])

@@ -1,16 +1,20 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from lt_spectral import scattering
 from lt_spectral.cli import random_piecewise
 from lt_spectral.constants import VARSIGMA_3
 from lt_spectral.numerics import InvariantError, Tolerance
 from lt_spectral.potential import (Gaussian, PiecewiseConstant, PoschlTeller,
                                    SquareWell, Zero)
 from lt_spectral.scattering import (SCATTER_TOL, ScatteringData,
-                                    ScatteringError, _Propagator,
-                                    _reflection_at, default_k_grid,
+                                    ScatteringError, _log_integral,
+                                    _Propagator, _reflection_at,
+                                    default_k_grid,
                                     reflection_coefficient,
                                     sum_rule_residual, theorem2_check)
 
@@ -137,6 +141,95 @@ class TestLogIntegral:
         data = reflection_coefficient(SquareWell(2.0, -1.0, 1.0))
         assert math.isfinite(data.log_integral)
         assert data.log_integral < -0.1
+
+
+class TestLogIntegralMemo:
+    @staticmethod
+    def count(monkeypatch, name):
+        calls = []
+        real = getattr(scattering, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scattering, name, counted)
+        return calls
+
+    def test_public_calls_share_one_integral(self, monkeypatch):
+        # the ODE path solves once per k; a k-grid of one point and the
+        # probe leave the log integral's quadrature as the bulk of them
+        V = Gaussian(1.0)
+        quads = self.count(monkeypatch, "quad")
+        solves = self.count(monkeypatch, "solve_ivp")
+        data = reflection_coefficient(V, [1.0])
+        after_first = len(solves)
+        assert len(quads) == 1 and after_first > 10
+        sum_rule_residual(V)
+        lhs, _ = theorem2_check(V)
+        assert len(quads) == 1 and len(solves) == after_first
+        assert lhs == -data.log_integral
+
+    def test_tolerance_is_part_of_the_key(self, monkeypatch):
+        V = SquareWell(2.0, -1.0, 1.0)
+        quads = self.count(monkeypatch, "quad")
+        _log_integral(_Propagator(V, SCATTER_TOL))
+        _log_integral(_Propagator(V, Tolerance(1e-9, 1e-9)))
+        _log_integral(_Propagator(V, SCATTER_TOL))
+        assert len(quads) == 2
+
+    def test_cached_value_is_a_fresh_value(self):
+        args = ([-0.9, 0.2, 1.4], [2.0, -1.0])
+        V = PiecewiseConstant(*args)
+        first = _log_integral(_Propagator(V, SCATTER_TOL))
+        again = _log_integral(_Propagator(V, SCATTER_TOL))
+        fresh = _log_integral(_Propagator(PiecewiseConstant(*args),
+                                          SCATTER_TOL))
+        assert again.hex() == first.hex() == fresh.hex()
+
+    def test_equal_potentials_keep_their_own_routes(self, monkeypatch):
+        # keyed on identity: the ODE twin of a piece list computes its own
+        args = ([-0.9, 0.2, 1.4], [2.0, -1.0])
+        V, W = PiecewiseConstant(*args), Opaque(*args)
+        assert V.to_json_dict() == W.to_json_dict()
+        routes = []
+
+        def record(prop):
+            routes.append("ode" if prop.steps is None else "exact")
+            return -1.0 * len(routes)
+
+        monkeypatch.setattr(scattering, "_log_integral_uncached", record)
+        values = [_log_integral(_Propagator(U, SCATTER_TOL))
+                  for U in (V, W, V, W)]
+        assert routes == ["exact", "ode"]
+        assert values == [-1.0, -2.0, -1.0, -2.0]
+
+    def test_entry_dies_with_its_potential(self):
+        V = SquareWell(2.0, -1.0, 1.0)
+        _log_integral(_Propagator(V, SCATTER_TOL))
+        assert V in scattering._LOG_INTEGRALS
+        ref = weakref.ref(V)
+        del V
+        gc.collect()
+        # the table did not keep V alive, and kept no entry for it
+        assert ref() is None
+        assert all(r() is not None
+                   for r in scattering._LOG_INTEGRALS.keyrefs())
+
+    def test_failure_is_not_cached(self):
+        class Drifting(StubPropagator):
+            # a determinant drift past the gate at every k
+            V, steps, calls = SquareWell(2.0, -1.0, 1.0), [], 0
+
+            def matrix(self, k):
+                self.calls += 1
+                return super().matrix(k)
+
+        prop = Drifting((1.0 + 2e-6, 0.0, 0.0, 1.0))
+        for calls in (1, 2):
+            with pytest.raises(ScatteringError, match="determinant"):
+                _log_integral(prop)
+            assert prop.calls == calls
 
 
 class TestSumRule:
