@@ -1,5 +1,5 @@
 """Shared numerical kernels: root finding, 1D minimization, quadrature, the
-constant-coefficient step propagator, Gamma.
+constant-coefficient step propagator (one step or many at once), Gamma.
 
 All routines are pure functions of their arguments and safe for concurrent
 use.  The double-exponential (tanh-sinh) rule is implemented here because
@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 from scipy import optimize
 
 
@@ -235,6 +236,22 @@ def piece_step(d: float, q: float) -> tuple[float, float, float, float]:
         c, s = math.cosh(m * d), math.sinh(m * d)
         return c, s / m, m * s, c
     return 1.0, d, 0.0, 1.0
+
+
+def piece_step_array(d: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """piece_step of the steps (d[i], q[i]) at once: an (n, 2, 2) array of
+    their matrices."""
+    d, q = np.asarray(d, dtype=float), np.asarray(q, dtype=float)
+    w = np.sqrt(np.abs(q))
+    wd = w * d
+    c, s = np.cos(wd), np.sin(wd)
+    hyp = q < 0.0
+    if hyp.any():
+        c[hyp], s[hyp] = np.cosh(wd[hyp]), np.sinh(wd[hyp])
+    # s / w tends to d as q -> 0: the shear
+    m01 = np.divide(s, w, out=d.copy(), where=w > 0.0)
+    m10 = np.where(hyp, w * s, -w * s)
+    return np.stack([c, m01, m10, c], axis=-1).reshape(-1, 2, 2)
 
 
 def gamma_fn(x: float) -> float:

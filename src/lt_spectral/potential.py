@@ -11,7 +11,8 @@ cell means, integrals and pieces() are read.  scaled, amplified and
 half_view are one mapped wrapper V(x) = c * inner(s * x) that transforms
 what its inner potential states; Sum adds up what its terms state.  jumps()
 alone says where V jumps and by how much: quadrature takes the points as
-hints, the finite-difference solver the sizes inside each interval it solves.
+hints, scattering's cell propagator as cell edges, and the finite-difference
+solver the sizes inside each interval it solves.
 pieces() selects the exact paths, which read the piece list as given
 (sorted, contiguous and inside support()) through piece_steps: transfer
 matrices in scattering and bound states on the whole or half line in
@@ -170,7 +171,8 @@ class Potential:
         The pieces are sorted, of positive length, contiguous (each ends
         where the next begins) and inside support().  A potential with
         pieces takes the exact transfer path in scattering (Pruess's
-        piecewise-constant method); the others are integrated as ODEs.
+        piecewise-constant method); the others are propagated through
+        their cell averages, cut at jumps(), with Richardson extrapolation.
         """
         return None
 

@@ -6,9 +6,14 @@ projection on plane waves at both ends gives R(k) and T(k).  With pieces(),
 V is propagated exactly by scalar products of piece steps (Pruess's method;
 J. D. Pryce, Numerical Solution of Sturm-Liouville Problems, OUP 1993), its
 step list built once per call and reused for every k.  Any other potential
-is integrated by adaptive Runge-Kutta.  The log-transmission integral below
-is computed once per potential object and tolerance and then reused by
-reflection_coefficient, sum_rule_residual and theorem2_check.
+is replaced by its cell averages, cut at every jump, and the exact products
+on N and 2N cells are Richardson-extrapolated, (4 M_2N - M_N) / 3, with N
+doubled until two successive extrapolations agree (the constant-perturbation
+codes do the same; Ledoux, Van Daele and Vanden Berghe, "MATSLISE", ACM TOMS
+31, 2005).  Adaptive Runge-Kutta only cross-checks that product once per
+log integral.  The log-transmission integral below is computed once per
+potential object and tolerance and then reused by reflection_coefficient,
+sum_rule_residual and theorem2_check.
 
 The first trace identity ties the three independent pipelines together:
 
@@ -31,7 +36,8 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
 from .constants import VARSIGMA_3
-from .numerics import InvariantError, NumericsError, Tolerance, piece_step
+from .numerics import (InvariantError, NumericsError, Tolerance, piece_step,
+                       piece_step_array)
 from .potential import Potential, piece_steps, truncation_point
 from .sturm import RieszMean, riesz_mean, solve_line
 
@@ -43,6 +49,13 @@ K_MIN, K_MAX, K_COUNT = 0.01, 100.0, 400
 
 #: tail mass at which non-compact potentials are truncated
 TRUNCATION_TAIL = 1e-10
+
+#: cell counts of the extrapolated cell product: the doubling starts at the
+#: first and gives up past the second
+CELLS_MIN, CELLS_MAX = 2 ** 9, 2 ** 16
+
+#: the wavenumber at which the cell count is chosen and cross-checked
+K_CHECK = 2.0
 
 
 class ScatteringError(NumericsError):
@@ -122,19 +135,72 @@ def _transfer_ode(V: Potential, X: float, k: float,
     return tuple(sol.y[[0, 2, 1, 3], -1].tolist())
 
 
+def _halved(edges: np.ndarray) -> np.ndarray:
+    out = np.empty(2 * len(edges) - 1)
+    out[0::2], out[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
+    return out
+
+
+def _cells(V: Potential, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.diff(edges), V.cell_average(edges[:-1], edges[1:])
+
+
+def _transfer_cells(cells, k: float) -> np.ndarray:
+    """(m00, m01, m10, m11) of the product, last cell first, of the exact
+    steps of (lengths, means) at k, multiplied pairwise."""
+    lengths, means = cells
+    M = piece_step_array(lengths, k * k + means)
+    while len(M) > 1:
+        n = len(M) // 2 * 2
+        M = np.concatenate([M[1:n:2] @ M[0:n:2], M[n:]])
+    return M[0].ravel()
+
+
+def _extrapolated(coarse, fine, k: float) -> np.ndarray:
+    return (4.0 * _transfer_cells(fine, k) - _transfer_cells(coarse, k)) / 3.0
+
+
+def _cell_pair(V: Potential, X: float, tol: Tolerance):
+    """(coarse, fine) cells of V on [-X, X] for the extrapolated product.
+
+    The coarse cells start as CELLS_MIN uniform cells, cut at the jumps
+    inside, and are halved until the extrapolations of two successive
+    halvings agree at K_CHECK within tol.abs of their largest entry.
+    """
+    n, last = CELLS_MIN, None
+    edges = np.union1d(np.linspace(-X, X, n + 1),
+                       [x for x, _ in V.jumps() if -X < x < X])
+    coarse = _cells(V, edges)
+    while n <= CELLS_MAX:
+        edges = _halved(edges)
+        fine = _cells(V, edges)
+        M = _extrapolated(coarse, fine, K_CHECK)
+        if (last is not None and np.max(np.abs(M - last))
+                <= tol.abs * np.max(np.abs(M))):
+            return coarse, fine
+        n, coarse, last = 2 * n, fine, M
+    raise ScatteringError(
+        f"cell products did not settle on {CELLS_MAX} cells")
+
+
 class _Propagator:
     """Transfer matrices (m00, m01, m10, m11) of V across its box [-X, X]:
-    exact steps, built once, when V has pieces(), else one ODE per k."""
+    exact steps, built once, when V has pieces(), else the extrapolated
+    product of cells whose count is chosen once."""
 
     def __init__(self, V: Potential, tol: Tolerance):
         X = _scatter_box(V)
         self.V, self.X, self.tol = V, X, tol
         pieces = V.pieces()
         self.steps = None if pieces is None else piece_steps(pieces, -X, X)
+        if pieces is None:
+            if -X < V.domain[0] or X > V.domain[1]:
+                raise ValueError("evaluation point outside domain")
+            self.cells = _cell_pair(V, X, tol)
 
     def matrix(self, k: float) -> tuple[float, float, float, float]:
         if self.steps is None:
-            return _transfer_ode(self.V, self.X, k, self.tol)
+            return tuple(_extrapolated(*self.cells, k).tolist())
         return _transfer_exact(self.steps, k)
 
 
@@ -162,7 +228,7 @@ def _reflection_at(prop: _Propagator, k: float):
 
 
 #: log integrals by potential, then by tolerance.  Keyed on identity, so
-#: that equal-valued potentials (an ODE twin of a piece list, say) each get
+#: that equal-valued potentials (a cell twin of a piece list, say) each get
 #: their own; weak, so that an entry dies with its potential.
 _LOG_INTEGRALS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -176,6 +242,19 @@ def _log_integral(prop: _Propagator) -> float:
     if prop.tol not in by_tol:
         by_tol[prop.tol] = _log_integral_uncached(prop)
     return by_tol[prop.tol]
+
+
+def _check_against_ode(prop: _Propagator, k: float) -> None:
+    """The cell product at k against an independent Runge-Kutta solve."""
+    M, tol = np.array(prop.matrix(k)), prop.tol
+    # the solve runs 100 times tighter than the gate: across the kinks of a
+    # Sampled V, DOP853 missed its own tolerance by a factor of 200
+    ode = _transfer_ode(prop.V, prop.X, k,
+                        Tolerance(tol.abs * 1e-2, tol.rel * 1e-2))
+    err = np.max(np.abs(M - ode))
+    if err > 100.0 * tol.abs * np.max(np.abs(M)):
+        raise ScatteringError(
+            f"cell product and ODE differ by {err:.2e} at k={k}")
 
 
 def _log_integral_uncached(prop: _Propagator) -> float:
@@ -197,7 +276,8 @@ def _log_integral_uncached(prop: _Propagator) -> float:
 
     k_cut = K_MAX
     if prop.steps is None:
-        for kc in (2.0, 5.0, 10.0, 25.0):
+        _check_against_ode(prop, K_CHECK)
+        for kc in (K_CHECK, 5.0, 10.0, 25.0):
             if abs(probe(kc)) < 1e-14 and abs(probe(1.37 * kc)) < 1e-14:
                 k_cut = 1.37 * kc
                 break

@@ -105,6 +105,16 @@ def square_well_reflection_sq(v, half_width, k):
     return v * v * s2 / (4.0 * k * k * kap2 + v * v * s2)
 
 
+def poschl_teller_reflection_sq(nu, alpha, k):
+    """|R(k)|^2 of nu(nu+1) alpha^2 sech^2(alpha x), closed form.
+
+    cos^2(pi(nu + 1/2)) / (sinh^2(pi k / alpha) + cos^2(pi(nu + 1/2))); it
+    vanishes for integer nu, the reflectionless wells.
+    """
+    c2 = math.cos(math.pi * (nu + 0.5)) ** 2
+    return c2 / (math.sinh(math.pi * k / alpha) ** 2 + c2)
+
+
 def poschl_teller_levels(nu, alpha=1.0):
     """Analytic spectrum -(alpha (nu - n))^2, n = 0 .. ceil(nu) - 1."""
     out = []

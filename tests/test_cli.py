@@ -173,6 +173,19 @@ class TestScatter:
         _, out2 = run(capsys, "scatter", "--seed", "3")
         assert out1 == out2
 
+    @pytest.mark.parametrize("doc", [
+        {"family": "amplified", "params": {"c": 0.6, "inner": {
+            "family": "poschl_teller", "params": {"nu": 2, "c": 0.3}}}},
+        {"family": "poschl_teller", "params": {"nu": 2.7}}],
+        ids=["amplified", "nu2.7"])
+    def test_smooth_wells_hold_the_determinant(self, capsys, tmp_path, doc):
+        # an ODE propagator let det M drift past the gate near k = 95 here
+        path = tmp_path / "well.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "scatter", "--potential", str(path))
+        assert code == EXIT_PASS
+        assert len(out.strip().splitlines()) >= 401
+
 
 def _fd_solve_line(V, tol=None):
     return sturm.solve_line(FDOnly(V), tol)
@@ -212,6 +225,15 @@ class TestSumRule:
             assert budget == float(f"{expected:.15g}")
             budgets.add(budget)
         assert len(budgets) == 3
+
+    def test_sum_with_a_jump(self, capsys, tmp_path):
+        # a jump plus a smooth term: no pieces(), cells cut at the jumps
+        V = Sum([Gaussian(1.0), SquareWell(1.0, 0.5, 1.5)])
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps(V.to_json_dict()))
+        code, out = run(capsys, "sumrule", "--potential", str(path))
+        assert code == EXIT_PASS
+        assert json.loads(out)["pass"]
 
     def test_exact_moment_residual(self, capsys):
         # exact shooting resolves that state: only the quadrature is left

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from lt_spectral.numerics import (BracketError, DivergenceError, Tolerance,
                                   find_root, gamma_fn, integrate_de,
-                                  minimize_1d)
+                                  minimize_1d, piece_step, piece_step_array)
 
 TIGHT = Tolerance(abs=1e-12, rel=1e-12)
 
@@ -133,3 +134,17 @@ class TestGamma:
             gamma_fn(0.0)
         with pytest.raises(ValueError):
             gamma_fn(-1.0)
+
+
+class TestPieceStepArray:
+    def test_matches_piece_step(self):
+        # rotations, hyperbolic steps and the shear at q = 0, in one array
+        rng = np.random.default_rng(7)
+        d = rng.uniform(0.0, 2.0, 300)
+        q = rng.uniform(-30.0, 30.0, 300)
+        q[::10] = 0.0
+        m = piece_step_array(d, q)
+        assert m.shape == (300, 2, 2)
+        for i in range(300):
+            assert m[i].ravel() == pytest.approx(piece_step(d[i], q[i]),
+                                                 rel=1e-13, abs=1e-15)

@@ -10,21 +10,24 @@ from lt_spectral.cli import random_piecewise
 from lt_spectral.constants import VARSIGMA_3
 from lt_spectral.numerics import InvariantError, Tolerance
 from lt_spectral.potential import (Gaussian, PiecewiseConstant, PoschlTeller,
-                                   SquareWell, Zero)
-from lt_spectral.scattering import (SCATTER_TOL, ScatteringData,
-                                    ScatteringError, _log_integral,
-                                    _Propagator, _reflection_at,
-                                    default_k_grid,
+                                   Sampled, SquareWell, Zero)
+from lt_spectral.scattering import (K_CHECK, SCATTER_TOL, ScatteringData,
+                                    ScatteringError, _cells,
+                                    _check_against_ode, _extrapolated,
+                                    _halved, _log_integral, _Propagator,
+                                    _reflection_at, _scatter_box,
+                                    _transfer_ode, default_k_grid,
                                     reflection_coefficient,
                                     sum_rule_residual, theorem2_check)
 
-from oracles import plane_wave_projection, square_well_reflection_sq
+from oracles import (plane_wave_projection, poschl_teller_reflection_sq,
+                     square_well_reflection_sq)
 
 MODEST_GRID = np.geomspace(0.02, 20.0, 40)
 
 
 class Opaque(PiecewiseConstant):
-    """A piece list without pieces(): scattering takes the ODE path."""
+    """A piece list without pieces(): scattering takes the cell path."""
 
     def pieces(self):
         return None
@@ -54,15 +57,19 @@ class TestClosedFormAgreement:
 
     def test_exact_steps_match_ode_phase(self):
         # |R| does not see where the free steps lie, the phase of R does;
-        # the same off-centre pieces without pieces() take the ODE path
+        # the same off-centre pieces without pieces() take the cell path,
+        # exact up to rounding since its cells are cut at the jumps, and
+        # the ODE is a third, independent route
         args = ([-0.9, 0.2, 1.4], [2.0, -1.0])
         exact = _Propagator(PiecewiseConstant(*args), SCATTER_TOL)
-        ode = _Propagator(Opaque(*args), SCATTER_TOL)
-        assert ode.steps is None and exact.steps is not None
+        cells = _Propagator(Opaque(*args), SCATTER_TOL)
+        assert cells.steps is None and exact.steps is not None
         for k in (0.3, 1.7, 6.0):
+            ode = StubPropagator(
+                _transfer_ode(cells.V, cells.X, k, SCATTER_TOL), cells.X)
             r_exact = _reflection_at(exact, k)[0]
-            r_ode = _reflection_at(ode, k)[0]
-            assert abs(r_exact - r_ode) < 1e-6
+            assert abs(r_exact - _reflection_at(cells, k)[0]) < 1e-12
+            assert abs(r_exact - _reflection_at(ode, k)[0]) < 1e-6
 
     def test_zero_potential(self):
         data = reflection_coefficient(Zero(), MODEST_GRID)
@@ -73,7 +80,7 @@ class TestClosedFormAgreement:
         *(random_piecewise(seed) for seed in range(1, 6)),
         SquareWell(5.0, -0.5, 0.5),
         Opaque([-0.9, 0.2, 1.4], [2.0, -1.0])],
-        ids=[*(f"seed{seed}" for seed in range(1, 6)), "well", "ode"])
+        ids=[*(f"seed{seed}" for seed in range(1, 6)), "well", "cells"])
     def test_projection_matches_linear_solve(self, V):
         # the closed-form projection against np.linalg.solve(Wp, M Wm)
         prop = _Propagator(V, SCATTER_TOL)
@@ -116,16 +123,18 @@ class TestUnitarity:
             _reflection_at(StubPropagator((1.0 + 2e-6, 0.0, 0.0, 1.0)), k)
 
     def test_loose_tol_keeps_the_ode_tight(self):
-        # at rtol 1e-3 DOP853 let det M drift by 0.1 here, past the gate
-        prop = _Propagator(PoschlTeller(1.0, alpha=2.0),
-                           Tolerance(1e-3, 1e-3))
-        assert _reflection_at(prop, 34.25)[2] <= 100.0 * prop.tol.abs
+        # at rtol 1e-3 DOP853 let det M drift by 0.1 here; _transfer_ode
+        # runs no looser than SCATTER_TOL, whatever tolerance it is given
+        V = PoschlTeller(1.0, alpha=2.0)
+        a, b, c, d = _transfer_ode(V, _scatter_box(V), 34.25,
+                                   Tolerance(1e-3, 1e-3))
+        assert abs(a * d - b * c - 1.0) <= 100.0 * SCATTER_TOL.abs
 
-    def test_gaussian_ode_path(self):
-        # the ODE path accumulates slightly more drift than the exact
-        # piecewise propagation but stays within the solver's gate
+    def test_gaussian_cell_path(self):
+        # cell steps have det 1, and the extrapolation moves it only to
+        # second order in the difference of its two products
         data = reflection_coefficient(Gaussian(2.0), MODEST_GRID)
-        assert max(data.unitarity_defects) < 1e-6
+        assert max(data.unitarity_defects) < 1e-9
 
 
 class TestLogIntegral:
@@ -157,14 +166,13 @@ class TestLogIntegralMemo:
         return calls
 
     def test_public_calls_share_one_integral(self, monkeypatch):
-        # the ODE path solves once per k; a k-grid of one point and the
-        # probe leave the log integral's quadrature as the bulk of them
+        # the cell path solves one ODE, the log integral's cross-check
         V = Gaussian(1.0)
         quads = self.count(monkeypatch, "quad")
         solves = self.count(monkeypatch, "solve_ivp")
         data = reflection_coefficient(V, [1.0])
         after_first = len(solves)
-        assert len(quads) == 1 and after_first > 10
+        assert len(quads) == 1 and after_first == 1
         sum_rule_residual(V)
         lhs, _ = theorem2_check(V)
         assert len(quads) == 1 and len(solves) == after_first
@@ -188,20 +196,20 @@ class TestLogIntegralMemo:
         assert again.hex() == first.hex() == fresh.hex()
 
     def test_equal_potentials_keep_their_own_routes(self, monkeypatch):
-        # keyed on identity: the ODE twin of a piece list computes its own
+        # keyed on identity: the cell twin of a piece list computes its own
         args = ([-0.9, 0.2, 1.4], [2.0, -1.0])
         V, W = PiecewiseConstant(*args), Opaque(*args)
         assert V.to_json_dict() == W.to_json_dict()
         routes = []
 
         def record(prop):
-            routes.append("ode" if prop.steps is None else "exact")
+            routes.append("cells" if prop.steps is None else "exact")
             return -1.0 * len(routes)
 
         monkeypatch.setattr(scattering, "_log_integral_uncached", record)
         values = [_log_integral(_Propagator(U, SCATTER_TOL))
                   for U in (V, W, V, W)]
-        assert routes == ["exact", "ode"]
+        assert routes == ["exact", "cells"]
         assert values == [-1.0, -2.0, -1.0, -2.0]
 
     def test_entry_dies_with_its_potential(self):
@@ -230,6 +238,72 @@ class TestLogIntegralMemo:
             with pytest.raises(ScatteringError, match="determinant"):
                 _log_integral(prop)
             assert prop.calls == calls
+
+
+class TestCellPath:
+    @pytest.mark.parametrize("nu", [0.3, 2.7, 6.2])
+    def test_poschl_teller_closed_form(self, nu):
+        prop = _Propagator(PoschlTeller(nu), SCATTER_TOL)
+        for k in MODEST_GRID:
+            r2 = abs(_reflection_at(prop, k)[0]) ** 2
+            assert r2 == pytest.approx(
+                poschl_teller_reflection_sq(nu, 1.0, k), abs=1e-8)
+
+    def test_richardson_difference_falls_sixteenfold(self):
+        # one extrapolation leaves an h^4 error: successive extrapolated
+        # products differ about 16 times less per halving of the cells
+        V = Gaussian(1.5, width=2.0)
+        X = _scatter_box(V)
+        edges, diffs, last = np.linspace(-X, X, 129), [], None
+        for _ in range(5):
+            M = _extrapolated(_cells(V, edges), _cells(V, _halved(edges)),
+                              K_CHECK)
+            if last is not None:
+                diffs.append(np.max(np.abs(M - last)))
+            last, edges = M, _halved(edges)
+        for coarse, fine in zip(diffs, diffs[1:]):
+            assert 14.0 < coarse / fine < 18.0
+
+    def test_cells_are_cut_at_jumps(self):
+        # a piece list without pieces(): its cells are cut at the jumps, so
+        # the cell path matches the exact path's log integral
+        args = ([-0.9, 0.2, 1.4], [2.0, -1.0])
+        cells = _log_integral(_Propagator(Opaque(*args), SCATTER_TOL))
+        exact = _log_integral(_Propagator(PiecewiseConstant(*args),
+                                          SCATTER_TOL))
+        assert cells == pytest.approx(exact, abs=1e-9)
+
+    @pytest.mark.parametrize("shift,fails", [(5e-7, False), (2e-6, True)])
+    def test_cross_check_against_the_ode(self, monkeypatch, shift, fails):
+        # the gate sits at 100 tol.abs = 1e-6 of the largest entry
+        real = scattering._transfer_ode
+
+        def shifted(*args):
+            M = real(*args)
+            return (M[0] + shift * max(map(abs, M)), *M[1:])
+
+        monkeypatch.setattr(scattering, "_transfer_ode", shifted)
+        prop = _Propagator(Gaussian(1.0), SCATTER_TOL)
+        if fails:
+            with pytest.raises(ScatteringError, match="differ"):
+                _log_integral(prop)
+        else:
+            assert _log_integral(prop) < 0.0
+
+    def test_cross_check_holds_across_kinks(self):
+        # at the gate's own tolerance, 1e-10, DOP853 missed this matrix by
+        # 2.2e-8 across V's kinks, past the gate at 1e-8
+        V = Sampled([-1.0, 0.0, 0.5, 2.0], [0.0, 3.0, 1.0, 0.5])
+        _check_against_ode(_Propagator(V, Tolerance(1e-10, 1e-10)), K_CHECK)
+
+    def test_unsettled_cells_raise(self, monkeypatch):
+        monkeypatch.setattr(scattering, "CELLS_MAX", 2 ** 10)
+        with pytest.raises(ScatteringError, match="did not settle"):
+            _Propagator(Gaussian(1.5, width=2.0), Tolerance(1e-14, 1e-14))
+
+    def test_box_outside_the_domain(self):
+        with pytest.raises(ValueError, match="outside domain"):
+            _Propagator(Gaussian(1.0, domain="half_line"), SCATTER_TOL)
 
 
 class TestSumRule:
