@@ -10,7 +10,9 @@ is replaced by its cell averages, cut at every jump, and the exact products
 on N and 2N cells are Richardson-extrapolated, (4 M_2N - M_N) / 3, with N
 doubled until two successive extrapolations agree (the constant-perturbation
 codes do the same; Ledoux, Van Daele and Vanden Berghe, "MATSLISE", ACM TOMS
-31, 2005).  Adaptive Runge-Kutta only cross-checks that product once per
+31, 2005).  N starts where the cells are narrow enough for the largest
+wavenumber served, since a staircase of width h reflects coherently near
+k = pi / h.  Adaptive Runge-Kutta only cross-checks that product once per
 log integral.  The log-transmission integral below is computed once per
 potential object and tolerance and then reused by reflection_coefficient,
 sum_rule_residual and theorem2_check.
@@ -26,6 +28,7 @@ negative parts:  pi^(-1) int |ln(1-|R|^2)| dk <= int V_- + (4 L - 1) int V_+.
 from __future__ import annotations
 
 import cmath
+import functools
 import io
 import math
 import warnings
@@ -41,7 +44,8 @@ from .numerics import (InvariantError, NumericsError, Tolerance, piece_step,
 from .potential import Potential, piece_steps, truncation_point
 from .sturm import RieszMean, riesz_mean, solve_line
 
-#: default tolerance of the gates, and the loosest the ODE ever runs at
+#: default tolerance of the gates, and the loosest the ODE and the cell
+#: count ever run at
 SCATTER_TOL = Tolerance(abs=1e-8, rel=1e-8)
 
 #: default k-grid limits (geometric) for sampled reflection data
@@ -54,8 +58,13 @@ TRUNCATION_TAIL = 1e-10
 #: first and gives up past the second
 CELLS_MIN, CELLS_MAX = 2 ** 9, 2 ** 16
 
-#: the wavenumber at which the cell count is chosen and cross-checked
+#: the wavenumber at which the cell count is cross-checked
 K_CHECK = 2.0
+
+#: a staircase of cell means with width h reflects coherently near the
+#: Bragg wavenumber pi / h, an error the extrapolation does not remove; the
+#: first cells put pi / h this many times above the largest k served
+BRAGG_MARGIN = 2.0
 
 
 class ScatteringError(NumericsError):
@@ -160,25 +169,36 @@ def _extrapolated(coarse, fine, k: float) -> np.ndarray:
     return (4.0 * _transfer_cells(fine, k) - _transfer_cells(coarse, k)) / 3.0
 
 
-def _cell_pair(V: Potential, X: float, tol: Tolerance):
-    """(coarse, fine) cells of V on [-X, X] for the extrapolated product.
+def _cell_pair(V: Potential, X: float, tol: Tolerance, k_max: float):
+    """(coarse, fine) cells of V on [-X, X] for the extrapolated product
+    at wavenumbers up to k_max.
 
-    The coarse cells start as CELLS_MIN uniform cells, cut at the jumps
-    inside, and are halved until the extrapolations of two successive
-    halvings agree at K_CHECK within tol.abs of their largest entry.
+    The coarse cells start as uniform cells, at least CELLS_MIN of them
+    and at most pi / (BRAGG_MARGIN k_max) wide, cut at the jumps inside.
+    They are halved until the extrapolations of two successive halvings
+    agree, at K_CHECK and at k_max, within tol.abs of their largest entry,
+    tol.abs taken no looser than SCATTER_TOL and no tighter than 1e-12, as
+    _transfer_ode takes its rtol.
     """
-    n, last = CELLS_MIN, None
+    n = CELLS_MIN
+    while math.pi * n / (2.0 * X) < BRAGG_MARGIN * k_max:
+        n *= 2
+    if n > CELLS_MAX:
+        raise ScatteringError(
+            f"k up to {k_max} needs more than {CELLS_MAX} cells")
+    crit = max(min(tol.abs, SCATTER_TOL.abs), 1e-12)
     edges = np.union1d(np.linspace(-X, X, n + 1),
                        [x for x, _ in V.jumps() if -X < x < X])
-    coarse = _cells(V, edges)
+    coarse, last = _cells(V, edges), None
     while n <= CELLS_MAX:
         edges = _halved(edges)
         fine = _cells(V, edges)
-        M = _extrapolated(coarse, fine, K_CHECK)
-        if (last is not None and np.max(np.abs(M - last))
-                <= tol.abs * np.max(np.abs(M))):
+        Ms = [_extrapolated(coarse, fine, k) for k in (K_CHECK, k_max)]
+        if last is not None and all(
+                np.max(np.abs(M - L)) <= crit * np.max(np.abs(M))
+                for M, L in zip(Ms, last)):
             return coarse, fine
-        n, coarse, last = 2 * n, fine, M
+        n, coarse, last = 2 * n, fine, Ms
     raise ScatteringError(
         f"cell products did not settle on {CELLS_MAX} cells")
 
@@ -186,17 +206,20 @@ def _cell_pair(V: Potential, X: float, tol: Tolerance):
 class _Propagator:
     """Transfer matrices (m00, m01, m10, m11) of V across its box [-X, X]:
     exact steps, built once, when V has pieces(), else the extrapolated
-    product of cells whose count is chosen once."""
+    product of cells whose count is chosen on the first call, for
+    wavenumbers up to k_max."""
 
-    def __init__(self, V: Potential, tol: Tolerance):
+    def __init__(self, V: Potential, tol: Tolerance, k_max: float = K_MAX):
         X = _scatter_box(V)
-        self.V, self.X, self.tol = V, X, tol
+        self.V, self.X, self.tol, self.k_max = V, X, tol, k_max
         pieces = V.pieces()
         self.steps = None if pieces is None else piece_steps(pieces, -X, X)
-        if pieces is None:
-            if -X < V.domain[0] or X > V.domain[1]:
-                raise ValueError("evaluation point outside domain")
-            self.cells = _cell_pair(V, X, tol)
+        if pieces is None and (-X < V.domain[0] or X > V.domain[1]):
+            raise ValueError("evaluation point outside domain")
+
+    @functools.cached_property
+    def cells(self):
+        return _cell_pair(self.V, self.X, self.tol, self.k_max)
 
     def matrix(self, k: float) -> tuple[float, float, float, float]:
         if self.steps is None:
@@ -236,10 +259,14 @@ _LOG_INTEGRALS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _log_integral(prop: _Propagator) -> float:
     """_log_integral_uncached(prop), once per (prop.V, prop.tol).
 
-    prop.X depends only on V.  A failed computation stores nothing.
+    prop.X depends only on V, and the integral always runs on cells for
+    K_MAX, so that the stored value does not depend on which call came
+    first.  A failed computation stores nothing.
     """
     by_tol = _LOG_INTEGRALS.setdefault(prop.V, {})
     if prop.tol not in by_tol:
+        if prop.steps is None and prop.k_max != K_MAX:
+            prop = _Propagator(prop.V, prop.tol)
         by_tol[prop.tol] = _log_integral_uncached(prop)
     return by_tol[prop.tol]
 
@@ -298,15 +325,16 @@ def reflection_coefficient(V: Potential, k_grid=None,
     """Reflection data R(k) on a grid of positive wavenumbers.
 
     Non-compact potentials are truncated where the tail mass drops below
-    1e-10.  One refinement pass inserts midpoints where |R|^2 moves by more
-    than 0.05 between neighbours.
+    1e-10.  Without pieces(), V's cells resolve wavenumbers up to the larger
+    of K_MAX and the grid's largest.  One refinement pass inserts midpoints
+    where |R|^2 moves by more than 0.05 between neighbours.
     """
     ks = default_k_grid() if k_grid is None else np.asarray(k_grid,
                                                             dtype=float)
     if len(ks) == 0 or np.any(ks <= 0.0):
         raise ValueError("k_grid must contain positive wavenumbers")
-    prop = _Propagator(V, tol)
     ks = np.sort(ks)
+    prop = _Propagator(V, tol, max(K_MAX, float(ks[-1])))
     Rs = {k: _reflection_at(prop, k) for k in ks}
     extra = []
     for k1, k2 in zip(ks[:-1], ks[1:]):

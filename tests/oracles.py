@@ -112,7 +112,9 @@ def poschl_teller_reflection_sq(nu, alpha, k):
     vanishes for integer nu, the reflectionless wells.
     """
     c2 = math.cos(math.pi * (nu + 0.5)) ** 2
-    return c2 / (math.sinh(math.pi * k / alpha) ** 2 + c2)
+    # sinh^2 overflows past pi k / alpha ~ 355, where the ratio is < 1e-300
+    s = math.pi * k / alpha
+    return c2 / (math.sinh(s) ** 2 + c2) if s < 350.0 else 0.0
 
 
 def poschl_teller_levels(nu, alpha=1.0):

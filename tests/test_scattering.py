@@ -298,8 +298,61 @@ class TestCellPath:
 
     def test_unsettled_cells_raise(self, monkeypatch):
         monkeypatch.setattr(scattering, "CELLS_MAX", 2 ** 10)
+        prop = _Propagator(Gaussian(1.5, width=2.0), Tolerance(1e-14, 1e-14),
+                           k_max=K_CHECK)
         with pytest.raises(ScatteringError, match="did not settle"):
-            _Propagator(Gaussian(1.5, width=2.0), Tolerance(1e-14, 1e-14))
+            prop.matrix(K_CHECK)
+
+    def test_unresolvable_k_max_raises(self):
+        prop = _Propagator(Gaussian(1.5, width=2.0), SCATTER_TOL, k_max=1e5)
+        with pytest.raises(ScatteringError, match="needs more than"):
+            prop.matrix(1.0)
+
+    @pytest.mark.parametrize("nu,alpha", [(2.7, 0.3), (1.5, 0.25)])
+    def test_wide_well_past_the_bragg_wavenumber(self, nu, alpha):
+        # a staircase of cell means reflects coherently near k = pi / h;
+        # with the cells chosen at K_CHECK alone that peak sat inside the
+        # default grid on these wells (box X ~ 50) and |R| was off by 2e-5
+        # where the true R is about 0
+        prop = _Propagator(PoschlTeller(nu, alpha=alpha), SCATTER_TOL)
+        ks = default_k_grid()
+        for k in ks[ks >= 10.0]:
+            r = abs(_reflection_at(prop, k)[0])
+            assert r == pytest.approx(
+                math.sqrt(poschl_teller_reflection_sq(nu, alpha, k)),
+                abs=1e-8)
+
+    def test_loose_tol_keeps_the_cells_tight(self):
+        # the settle test runs no looser than SCATTER_TOL either; taken at
+        # 1e-3, it stopped on this well 1e-7 off the ODE
+        V = PoschlTeller(6.2)
+        prop = _Propagator(V, Tolerance(1e-3, 1e-3))
+        for k in (K_CHECK, 30.0):
+            M = np.array(prop.matrix(k))
+            ode = _transfer_ode(V, prop.X, k, Tolerance(1e-12, 1e-12))
+            assert np.max(np.abs(M - ode)) <= 1e-8 * np.max(np.abs(M))
+
+    def test_cells_are_chosen_once_and_only_when_needed(self, monkeypatch):
+        pairs = TestLogIntegralMemo.count(monkeypatch, "_cell_pair")
+        V = Gaussian(1.5, width=2.0)
+        prop = _Propagator(V, SCATTER_TOL)
+        assert pairs == []
+        prop.matrix(1.0)
+        prop.matrix(3.0)
+        assert len(pairs) == 1
+        _log_integral(prop)
+        # a memo hit builds no cells
+        _log_integral(_Propagator(V, SCATTER_TOL))
+        theorem2_check(V)
+        assert len(pairs) == 1
+
+    def test_log_integral_ignores_the_grid(self):
+        # a grid past K_MAX gets finer cells; the memoised integral does
+        # not, so its value does not depend on which call came first
+        V, W = Gaussian(1.5, width=2.0), Gaussian(1.5, width=2.0)
+        wide = reflection_coefficient(V, [1.0, 150.0])
+        assert wide.log_integral.hex() == _log_integral(
+            _Propagator(W, SCATTER_TOL)).hex()
 
     def test_box_outside_the_domain(self):
         with pytest.raises(ValueError, match="outside domain"):
