@@ -290,8 +290,6 @@ def certify_theorem1(V: Potential, tol: Tolerance | None = None,
     if not V.is_nonnegative():
         raise ValueError("the certificate requires V >= 0")
     full = V.domain == FULL_LINE
-    if not full and V.domain != HALF_LINE:
-        raise ValueError("domain must be the whole or half line")
     integral = V.integrate()
     upper = UPPER_FACTOR * integral
     lower = 0.25 * integral

@@ -53,7 +53,6 @@ def splitmix64(seed: int):
 
 
 def random_piecewise(seed: int, domain: str = "full_line",
-                     pieces: tuple[int, int] = (3, 8),
                      signed: bool = False) -> potential.PiecewiseConstant:
     """Seeded random piecewise-constant potential.
 
@@ -61,7 +60,7 @@ def random_piecewise(seed: int, domain: str = "full_line",
     support inside [0, 10] (shifted to [-5, 5] on the full line).
     """
     rng = splitmix64(seed)
-    n = pieces[0] + int(next(rng) * (pieces[1] - pieces[0] + 1))
+    n = 3 + int(next(rng) * 6)
     cuts = sorted(10.0 * next(rng) for _ in range(n + 1))
     if domain == "full_line":
         cuts = [c - 5.0 for c in cuts]
@@ -138,17 +137,15 @@ def cmd_constants(args) -> int:
         if not 0.5 <= g <= 1.5:
             raise UsageError("gamma must lie in [1/2, 3/2]")
     rows = [constants.constants_row(g) for g in gammas]
-    text = constants.rows_to_csv(rows, extra_best=True)
+    text = constants.rows_to_csv(rows)
     text += f"# crossover_gamma = {constants.crossover():.15g}\n"
     _emit(text, args.out)
     return EXIT_PASS
 
 
 def cmd_partition(args) -> int:
-    V = _load_potential(args, domain_default="half_line")
-    if V.domain != potential.HALF_LINE:
-        raise UsageError("partition requires a half-line potential")
-    part = bracketing.build_partition(V)
+    part = bracketing.build_partition(
+        _load_potential(args, domain_default="half_line"))
     doc = {
         "breakpoints": part.to_json_list(),
         "masses": list(part.masses),

@@ -26,8 +26,8 @@ import io
 import math
 from dataclasses import dataclass
 
-from .numerics import (DEFAULT_TOL, Tolerance, find_root, gamma_fn,
-                       integrate_de, minimize_1d)
+from .numerics import (Tolerance, find_root, gamma_fn, integrate_de,
+                       minimize_1d)
 
 #: lower limit of u in the closed-form Theta(eta, 1/2, 3/2) integrals
 U0 = math.sqrt(2.0 / (2.0 + math.sqrt(3.0)))
@@ -40,14 +40,22 @@ def theta_fn(x: float) -> float:
     return x * math.tanh(x)
 
 
-def varsigma(y: float, tol: Tolerance = Tolerance(abs=1e-12, rel=1e-12)) -> float:
+#: root tolerance of varsigma
+VARSIGMA_TOL = Tolerance(abs=1e-12, rel=1e-12)
+
+#: root tolerance of crossover
+CROSSOVER_TOL = Tolerance(abs=1e-6, rel=1e-6)
+
+
+def varsigma(y: float) -> float:
     """Inverse of x*tanh(x): the unique x >= 0 with x*tanh(x) = y."""
     if y < 0:
         raise ValueError("varsigma requires y >= 0")
     if y == 0.0:
         return 0.0
     # x*tanh(x) >= x - 1, so the root lies in [0, y + 2]
-    return find_root(lambda x: x * math.tanh(x) - y, 0.0, y + 2.0, tol)
+    return find_root(lambda x: x * math.tanh(x) - y, 0.0, y + 2.0,
+                     VARSIGMA_TOL)
 
 
 VARSIGMA_3 = varsigma(3.0)
@@ -78,14 +86,14 @@ def _ggm_integrand(m: float, gamma: float) -> float:
                * (gamma + 0.5 - m) ** (gamma + 0.5 - m)))
 
 
-def ggm_constant(gamma: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def ggm_constant(gamma: float) -> float:
     """Glaser-Grosse-Martin bound: minimum over m in (1, min(3/2, g+1/2))."""
     hi = min(1.5, gamma + 0.5)
     if hi <= 1.0:
         raise ValueError("feasible m-range is empty for gamma <= 1/2")
     margin = 1e-6  # stay clear of the Gamma pole at m = gamma + 1/2
     _, val = minimize_1d(lambda m: _ggm_integrand(m, gamma),
-                         1.0 + margin, hi - margin, tol)
+                         1.0 + margin, hi - margin)
     return val
 
 
@@ -138,7 +146,7 @@ class ThetaParams:
 T_STAR = 2.0 / 3.0 * math.sqrt(1.0 + 2.0 / math.sqrt(3.0))
 
 
-def _theta_half_threehalf_closed(eta: float, tol: Tolerance) -> float:
+def _theta_half_threehalf_closed(eta: float) -> float:
     # Exact evaluation of the defining double integral for (p0, p1) =
     # (1/2, 3/2).  The inner infimum equals t for t <= T_STAR; beyond that
     # it follows the interior critical branch, which parametrized by
@@ -158,7 +166,7 @@ def _theta_half_threehalf_closed(eta: float, tol: Tolerance) -> float:
         return (1.0 - v) * (3.0 - v) * (2.0 - v) ** ((eta - 3.0) / 2.0)
 
     g0 = g(0.0)
-    rest = integrate_de(lambda v: v ** (s - 1.0) * (g(v) - g0), 0.0, c, tol)
+    rest = integrate_de(lambda v: v ** (s - 1.0) * (g(v) - g0), 0.0, c)
     second = math.sqrt(2.0) / 3.0 * 1.5 ** eta * (g0 * c**s / s + rest)
     return first + second
 
@@ -213,7 +221,7 @@ def _theta_log_inf(s: float, p0: float, p1: float) -> tuple[int, float]:
     return best[1], best[0]
 
 
-def _theta_numeric(params: ThetaParams, tol: Tolerance) -> float:
+def _theta_numeric(params: ThetaParams) -> float:
     """Direct evaluation of int_0^inf t^{-eta-1} inf_{y0+y1=1}(...) dt.
 
     With t = e^s the integrand is e^{-eta s} inf_y g, and the infimum is
@@ -249,11 +257,10 @@ def _theta_numeric(params: ThetaParams, tol: Tolerance) -> float:
         splits.add(b)
         lo = a
     edges = [-math.inf, *sorted(splits), math.inf]
-    return sum(integrate_de(h, a, b, tol) for a, b in zip(edges, edges[1:]))
+    return sum(integrate_de(h, a, b) for a, b in zip(edges, edges[1:]))
 
 
-def theta_weight(params: ThetaParams, mode: str = "closed",
-                 tol: Tolerance = DEFAULT_TOL) -> float:
+def theta_weight(params: ThetaParams, mode: str = "closed") -> float:
     """Theta(eta, p0, p1): the q = 1 K-functional weight.
 
     mode "closed" uses the explicit formulas available for
@@ -261,14 +268,14 @@ def theta_weight(params: ThetaParams, mode: str = "closed",
     double integral (any positive p0 != p1).
     """
     if mode == "numeric":
-        return _theta_numeric(params, tol)
+        return _theta_numeric(params)
     if mode != "closed":
         raise ValueError("mode must be 'closed' or 'numeric'")
     eta = params.eta
     if (params.p0, params.p1) == (1.0, 2.0):
         return 2.0 ** eta / (eta * (1.0 - eta) * (1.0 + eta))
     if (params.p0, params.p1) == (0.5, 1.5):
-        return _theta_half_threehalf_closed(eta, tol)
+        return _theta_half_threehalf_closed(eta)
     raise ValueError("closed form known only for (1,2) and (1/2,3/2)")
 
 
@@ -297,30 +304,30 @@ def m_factor(eta: float) -> tuple[float, float]:
     return obj(best_n), best_n
 
 
-def c_factor(eta: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def c_factor(eta: float) -> float:
     """C(eta) = Theta(eta,1,2)/Theta(eta,1/2,3/2) * M(eta)
     / sqrt(eta^eta (1-eta)^{1-eta})."""
-    th12 = theta_weight(ThetaParams(eta, 1.0, 2.0), "closed", tol)
-    th_half = theta_weight(ThetaParams(eta, 0.5, 1.5), "closed", tol)
+    th12 = theta_weight(ThetaParams(eta, 1.0, 2.0), "closed")
+    th_half = theta_weight(ThetaParams(eta, 0.5, 1.5), "closed")
     m, _ = m_factor(eta)
     return th12 / th_half * m / math.sqrt(eta**eta * (1.0 - eta) ** (1.0 - eta))
 
 
-def doublestar_constant(gamma: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def doublestar_constant(gamma: float) -> float:
     """Real-interpolation bound C(eta) (varsigma(3)/3)^{1-eta} (3/16)^eta,
     gamma = 1/2 + eta."""
     if not 0.5 < gamma < 1.5:
         raise ValueError("gamma must lie in (1/2, 3/2)")
     eta = gamma - 0.5
-    return (c_factor(eta, tol) * (VARSIGMA_3 / 3.0) ** (1.0 - eta)
+    return (c_factor(eta) * (VARSIGMA_3 / 3.0) ** (1.0 - eta)
             * (3.0 / 16.0) ** eta)
 
 
-def crossover(tol: Tolerance = Tolerance(abs=1e-6, rel=1e-6)) -> float:
+def crossover() -> float:
     """gamma in (1.0, 1.3) where the doublestar and star bounds cross."""
     def diff(g):
         return doublestar_constant(g) - star_constant(g)
-    return find_root(diff, 1.0, 1.3, tol)
+    return find_root(diff, 1.0, 1.3, CROSSOVER_TOL)
 
 
 def density_constants(L_half: float | None = None,
@@ -367,7 +374,7 @@ class ConstantsRow:
         return min(vals)
 
 
-def constants_row(gamma: float, tol: Tolerance = DEFAULT_TOL) -> ConstantsRow:
+def constants_row(gamma: float) -> ConstantsRow:
     """Evaluate every bound defined at this gamma (None where undefined)."""
     if not 0.5 <= gamma <= 1.5:
         raise ValueError("gamma must lie in [1/2, 3/2]")
@@ -376,28 +383,24 @@ def constants_row(gamma: float, tol: Tolerance = DEFAULT_TOL) -> ConstantsRow:
         gamma=gamma,
         L_cl=classical_constant(gamma),
         L_LT=lt_constant(gamma) if gamma > 0.5 else None,
-        L_GGM=ggm_constant(gamma, tol) if gamma > 0.5 else None,
+        L_GGM=ggm_constant(gamma) if gamma > 0.5 else None,
         L_one=one_state_constant(gamma),
         L_star=star_constant(gamma),
         L_char=char_interp_constant(gamma) if interior else None,
-        L_dstar=doublestar_constant(gamma, tol) if interior else None,
+        L_dstar=doublestar_constant(gamma) if interior else None,
     )
 
 
 CSV_HEADER = ["gamma", "L_cl", "L_LT", "L_GGM", "L_one", "L_star",
-              "L_char", "L_dstar"]
+              "L_char", "L_dstar", "L_best"]
 
 
-def rows_to_csv(rows, extra_best: bool = False) -> str:
+def rows_to_csv(rows) -> str:
     """Serialize ConstantsRow records; undefined entries are left empty."""
     buf = io.StringIO()
-    header = list(CSV_HEADER) + (["L_best"] if extra_best else [])
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(CSV_HEADER)
     for r in rows:
-        rec = [r.gamma, r.L_cl, r.L_LT, r.L_GGM, r.L_one, r.L_star,
-               r.L_char, r.L_dstar]
-        if extra_best:
-            rec.append(r.L_best)
+        rec = (getattr(r, name) for name in CSV_HEADER)
         writer.writerow(["" if v is None else f"{v:.15g}" for v in rec])
     return buf.getvalue()

@@ -38,20 +38,20 @@ class InvariantError(NumericsError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerance plus an iteration budget."""
+    """Absolute/relative tolerance; the iteration budget is MAX_ITER."""
 
     abs: float = 1e-10
     rel: float = 1e-10
-    max_iter: int = 200
 
     def __post_init__(self) -> None:
         if not (0.0 < self.abs < 1.0 and 0.0 < self.rel < 1.0):
             raise ValueError("abs and rel must lie in (0, 1)")
-        if not (0 < self.max_iter <= 10**6):
-            raise ValueError("max_iter must be a positive integer <= 1e6")
 
 
 DEFAULT_TOL = Tolerance()
+
+#: iteration budget of find_root and minimize_1d
+MAX_ITER = 200
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float,
@@ -70,7 +70,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
         raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
     rtol = max(tol.rel, 4 * math.ulp(1.0))
     return float(optimize.brentq(f, lo, hi, xtol=tol.abs, rtol=rtol,
-                                 maxiter=tol.max_iter))
+                                 maxiter=MAX_ITER))
 
 
 def minimize_1d(f: Callable[[float], float], lo: float, hi: float,
@@ -84,7 +84,7 @@ def minimize_1d(f: Callable[[float], float], lo: float, hi: float,
         raise ValueError("need lo < hi")
     res = optimize.minimize_scalar(
         f, bounds=(lo, hi), method="bounded",
-        options={"xatol": tol.abs, "maxiter": tol.max_iter})
+        options={"xatol": tol.abs, "maxiter": MAX_ITER})
     x = float(res.x)
     fx = float(res.fun)
     if not math.isfinite(fx):
@@ -129,20 +129,6 @@ def _tanhsinh_semi(f, a, tol):
         return x, w
 
     return _de_levels(f, node, a, math.inf, tol)
-
-
-def _tanhsinh_line(f, tol):
-    """tanh-sinh rule on the whole line via x = sinh(pi/2 sinh t)."""
-
-    def node(t):
-        s = 0.5 * math.pi * math.sinh(t)
-        if abs(s) > 700.0:
-            return None
-        x = math.sinh(s)
-        w = 0.5 * math.pi * math.cosh(t) * math.cosh(s)
-        return x, w
-
-    return _de_levels(f, node, -math.inf, math.inf, tol)
 
 
 def _de_levels(f, node, a, b, tol):
@@ -197,9 +183,10 @@ def integrate_de(f: Callable[[float], float], a: float, b: float,
                  tol: Tolerance = DEFAULT_TOL) -> float:
     """Double-exponential quadrature of f over (a, b).
 
-    Endpoints may be infinite; integrable endpoint singularities are handled
-    by the node clustering of the tanh-sinh map.  Raises DivergenceError when
-    the value keeps growing across refinement levels.
+    Endpoints may be infinite (the whole line is split at 0 into two half
+    lines); integrable endpoint singularities are handled by the node
+    clustering of the tanh-sinh map.  Raises DivergenceError when the value
+    keeps growing across refinement levels.
 
     Singular endpoints should be placed at 0 (substitute if needed): nodes
     carry the exact distance to a zero endpoint, while near a nonzero
@@ -212,7 +199,8 @@ def integrate_de(f: Callable[[float], float], a: float, b: float,
     if a > b:
         return -integrate_de(f, b, a, tol)
     if math.isinf(a) and math.isinf(b):
-        return _tanhsinh_line(f, tol)
+        return (_tanhsinh_semi(lambda x: f(-x), 0.0, tol)
+                + _tanhsinh_semi(f, 0.0, tol))
     if math.isinf(b):
         return _tanhsinh_semi(f, a, tol)
     if math.isinf(a):

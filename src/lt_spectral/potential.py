@@ -23,7 +23,12 @@ JSON exchange format::
     {"family": "square_well", "params": {"v": 3, "a": 0, "b": 2},
      "domain": "full_line"}
 
-domain is "full_line", "half_line" or a two-element [a, b] list.
+domain is "full_line" (the default) or "half_line": the operator acts on
+the whole line or on [0, inf) with a Neumann end at 0.  Bounded intervals
+are not a domain; they enter only as the bracketing intervals that
+sturm.solve_interval takes as an argument.  params go to the family's
+constructor by keyword, so the defaults live there and an unknown key is a
+ValueError, as is a document key other than family, params and domain.
 """
 
 from __future__ import annotations
@@ -42,17 +47,12 @@ HALF_LINE = (0.0, math.inf)
 
 
 def _domain_tuple(domain) -> tuple[float, float]:
-    if domain == "full_line" or domain is None:
+    if domain in ("full_line", None, FULL_LINE):
         return FULL_LINE
-    if domain == "half_line":
+    if domain in ("half_line", HALF_LINE):
         return HALF_LINE
-    try:
-        a, b = (float(q) for q in domain)
-    except (TypeError, ValueError):
-        raise ValueError(f"malformed domain {domain!r}") from None
-    if not a < b:
-        raise ValueError("interval domain needs a < b")
-    return (a, b)
+    raise ValueError(f"malformed domain {domain!r}: a potential lives on "
+                     "the 'full_line' or the 'half_line'")
 
 
 def _on_domain(domain, jumps) -> list[tuple[float, float]]:
@@ -108,12 +108,11 @@ class Potential:
         a, b = self._clip_interval(a, b)
         return self._integral(a, b)
 
-    def lp_integral(self, p: float, a=None, b=None) -> float:
-        """Integral of V^p; requires V >= 0 on the range and p >= 1."""
+    def lp_integral(self, p: float) -> float:
+        """Integral of V^p over the domain; requires V >= 0 and p >= 1."""
         if p < 1.0:
             raise ValueError("p must be >= 1")
-        a, b = self._clip_interval(a, b)
-        return self._lp(p, a, b)
+        return self._lp(p, *self.domain)
 
     def _clip_interval(self, a, b):
         lo, hi = self.domain
@@ -212,11 +211,7 @@ class Potential:
         raise NotImplementedError(f"{type(self).__name__} has no JSON form")
 
     def _domain_json(self):
-        if self.domain == FULL_LINE:
-            return "full_line"
-        if self.domain == HALF_LINE:
-            return "half_line"
-        return list(self.domain)
+        return "full_line" if self.domain == FULL_LINE else "half_line"
 
 
 class PiecewiseConstant(Potential):
@@ -573,8 +568,9 @@ class _Mapped(Potential):
 
     def support(self):
         lo, hi = sorted(q / self.s for q in self.inner.support())
-        a, b = self.domain
-        return (min(max(lo, a), b), max(min(hi, b), a))
+        # every domain ends at +inf; a half view starts at 0
+        a = self.domain[0]
+        return (max(lo, a), max(hi, a))
 
     def _integral(self, a, b):
         return self.mass * self.inner._integral(*self._image(a, b))
@@ -641,39 +637,42 @@ class _Clipped(Potential):
         return True
 
 
+#: the families whose params are their constructor's keyword arguments
+_FAMILIES = {"zero": Zero, "square_well": SquareWell,
+             "poschl_teller": PoschlTeller, "gaussian": Gaussian,
+             "piecewise_constant": PiecewiseConstant, "sampled": Sampled}
+
+#: the wrappers, named after their Potential method, by the one parameter
+#: that their params hold beside inner
+_WRAPPERS = {"scaled": "alpha", "amplified": "c", "half_view": "side"}
+
+
 def from_json_dict(doc: dict) -> Potential:
     """Build a potential from its JSON document, the one door for outside
-    input: any malformed document raises ValueError."""
+    input: any malformed document raises ValueError, an unknown key in it
+    or in its params included."""
     params = doc.get("params", {}) if isinstance(doc, dict) else None
     if not isinstance(params, dict):
         raise ValueError("a potential document and its params must be "
                          "JSON objects")
+    extra = sorted(set(doc) - {"family", "params", "domain"})
+    if extra:
+        raise ValueError(f"unknown document key(s) {extra}")
     family = doc.get("family")
     domain = doc.get("domain", "full_line")
     try:
-        if family == "zero":
-            return Zero(domain)
-        if family == "square_well":
-            return SquareWell(params["v"], params["a"], params["b"], domain)
-        if family == "poschl_teller":
-            return PoschlTeller(params["nu"], params.get("c", 0.0),
-                                params.get("alpha", 1.0), domain)
-        if family == "gaussian":
-            return Gaussian(params["amplitude"], params.get("center", 0.0),
-                            params.get("width", 1.0), domain)
-        if family == "piecewise_constant":
-            return PiecewiseConstant(params["breakpoints"], params["values"],
-                                     domain)
-        if family == "sampled":
-            return Sampled(params["grid"], params["values"], domain)
+        if family in _FAMILIES:
+            return _FAMILIES[family](**params, domain=domain)
         if family == "sum":
-            return Sum([from_json_dict(t) for t in params["terms"]], domain)
-        if family == "scaled":
-            return from_json_dict(params["inner"]).scaled(params["alpha"])
-        if family == "amplified":
-            return from_json_dict(params["inner"]).amplified(params["c"])
-        if family == "half_view":
-            return from_json_dict(params["inner"]).half_view(params["side"])
+            terms = [from_json_dict(t) for t in params["terms"]]
+            return Sum(**{**params, "terms": terms}, domain=domain)
+        if family in _WRAPPERS:
+            key = _WRAPPERS[family]
+            if set(params) != {"inner", key}:
+                raise ValueError(f"{family} takes inner and {key}, "
+                                 f"not {sorted(params)}")
+            return getattr(from_json_dict(params["inner"]), family)(
+                params[key])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{family}: bad or missing parameter {exc}") from None
     raise ValueError(f"unknown potential family: {family!r}")
@@ -688,20 +687,23 @@ def load(path) -> Potential:
         return from_json_dict(json.load(fh))
 
 
-def truncation_point(V: Potential, tail_tol: float,
-                     x_min: float = 1.0) -> float:
-    """Smallest convenient X with integral of V outside [-X, X] < tail_tol."""
+#: the smallest box half-width truncation_point returns
+TRUNCATION_X_MIN = 10.0
+
+
+def truncation_point(V: Potential, tail_tol: float) -> float:
+    """Smallest convenient X >= TRUNCATION_X_MIN with integral of V outside
+    [-X, X] < tail_tol."""
     lo, hi = V.support()
     if math.isfinite(lo) and math.isfinite(hi):
-        return max(abs(lo), abs(hi), x_min)
-    a, b = V.domain
-    X = x_min
+        return max(abs(lo), abs(hi), TRUNCATION_X_MIN)
+    X = TRUNCATION_X_MIN
     for _ in range(200):
         tail = 0.0
         if hi > X:
-            tail += abs(V.integrate(min(X, b), b))
-        if lo < -X and a < -X:
-            tail += abs(V.integrate(a, max(-X, a)))
+            tail += abs(V.integrate(X, math.inf))
+        if lo < -X and V.domain == FULL_LINE:
+            tail += abs(V.integrate(-math.inf, -X))
         if tail < tail_tol:
             return X
         X *= 1.5

@@ -41,7 +41,7 @@ from scipy.integrate import IntegrationWarning, quad, solve_ivp
 from .constants import VARSIGMA_3
 from .numerics import (InvariantError, NumericsError, Tolerance, piece_step,
                        piece_step_array)
-from .potential import Potential, piece_steps, truncation_point
+from .potential import FULL_LINE, Potential, piece_steps, truncation_point
 from .sturm import RieszMean, riesz_mean, solve_line
 
 #: default tolerance of the gates, and the loosest the ODE and the cell
@@ -118,7 +118,7 @@ def _scatter_box(V: Potential) -> float:
     lo, hi = V.support()
     if math.isfinite(lo) and math.isfinite(hi):
         return max(abs(lo), abs(hi), 1.0)
-    return truncation_point(V, TRUNCATION_TAIL, x_min=10.0)
+    return truncation_point(V, TRUNCATION_TAIL)
 
 
 def _transfer_exact(steps, k: float) -> tuple[float, float, float, float]:
@@ -207,15 +207,16 @@ class _Propagator:
     """Transfer matrices (m00, m01, m10, m11) of V across its box [-X, X]:
     exact steps, built once, when V has pieces(), else the extrapolated
     product of cells whose count is chosen on the first call, for
-    wavenumbers up to k_max."""
+    wavenumbers up to k_max.  Scattering is defined on the whole line
+    only."""
 
     def __init__(self, V: Potential, tol: Tolerance, k_max: float = K_MAX):
+        if V.domain != FULL_LINE:
+            raise ValueError("scattering requires a full-line potential")
         X = _scatter_box(V)
         self.V, self.X, self.tol, self.k_max = V, X, tol, k_max
         pieces = V.pieces()
         self.steps = None if pieces is None else piece_steps(pieces, -X, X)
-        if pieces is None and (-X < V.domain[0] or X > V.domain[1]):
-            raise ValueError("evaluation point outside domain")
 
     @functools.cached_property
     def cells(self):
@@ -353,11 +354,10 @@ def reflection_coefficient(V: Potential, k_grid=None,
 def _sum_rule(V: Potential, tol: Tolerance | None = None
               ) -> tuple[float, RieszMean]:
     """The sum-rule residual and the certified moment it subtracts."""
+    prop = _Propagator(V, SCATTER_TOL if tol is None else tol)
     integral = V.integrate()
     moment = riesz_mean(solve_line(V, tol), 0.5)
-    log_term = _log_integral(
-        _Propagator(V, SCATTER_TOL if tol is None else tol))
-    return integral - 4.0 * moment.value - log_term, moment
+    return integral - 4.0 * moment.value - _log_integral(prop), moment
 
 
 def sum_rule_residual(V: Potential, tol: Tolerance | None = None) -> float:

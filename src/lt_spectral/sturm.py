@@ -38,8 +38,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .numerics import (InvariantError, NumericsError, Tolerance, find_root,
                        piece_step)
-from .potential import (FULL_LINE, HALF_LINE, Potential, piece_steps,
-                        truncation_point)
+from .potential import HALF_LINE, Potential, piece_steps, truncation_point
 
 #: default certification target for eigenvalue radii; 1e-10 is not
 #: reachable with second-order differences on a 2^16 grid
@@ -193,7 +192,7 @@ def solve_interval(V: Potential, interval, bc="neumann",
 
 def _box(V: Potential, tol: Tolerance) -> float:
     tail_tol = max(tol.abs * 1e-2, 1e-15)
-    X = truncation_point(V, tail_tol, x_min=10.0)
+    X = truncation_point(V, tail_tol)
     lo, hi = V.support()
     if math.isfinite(lo) and math.isfinite(hi):
         X = max(X, abs(lo), abs(hi)) + 1.0  # keep the ends outside supp V
@@ -218,11 +217,10 @@ def _line_steps(V: Potential):
     """(length, value) steps of the exact path, or None for the FD path.
 
     Whole line: the pieces, shot from the left end of the first.  Half
-    line: from x = 0.  V takes the FD path when it has no pieces() or its
-    domain is neither line.
+    line: from x = 0.  V takes the FD path when it has no pieces().
     """
     pieces = V.pieces()
-    if pieces is None or V.domain not in (FULL_LINE, HALF_LINE):
+    if pieces is None:
         return None
     if not pieces:
         return []

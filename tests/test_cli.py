@@ -309,6 +309,33 @@ class TestUsageErrors:
         assert main(["certify", "--potential", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error: ")
 
+    @pytest.mark.parametrize("command, doc", [
+        # an interval is not a domain
+        ("kyfan", {"family": "gaussian",
+                   "params": {"amplitude": 3, "center": 0.5},
+                   "domain": [-1, 2]}),
+        # scattering is defined on the whole line only
+        ("scatter", {"family": "square_well",
+                     "params": {"v": 3, "a": 0, "b": 2},
+                     "domain": "half_line"}),
+        ("sumrule", {"family": "square_well",
+                     "params": {"v": 3, "a": 0, "b": 2},
+                     "domain": "half_line"}),
+        # a misspelt key must not fall back to its default
+        ("certify", {"family": "gaussian",
+                     "params": {"amplitude": 3, "widht": 5}}),
+        ("certify", {"family": "gaussian", "params": {"amplitude": 3},
+                     "domian": "half_line"}),
+    ])
+    def test_ignored_domain_or_key_is_a_usage_error(self, tmp_path, capsys,
+                                                   command, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--potential", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ")
+        assert captured.out == ""
+
 
 class TestNumericalFailures:
     @pytest.mark.parametrize("command, module, name, error", [

@@ -263,7 +263,7 @@ class TestRowsAndCsv:
 
     def test_csv_best_column(self):
         rows = [constants_row(1.0)]
-        text = rows_to_csv(rows, extra_best=True)
+        text = rows_to_csv(rows)
         lines = text.strip().splitlines()
         assert lines[0].split(",")[-1] == "L_best"
         assert float(lines[1].split(",")[-1]) == pytest.approx(

@@ -20,8 +20,6 @@ class TestTolerance:
             Tolerance(abs=0.0)
         with pytest.raises(ValueError):
             Tolerance(rel=-1e-3)
-        with pytest.raises(ValueError):
-            Tolerance(max_iter=0)
 
 
 class TestFindRoot:

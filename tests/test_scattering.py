@@ -355,7 +355,7 @@ class TestCellPath:
             _Propagator(W, SCATTER_TOL)).hex()
 
     def test_box_outside_the_domain(self):
-        with pytest.raises(ValueError, match="outside domain"):
+        with pytest.raises(ValueError, match="requires a full-line"):
             _Propagator(Gaussian(1.0, domain="half_line"), SCATTER_TOL)
 
 
