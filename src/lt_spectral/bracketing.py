@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from .constants import VARSIGMA_3
 from .numerics import InvariantError, NumericsError, Tolerance, find_root
 from .potential import FULL_LINE, HALF_LINE, Potential
-from .sturm import RieszMean, Spectrum, riesz_mean, solve_interval, solve_line
+from .sturm import (SOLVER_TOL, RieszMean, Spectrum, riesz_mean,
+                    solve_interval, solve_line)
 
 #: upper and lower per-interval factors for lambda_1 in terms of the mass
 UPPER_FACTOR = VARSIGMA_3 / 3.0
@@ -177,7 +178,7 @@ def _bisect_to_value(g, lo: float, hi: float, x: float,
 
 
 def interval_ground_bounds(V: Potential, partition: Partition, k: int,
-                           tol: Tolerance | None = None):
+                           tol: Tolerance = SOLVER_TOL):
     """(lambda1, lower, upper) for partition interval k.
 
     lambda1 = sqrt(|E_1|) from the Neumann interval solve; lower and upper
@@ -277,7 +278,7 @@ def _bracket_side(V: Potential, tol) -> tuple[Partition, float, float]:
     return part, total, err
 
 
-def certify_theorem1(V: Potential, tol: Tolerance | None = None,
+def certify_theorem1(V: Potential, tol: Tolerance = SOLVER_TOL,
                      assume_even: bool = False) -> Theorem1Certificate:
     """Certified sandwich (1/4) int V <= Sigma sqrt|E_i| <= (varsigma(3)/3) int V.
 

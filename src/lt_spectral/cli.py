@@ -19,7 +19,7 @@ import json
 import math
 import sys
 
-from . import bracketing, constants, kyfan, potential, scattering
+from . import bracketing, constants, kyfan, potential, scattering, sturm
 from .numerics import NumericsError, Tolerance
 
 EXIT_PASS = 0
@@ -100,9 +100,9 @@ def _load_potential(args, domain_default="full_line"):
     return random_piecewise(args.seed, domain=domain_default)
 
 
-def _tol(args) -> Tolerance | None:
+def _tol(args, default=sturm.SOLVER_TOL) -> Tolerance | None:
     if args.tol is None:
-        return None
+        return default
     return Tolerance(abs=args.tol, rel=args.tol)
 
 
@@ -160,7 +160,7 @@ def cmd_partition(args) -> int:
 
 def cmd_scatter(args) -> int:
     V = _load_potential(args)
-    tol = _tol(args) or scattering.SCATTER_TOL
+    tol = _tol(args, scattering.SCATTER_TOL)
     data = scattering.reflection_coefficient(V, tol=tol)
     _emit(data.to_csv(), args.out)
     return EXIT_PASS
@@ -168,7 +168,7 @@ def cmd_scatter(args) -> int:
 
 def cmd_sumrule(args) -> int:
     V = _load_potential(args)
-    residual, moment = scattering._sum_rule(V, _tol(args))
+    residual, moment = scattering._sum_rule(V, _tol(args, None))
     # the moment enters four times; 1e-6 covers the log-integral quadrature
     budget = 4.0 * moment.error + 1e-6
     doc = {

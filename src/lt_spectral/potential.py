@@ -26,15 +26,19 @@ JSON exchange format::
 domain is "full_line" (the default) or "half_line": the operator acts on
 the whole line or on [0, inf) with a Neumann end at 0.  Bounded intervals
 are not a domain; they enter only as the bracketing intervals that
-sturm.solve_interval takes as an argument.  params go to the family's
-constructor by keyword, so the defaults live there and an unknown key is a
-ValueError, as is a document key other than family, params and domain.
+sturm.solve_interval takes as an argument.  A sum lives on its terms'
+common domain and a wrapper on the one it makes of its inner potential's;
+a domain these documents state must be that one.  params go to the
+family's constructor by keyword, so the defaults live there and an unknown
+key is a ValueError, as is a document key other than family, params and
+domain, and a number anywhere in the document that is not a finite float.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -485,14 +489,14 @@ class Sampled(Potential):
 
 
 class Sum(Potential):
-    """Pointwise sum of potentials on a common domain."""
+    """Pointwise sum of potentials on their common domain."""
 
-    def __init__(self, terms: Sequence[Potential], domain=None):
+    def __init__(self, terms: Sequence[Potential]):
         if not terms:
             raise ValueError("sum needs at least one term")
-        if domain is None:
-            domain = terms[0]._domain_json()
-        super().__init__(domain)
+        if any(t.domain != terms[0].domain for t in terms):
+            raise ValueError("the terms of a sum must share one domain")
+        super().__init__(terms[0].domain)
         self.terms = tuple(terms)
 
     def _values(self, x):
@@ -647,10 +651,26 @@ _FAMILIES = {"zero": Zero, "square_well": SquareWell,
 _WRAPPERS = {"scaled": "alpha", "amplified": "c", "half_view": "side"}
 
 
+def _check_finite(obj, key="document"):
+    """Raise ValueError naming the key of a number in obj that is not a
+    finite float; json reads NaN, Infinity, 1e400 (as inf) and integers
+    of any size without complaint."""
+    if isinstance(obj, (int, float)) and not abs(obj) <= sys.float_info.max:
+        raise ValueError(f"{key}: {obj!r:.40} is not a finite float")
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            _check_finite(v, k)
+    elif isinstance(obj, list):
+        for v in obj:
+            _check_finite(v, key)
+
+
 def from_json_dict(doc: dict) -> Potential:
     """Build a potential from its JSON document, the one door for outside
     input: any malformed document raises ValueError, an unknown key in it
-    or in its params included."""
+    or in its params, a non-finite number and a stated domain that the
+    potential built does not have included."""
+    _check_finite(doc)
     params = doc.get("params", {}) if isinstance(doc, dict) else None
     if not isinstance(params, dict):
         raise ValueError("a potential document and its params must be "
@@ -659,13 +679,21 @@ def from_json_dict(doc: dict) -> Potential:
     if extra:
         raise ValueError(f"unknown document key(s) {extra}")
     family = doc.get("family")
-    domain = doc.get("domain", "full_line")
+    V = _build(family, params, doc.get("domain", "full_line"))
+    if "domain" in doc and V.domain != _domain_tuple(doc["domain"]):
+        raise ValueError(f"{family} document states domain "
+                         f"{doc['domain']!r}, but its potential lives on "
+                         f"the {V._domain_json()}")
+    return V
+
+
+def _build(family, params: dict, domain) -> Potential:
     try:
         if family in _FAMILIES:
             return _FAMILIES[family](**params, domain=domain)
         if family == "sum":
             terms = [from_json_dict(t) for t in params["terms"]]
-            return Sum(**{**params, "terms": terms}, domain=domain)
+            return Sum(**{**params, "terms": terms})
         if family in _WRAPPERS:
             key = _WRAPPERS[family]
             if set(params) != {"inner", key}:

@@ -42,7 +42,7 @@ from .constants import VARSIGMA_3
 from .numerics import (InvariantError, NumericsError, Tolerance, piece_step,
                        piece_step_array)
 from .potential import FULL_LINE, Potential, piece_steps, truncation_point
-from .sturm import RieszMean, riesz_mean, solve_line
+from .sturm import SOLVER_TOL, RieszMean, riesz_mean, solve_line
 
 #: default tolerance of the gates, and the loosest the ODE and the cell
 #: count ever run at
@@ -353,8 +353,10 @@ def reflection_coefficient(V: Potential, k_grid=None,
 
 def _sum_rule(V: Potential, tol: Tolerance | None = None
               ) -> tuple[float, RieszMean]:
-    """The sum-rule residual and the certified moment it subtracts."""
-    prop = _Propagator(V, SCATTER_TOL if tol is None else tol)
+    """The sum-rule residual and the certified moment it subtracts; tol
+    None is resolved here, to each of the two pipelines' own default."""
+    wave_tol, tol = (SCATTER_TOL, SOLVER_TOL) if tol is None else (tol, tol)
+    prop = _Propagator(V, wave_tol)
     integral = V.integrate()
     moment = riesz_mean(solve_line(V, tol), 0.5)
     return integral - 4.0 * moment.value - _log_integral(prop), moment
@@ -365,8 +367,8 @@ def sum_rule_residual(V: Potential, tol: Tolerance | None = None) -> float:
 
     The three terms come from independent pipelines (quadrature, eigenvalue
     solver, wave propagation); the residual is a cross-check of all three.
-    tol goes to both solve_line and the wave propagation; None means the
-    solver's default and SCATTER_TOL.
+    A stated tol goes to both solve_line and the wave propagation; None
+    stands for two defaults, SOLVER_TOL and SCATTER_TOL respectively.
     """
     return _sum_rule(V, tol)[0]
 

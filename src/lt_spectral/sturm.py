@@ -16,13 +16,16 @@ similarity), with the negative eigenvalues of the tridiagonal matrix
 extracted by LAPACK's Sturm-sequence bisection.  Values on grids h and h/2
 are Richardson-extrapolated; the extrapolation defect becomes the certified
 error radius.  The grids run from 2^LEVEL_MIN + 1 up to 2^LEVEL_MAX + 1
-nodes.  This covers all interval spectra (solve_interval), half views and
-potentials without pieces().  Their whole-line (and half-line Neumann)
-spectra are two interval spectra on a box where the discarded potential
-tail is negligible: each eigenvalue is sandwiched between the
-Neumann-truncated value (below) and the Dirichlet-truncated value (above).
-Unresolved states are counted once, from the Neumann side, since
-N_D <= N <= N_N.
+nodes.  Across jumps the radius carries a first-order allowance, so every
+tolerance, the default SOLVER_TOL or a stated one, is raised there by one
+rule to at least JUMP_TOL and 4 x that allowance on the finest grid.  This
+covers all interval spectra (solve_interval), half views and potentials
+without pieces().  Their whole-line (and half-line Neumann) spectra are
+two interval spectra on a box where the discarded potential tail is
+negligible: each eigenvalue is sandwiched between the Neumann-truncated
+value (below) and the Dirichlet-truncated value (above), each widened by a
+bound on sup V beyond the box.  Unresolved states are counted once, from
+the Neumann side, since N_D <= N <= N_N.
 
 A kinetic share -theta u'' is -u'' with V / theta, scaled by theta (see
 kyfan).
@@ -43,6 +46,8 @@ from .potential import HALF_LINE, Potential, piece_steps, truncation_point
 #: default certification target for eigenvalue radii; 1e-10 is not
 #: reachable with second-order differences on a 2^16 grid
 SOLVER_TOL = Tolerance(abs=1e-6, rel=1e-6)
+#: the least FD tolerance across a jump, whatever tolerance is stated
+JUMP_TOL = 1e-3
 
 #: grid ladder: the coarsest and finest grids have 2^level + 1 nodes
 LEVEL_MIN, LEVEL_MAX = 8, 16
@@ -129,21 +134,21 @@ def _jump_sum(V: Potential, a: float, b: float) -> float:
     return sum(d for x, d in V.jumps() if a <= x <= b)
 
 
-def _effective_tol(tol, jumps: float, length: float) -> Tolerance:
-    """Default tolerance, relaxed to the first-order floor for jumps."""
-    if tol is not None:
-        return tol
+def _effective_tol(tol: Tolerance, jumps: float, length: float) -> Tolerance:
+    """tol with abs raised to JUMP_TOL and 4 x the first-order floor when
+    there are jumps; a tolerance so raised passes through unchanged."""
     if jumps > 0.0:
         floor = 0.5 * jumps * length / 2**LEVEL_MAX
         if 4.0 * floor >= 1.0:
             raise SolverError(f"jump sum {jumps:.6g} gives a first-order "
                               f"floor {floor:.3e}; 4 x floor must be < 1")
-        return Tolerance(abs=max(1e-3, 4.0 * floor), rel=SOLVER_TOL.rel)
-    return SOLVER_TOL
+        return Tolerance(abs=max(tol.abs, JUMP_TOL, 4.0 * floor),
+                         rel=tol.rel)
+    return tol
 
 
 def solve_interval(V: Potential, interval, bc="neumann",
-                   tol: Tolerance | None = None) -> Spectrum:
+                   tol: Tolerance = SOLVER_TOL) -> Spectrum:
     """All negative eigenvalues of -u'' - V u on a finite interval.
 
     bc is "neumann", "dirichlet", or a (left, right) pair.  Values above
@@ -325,7 +330,7 @@ def _solve_exact(steps, half: bool, tol: Tolerance) -> Spectrum:
     return Spectrum(tuple(vals), tuple(rads), near, eps)
 
 
-def solve_line(V: Potential, tol: Tolerance | None = None) -> Spectrum:
+def solve_line(V: Potential, tol: Tolerance = SOLVER_TOL) -> Spectrum:
     """Negative spectrum on the whole line (or Neumann half-line).
 
     A piecewise-constant V on either line is solved exactly by shooting
@@ -339,9 +344,8 @@ def solve_line(V: Potential, tol: Tolerance | None = None) -> Spectrum:
     half = V.domain == HALF_LINE
     steps = _line_steps(V)
     if steps is not None:
-        return _solve_exact(steps, half,
-                            tol if tol is not None else SOLVER_TOL)
-    X = _box(V, tol if tol is not None else SOLVER_TOL)
+        return _solve_exact(steps, half, tol)
+    X = _box(V, tol)
     a = 0.0 if half else -X
     tol = _effective_tol(tol, _jump_sum(V, a, X), X - a)
     # the half-line keeps its physical Neumann end at 0; only the
@@ -353,7 +357,7 @@ def solve_line(V: Potential, tol: Tolerance | None = None) -> Spectrum:
     vals, rads = [], []
     bound = lower.threshold
     for i, (e, r) in enumerate(zip(lower.eigenvalues, lower.radii)):
-        lo_i = e - r
+        lo_i = e - r - tail
         if i < len(upper):
             up_i = upper.eigenvalues[i] + upper.radii[i] + tail
             mid = 0.5 * (lo_i + up_i)

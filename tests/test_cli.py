@@ -187,7 +187,7 @@ class TestScatter:
         assert len(out.strip().splitlines()) >= 401
 
 
-def _fd_solve_line(V, tol=None):
+def _fd_solve_line(V, tol=sturm.SOLVER_TOL):
     return sturm.solve_line(FDOnly(V), tol)
 
 
@@ -212,12 +212,14 @@ class TestSumRule:
 
     def test_tol_reaches_solver(self, capsys, monkeypatch):
         # on the FD path the solver tolerance sets the moment's radius, so
-        # --tol must reach solve_line, as it does for certify
+        # --tol must reach solve_line, as it does for certify; both lie
+        # above the box's jump tolerance (8.86e-3), which a smaller --tol
+        # is raised to
         monkeypatch.setattr(scattering, "solve_line", _fd_solve_line)
         V = random_piecewise(2)
         _, out = run(capsys, "sumrule", "--seed", "2")
         budgets = {json.loads(out)["budget"]}
-        for t in (1e-2, 5e-3):
+        for t in (1e-2, 2e-2):
             _, out = run(capsys, "sumrule", "--seed", "2", "--tol", str(t))
             spec = _fd_solve_line(V, Tolerance(abs=t, rel=t))
             expected = 4.0 * sturm.riesz_mean(spec, 0.5).error + 1e-6
@@ -254,6 +256,28 @@ class TestSumRule:
         assert doc["budget"] == pytest.approx(0.4 + 1e-6)
 
 
+_SAMPLED = {"family": "sampled", "params": {"grid": [-1, 0, 0.5, 2],
+                                           "values": [0, 3, 1, 0.5]}}
+
+
+class TestStatedDefaultTolerance:
+    @pytest.mark.parametrize("command", ["certify", "sumrule", "kyfan"])
+    @pytest.mark.parametrize("source", ["seed", "sampled"])
+    def test_stated_default_is_the_default(self, capsys, tmp_path, command,
+                                           source):
+        # the documented default, stated, is raised across jumps as the
+        # default is, rather than exhausting the grid budget
+        if source == "seed":
+            argv = [command, "--seed", "1"]
+        else:
+            path = tmp_path / "sampled.json"
+            path.write_text(json.dumps(_SAMPLED))
+            argv = [command, "--potential", str(path)]
+        code, out = run(capsys, *argv)
+        assert code == EXIT_PASS
+        assert run(capsys, *argv, "--tol", "1e-6") == (code, out)
+
+
 class TestKyfan:
     def test_even_split(self, capsys, well_file):
         code, out = run(capsys, "kyfan", "--potential", well_file)
@@ -263,6 +287,10 @@ class TestKyfan:
         assert len(doc["margins"]) == 6
         assert all(m >= 0.0 for m in doc["margins"])
         assert doc["factor0"] == doc["factor1"]
+
+
+_HALF_WELL = {"family": "square_well", "params": {"v": 1, "a": -2, "b": 2},
+              "domain": "half_line"}
 
 
 class TestUsageErrors:
@@ -326,6 +354,36 @@ class TestUsageErrors:
                      "params": {"amplitude": 3, "widht": 5}}),
         ("certify", {"family": "gaussian", "params": {"amplitude": 3},
                      "domian": "half_line"}),
+        # a stated domain must be the one the potential built lives on: a
+        # wrapper's is the one it makes of its inner potential's, a sum's
+        # the one its terms share
+        ("certify", {"family": "scaled",
+                     "params": {"alpha": 2, "inner": {
+                         "family": "gaussian", "params": {"amplitude": 1}}},
+                     "domain": "half_line"}),
+        ("certify", {"family": "half_view",
+                     "params": {"side": 1, "inner": {"family": "zero"}},
+                     "domain": "full_line"}),
+        ("certify", {"family": "sum", "params": {"terms": [_HALF_WELL]},
+                     "domain": "full_line"}),
+        ("certify", {"family": "sum", "params": {"terms": [
+            {"family": "gaussian", "params": {"amplitude": 1}},
+            _HALF_WELL]}}),
+        # that sum of one half-line term loads on the half line
+        ("sumrule", {"family": "sum", "params": {"terms": [_HALF_WELL]}}),
+        # json reads NaN, Infinity, 1e400 (as inf) and any integer
+        ("scatter", {"family": "square_well",
+                     "params": {"v": math.nan, "a": 0, "b": 1}}),
+        ("scatter", {"family": "piecewise_constant",
+                     "params": {"breakpoints": [0, 1], "values": [math.nan]}}),
+        ("sumrule", {"family": "sampled",
+                     "params": {"grid": [0, 1], "values": [1, math.inf]}}),
+        ("scatter", {"family": "sampled",
+                     "params": {"grid": [0, 1], "values": [1, math.inf]}}),
+        ("kyfan", {"family": "sampled",
+                   "params": {"grid": [0, 1], "values": [1, math.inf]}}),
+        ("certify", {"family": "square_well",
+                     "params": {"v": 1, "a": 0, "b": 10**400}}),
     ])
     def test_ignored_domain_or_key_is_a_usage_error(self, tmp_path, capsys,
                                                    command, doc):

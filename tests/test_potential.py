@@ -493,12 +493,43 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match=key):
             pot.from_json_dict(doc)
 
+    def test_sum_lives_on_its_terms_domain(self):
+        well = {"family": "square_well", "params": {"v": 1, "a": -2, "b": 2},
+                "domain": "half_line"}
+        V = pot.from_json_dict({"family": "sum", "params": {"terms": [well]}})
+        assert V.domain == pot.HALF_LINE
+        assert V.integrate() == 2.0
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"family": "square_well", "params": {"v": math.nan, "a": 0, "b": 1}},
+         "v"),
+        ({"family": "piecewise_constant",
+          "params": {"breakpoints": [0, 1], "values": [math.nan]}}, "values"),
+        ({"family": "sampled",
+          "params": {"grid": [0, math.inf], "values": [1, 1]}}, "grid"),
+        ({"family": "scaled",
+          "params": {"alpha": -math.inf, "inner": {"family": "zero"}}},
+         "alpha"),
+        # an integer too large for a float, which float() cannot convert
+        ({"family": "square_well", "params": {"v": 1, "a": 0, "b": 10**400}},
+         "b"),
+    ])
+    def test_non_finite_numbers_rejected(self, doc, key):
+        # json reads NaN, Infinity, 1e400 (as inf) and integers of any size
+        with pytest.raises(ValueError, match=f"^{key}: .* not a finite float"):
+            pot.from_json_dict(doc)
+
 
 class TestValidation:
     @pytest.mark.parametrize("domain", [[-1.0, 2.0], (0.0, 1.0)])
     def test_only_the_line_and_half_line(self, domain):
         with pytest.raises(ValueError, match="malformed domain"):
             pot.Gaussian(1.0, domain=domain)
+
+    def test_sum_terms_share_a_domain(self):
+        with pytest.raises(ValueError, match="share one domain"):
+            pot.Sum([pot.Gaussian(1.0),
+                     pot.SquareWell(1.0, -2.0, 2.0, domain="half_line")])
 
     def test_square_well_orientation(self):
         with pytest.raises(ValueError):

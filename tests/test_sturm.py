@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lt_spectral import sturm
 from lt_spectral.cli import random_piecewise
 from lt_spectral.kyfan import _solve_share
 from lt_spectral.numerics import InvariantError, Tolerance
@@ -82,15 +83,11 @@ class TestSampledContainment:
     @pytest.mark.parametrize("shift", np.linspace(-0.37, 0.41, 10))
     def test_plateau_contains_square_well_level(self, shift):
         V = Sampled([shift - 0.5, shift + 0.5], [3.0, 3.0])
-        # 2e-4 is below the first-order jump allowance on the finest grid
-        # (1.0e-3), so the solver may refuse; it must not return a radius
-        # that misses the level
-        try:
-            spec = solve_line(V, tol=Tolerance(abs=2e-4, rel=2e-4))
-        except SolverError:
-            pass
-        else:
-            _check_against(spec, self.LEVEL, tol=2e-4)
+        # 2e-4 lies below the jump tolerance (JUMP_TOL = 1e-3), so the
+        # solver raises it to that instead of refusing; the radius it
+        # returns must not miss the level
+        spec = solve_line(V, tol=Tolerance(abs=2e-4, rel=2e-4))
+        _check_against(spec, self.LEVEL, tol=2e-4)
         _check_against(solve_line(V), self.LEVEL, tol=1e-2)
 
 
@@ -289,7 +286,7 @@ class TestSolverBehavior:
         # kyfan solves a kinetic share.  For V = 6 sech^2 and theta = 1/2,
         # V/theta = 12 sech^2 is Poschl-Teller nu = 3 with levels -9, -4, -1
         theta = 0.5
-        spec = _solve_share(PoschlTeller(2.0), theta, None)
+        spec = _solve_share(PoschlTeller(2.0), theta, SOLVER_TOL)
         exact = [theta * e for e in poschl_teller_levels(3.0)]
         assert len(spec) == len(exact)
         for e, ex in zip(spec.eigenvalues, exact):
@@ -313,6 +310,27 @@ class TestSolverBehavior:
         mix = Sum([Gaussian(1.0), SquareWell(1.0, 5.0, 6.0)])
         assert solve_interval(mix, (-3.0, 3.0)) == \
             solve_interval(Gaussian(1.0), (-3.0, 3.0))
+
+    def test_stated_tolerance_raised_across_jumps(self):
+        # a tolerance below the jump tolerance means that tolerance, so a
+        # stated 1e-8 solves as the default does instead of refusing
+        V = SquareWell(2.0, -1.0, 1.0)
+        assert solve_interval(V, (-3.0, 3.0), tol=Tolerance(1e-8, 1e-8)) \
+            == solve_interval(V, (-3.0, 3.0))
+
+    def test_tail_allowance_on_both_sides(self, monkeypatch):
+        # cutting V >= 0 off outside the box raises every eigenvalue, so
+        # the Neumann value may lie above the true one by sup V beyond X:
+        # the lower end of each radius must give way by that allowance
+        V = Gaussian(1.5, width=2.0)
+        monkeypatch.setattr(sturm, "_tail_sup", lambda V, X: 0.0)
+        base = solve_line(V)
+        monkeypatch.setattr(sturm, "_tail_sup", lambda V, X: 1e-3)
+        wide = solve_line(V)
+        assert len(wide) == len(base) > 0
+        for e0, r0, e1, r1 in zip(base.eigenvalues, base.radii,
+                                  wide.eigenvalues, wide.radii):
+            assert (e0 - r0) - (e1 - r1) >= 1e-3 - 1e-12
 
     def test_jump_floor_beyond_any_tolerance(self):
         # jumps of 2e4 over a length 2000 put the first-order floor near
