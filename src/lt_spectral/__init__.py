@@ -19,9 +19,8 @@ from .potential import (Gaussian, PiecewiseConstant, PoschlTeller, Potential,
 from .scattering import (ScatteringData, ScatteringError,
                          reflection_coefficient, sum_rule_residual,
                          theorem2_check)
-from .sturm import (RieszMean, SolverError, Spectrum, bs_interval_bound,
-                    bs_line_ground_bound, riesz_mean,
-                    sobolev_pointwise_check, solve_interval, solve_line)
+from .sturm import (RieszMean, SolverError, Spectrum, riesz_mean,
+                    solve_interval, solve_line)
 
 __version__ = "1.0.0"
 
@@ -31,13 +30,12 @@ __all__ = [
     "PiecewiseConstant", "PoschlTeller", "Potential", "RieszMean", "Sampled",
     "ScatteringData", "ScatteringError", "SolverError", "Spectrum",
     "Splitting", "SquareWell", "Sum", "Theorem1Certificate", "Tolerance",
-    "VARSIGMA_3", "Zero", "bs_interval_bound", "bs_line_ground_bound",
-    "build_interleaving", "build_partition", "certify_theorem1",
-    "classical_constant", "constants_row", "crossover", "density_constants",
-    "doublestar_constant", "find_root", "from_json", "from_json_dict",
-    "ggm_constant", "integrate_de", "interval_ground_bounds", "load",
-    "lt_constant", "minimize_1d", "one_state_constant",
-    "reflection_coefficient", "riesz_mean", "sobolev_pointwise_check",
+    "VARSIGMA_3", "Zero", "build_interleaving", "build_partition",
+    "certify_theorem1", "classical_constant", "constants_row", "crossover",
+    "density_constants", "doublestar_constant", "find_root", "from_json",
+    "from_json_dict", "ggm_constant", "integrate_de",
+    "interval_ground_bounds", "load", "lt_constant", "minimize_1d",
+    "one_state_constant", "reflection_coefficient", "riesz_mean",
     "solve_interval", "solve_line", "split_indices", "star_constant",
     "sum_rule_residual", "theorem2_check", "theta_fn", "theta_weight",
     "varsigma", "verify_splitting",

@@ -238,16 +238,6 @@ class Theorem1Certificate:
         }
 
 
-def raw_moment_constant(gamma: float) -> float:
-    """Diagnostic constant varsigma(3)^(2 gamma) / 3^(gamma + 1/2).
-
-    The bracketing argument applied directly at exponent gamma gives
-    Sigma|E|^gamma <= this * int V^(gamma + 1/2); it is far from sharp and
-    is exposed for comparison only.
-    """
-    return VARSIGMA_3 ** (2.0 * gamma) / 3.0 ** (gamma + 0.5)
-
-
 def _bracket_side(V: Potential, tol) -> tuple[Partition, float, float]:
     """Partition a half-line potential and sum the lambda_1 upper data."""
     part = build_partition(V)

@@ -668,8 +668,18 @@ def _check_finite(obj, key="document"):
 def from_json_dict(doc: dict) -> Potential:
     """Build a potential from its JSON document, the one door for outside
     input: any malformed document raises ValueError, an unknown key in it
-    or in its params, a non-finite number and a stated domain that the
-    potential built does not have included."""
+    or in its params, a non-finite number, a stated domain that the
+    potential built does not have and a total mass int |V| that underflows
+    included."""
+    V = _from_doc(doc)
+    mass = sum(part.integrate() for part in V.sign_split())
+    if 0.0 < mass < sys.float_info.min:
+        raise ValueError(f"int |V| = {mass:.3g} underflows: it is below "
+                         f"the least normal float {sys.float_info.min:.3g}")
+    return V
+
+
+def _from_doc(doc: dict) -> Potential:
     _check_finite(doc)
     params = doc.get("params", {}) if isinstance(doc, dict) else None
     if not isinstance(params, dict):
@@ -692,14 +702,14 @@ def _build(family, params: dict, domain) -> Potential:
         if family in _FAMILIES:
             return _FAMILIES[family](**params, domain=domain)
         if family == "sum":
-            terms = [from_json_dict(t) for t in params["terms"]]
+            terms = [_from_doc(t) for t in params["terms"]]
             return Sum(**{**params, "terms": terms})
         if family in _WRAPPERS:
             key = _WRAPPERS[family]
             if set(params) != {"inner", key}:
                 raise ValueError(f"{family} takes inner and {key}, "
                                  f"not {sorted(params)}")
-            return getattr(from_json_dict(params["inner"]), family)(
+            return getattr(_from_doc(params["inner"]), family)(
                 params[key])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{family}: bad or missing parameter {exc}") from None

@@ -16,16 +16,22 @@ similarity), with the negative eigenvalues of the tridiagonal matrix
 extracted by LAPACK's Sturm-sequence bisection.  Values on grids h and h/2
 are Richardson-extrapolated; the extrapolation defect becomes the certified
 error radius.  The grids run from 2^LEVEL_MIN + 1 up to 2^LEVEL_MAX + 1
-nodes.  Across jumps the radius carries a first-order allowance, so every
-tolerance, the default SOLVER_TOL or a stated one, is raised there by one
-rule to at least JUMP_TOL and 4 x that allowance on the finest grid.  This
-covers all interval spectra (solve_interval), half views and potentials
-without pieces().  Their whole-line (and half-line Neumann) spectra are
-two interval spectra on a box where the discarded potential tail is
-negligible: each eigenvalue is sandwiched between the Neumann-truncated
-value (below) and the Dirichlet-truncated value (above), each widened by a
-bound on sup V beyond the box.  Unresolved states are counted once, from
-the Neumann side, since N_D <= N <= N_N.
+nodes.  Without jumps, where the raw error is c2 h^2 + c4 h^4 + ..., a
+second step on four grids is tried when the first falls short; its defect
+is the radius only if every resolved eigenvalue passes an order check
+(_ORDER_WINDOW).  It passes on the truncation boxes of smooth whole-line
+V: the Poschl-Teller wells nu = 2 and 3 stop at 2^11 + 1 nodes instead of
+2^16 + 1.  A kink or a Neumann end where V' != 0 fails it and keeps the
+first step.  Across jumps the radius carries a first-order allowance, so
+every tolerance, the default SOLVER_TOL or a stated one, is raised there
+by one rule to at least JUMP_TOL and 4 x that allowance on the finest
+grid.  This covers all interval spectra (solve_interval), half views and
+potentials without pieces().  Their whole-line (and half-line Neumann)
+spectra are two interval spectra on a box where the discarded potential
+tail is negligible: each eigenvalue is sandwiched between the
+Neumann-truncated value (below) and the Dirichlet-truncated value (above),
+each widened by a bound on sup V beyond the box.  Unresolved states are
+counted once, from the Neumann side, since N_D <= N <= N_N.
 
 A kinetic share -theta u'' is -u'' with V / theta, scaled by theta (see
 kyfan).
@@ -51,6 +57,10 @@ JUMP_TOL = 1e-3
 
 #: grid ladder: the coarsest and finest grids have 2^level + 1 nodes
 LEVEL_MIN, LEVEL_MAX = 8, 16
+#: the second Richardson step is taken only where successive differences of
+#: once-extrapolated values shrink by a factor near 2^4, the h^4 order it
+#: removes (an h^3 term gives 8, a kink a negative ratio)
+_ORDER_WINDOW = (12.0, 20.0)
 
 
 class SolverError(NumericsError):
@@ -129,6 +139,34 @@ def _negative_eigs(d, e, cutoff=0.0):
     return np.sort(vals)
 
 
+def _second_step(ladder, d, e):
+    """Second Richardson step on the raw eigenvalues of four levels.
+
+    For the eigenvalues all four levels share, R1 = (4 E_j - E_{j-1}) / 3
+    on three pairs of levels, and the value is R2 = (16 R1_k - R1_{k-1}) /
+    15.  Its radius is |R1_k - R1_{k-1}| / 15 plus 4 ulp ||T||_1 of the
+    finest matrix (d, e), the eigensolver's own tolerance.  Returns
+    (values, radii, ordered); ordered marks the eigenvalues that pass the
+    order check, the only ones the radius certifies.
+    """
+    n = min(len(level) for level in ladder)
+    E = np.array([level[:n] for level in ladder])
+    R1 = (4.0 * E[1:] - E[:-1]) / 3.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (R1[0] - R1[1]) / (R1[1] - R1[2])
+    lo, hi = _ORDER_WINDOW
+    # max|d| + 2 max|e| bounds the largest column sum of T from above
+    norm = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e)))
+    vals = (16.0 * R1[2] - R1[1]) / 15.0
+    rads = np.abs(R1[2] - R1[1]) / 15.0 + 4.0 * np.finfo(float).eps * norm
+    return vals, rads, (ratio >= lo) & (ratio <= hi)
+
+
+def _certified(vals, rads, tol: Tolerance) -> bool:
+    """Every radius meets tol.abs and leaves the sign of its value certain."""
+    return bool(np.all(rads <= tol.abs)) and bool(np.all(rads < np.abs(vals)))
+
+
 def _jump_sum(V: Potential, a: float, b: float) -> float:
     """Sum of the sizes of V's jumps in the closed interval [a, b]."""
     return sum(d for x, d in V.jumps() if a <= x <= b)
@@ -162,10 +200,13 @@ def solve_interval(V: Potential, interval, bc="neumann",
     pair = (bc, bc) if isinstance(bc, str) else tuple(bc)
     threshold = -10.0 * tol.abs  # eigenvalues above this are unresolvable
     k = LEVEL_MIN
-    coarse = _negative_eigs(*_tridiag(V, a, b, 2**k + 1, pair))
+    # raw eigenvalues of the last four levels, coarsest first
+    ladder = [_negative_eigs(*_tridiag(V, a, b, 2**k + 1, pair))]
     while True:
         k += 1
-        fine = _negative_eigs(*_tridiag(V, a, b, 2**k + 1, pair))
+        d, e = _tridiag(V, a, b, 2**k + 1, pair)
+        ladder = ladder[-3:] + [_negative_eigs(d, e)]
+        coarse, fine = ladder[-2:]
         m = min(len(coarse), len(fine))
         vals = (4.0 * fine[:m] - coarse[:m]) / 3.0
         rads = np.abs(fine[:m] - coarse[:m]) / 3.0
@@ -176,8 +217,19 @@ def solve_interval(V: Potential, interval, bc="neumann",
             rads = rads + 0.5 * jumps * (b - a) / 2**k
         keep = vals < threshold
         near = int(np.sum(~keep)) + max(len(fine), len(coarse)) - m
-        ok = bool(np.all(rads[keep] <= tol.abs)) \
-            and bool(np.all(rads[keep] < np.abs(vals[keep])))
+        ok = _certified(vals[keep], rads[keep], tol)
+        if not ok and jumps == 0.0 and len(ladder) == 4:
+            # the second step needs every resolved value to pass the order
+            # check; unresolved values that pass it take it too, in the
+            # near-threshold bound
+            v2, r2, ordered = _second_step(ladder, d, e)
+            n = len(v2)
+            if np.all(ordered[keep[:n]]) and not np.any(keep[n:]):
+                idx = np.flatnonzero(ordered)
+                v, r = vals.copy(), rads.copy()
+                v[idx], r[idx] = v2[idx], r2[idx]
+                if _certified(v[keep], r[keep], tol):
+                    vals, rads, ok = v, r, True
         if ok or k >= LEVEL_MAX:
             if not ok:
                 raise SolverError(
@@ -192,7 +244,6 @@ def solve_interval(V: Potential, interval, bc="neumann",
                     if len(extra):
                         bound = max(bound, 2.0 * float(np.max(np.abs(extra))))
             return Spectrum(tuple(vals[keep]), tuple(rads[keep]), near, bound)
-        coarse = fine
 
 
 def _box(V: Potential, tol: Tolerance) -> float:
@@ -381,42 +432,3 @@ def riesz_mean(spec: Spectrum, gamma: float) -> RieszMean:
     # unresolved near-threshold states contribute at most threshold^gamma
     error += spec.near_threshold * spec.threshold**gamma
     return RieszMean(value, error)
-
-
-def bs_interval_bound(V: Potential, interval, E: float) -> float:
-    """Birman-Schwinger count bound coth^2(lambda l)/lambda^2 (int V)^2
-    for the Neumann interval problem, lambda = sqrt(|E|)."""
-    if E >= 0:
-        raise ValueError("E must be negative")
-    a, b = float(interval[0]), float(interval[1])
-    lam = math.sqrt(-E)
-    mass = V.integrate(a, b)
-    if mass == 0.0:
-        return 0.0
-    return (mass / (lam * math.tanh(lam * (b - a)))) ** 2
-
-
-def bs_line_ground_bound(V: Potential) -> float:
-    """Upper bound (1/2) int V on sqrt(|E_1|) for the whole-line operator."""
-    return 0.5 * V.integrate()
-
-
-def sobolev_pointwise_check(grid, values) -> tuple[float, float]:
-    """Check sup|u|^2 <= (l/3) int |u'|^2 for a mean-zero piecewise-linear u.
-
-    The mean of the interpolant is subtracted first; returns (lhs, rhs),
-    both evaluated exactly for the piecewise-linear function.
-    """
-    x = np.asarray(grid, dtype=float)
-    u = np.asarray(values, dtype=float)
-    if len(x) < 3:
-        raise ValueError("need at least 3 grid points")
-    if np.any(np.diff(x) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    length = x[-1] - x[0]
-    mean = np.trapezoid(u, x) / length
-    u = u - mean
-    lhs = float(np.max(np.abs(u)) ** 2)
-    slopes = np.diff(u) / np.diff(x)
-    rhs = float(length / 3.0 * np.sum(slopes**2 * np.diff(x)))
-    return lhs, rhs

@@ -4,6 +4,9 @@ Nothing here shares code paths with the library: eigenvalues come from
 Prüfer-angle shooting or transcendental closed forms, reflection amplitudes
 from textbook closed forms or a linear solve of the plane-wave matching.
 Agreement between these and the library is the point of the comparisons.
+The count and ground-state bounds, the Sobolev check and the raw moment
+constant at the end are textbook inequalities the tests hold the solvers
+to; the library does not use them.
 """
 
 import cmath
@@ -12,6 +15,8 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+
+from lt_spectral.constants import VARSIGMA_3
 
 
 def prufer_angle(V, a, b, E, bc_left="neumann"):
@@ -183,3 +188,51 @@ def theta_inner_inf(s, p0, p1, dps=20):
                     fd = g(d)
             best = min(best, fc, fd)
         return +best
+
+
+def raw_moment_constant(gamma: float) -> float:
+    """Diagnostic constant varsigma(3)^(2 gamma) / 3^(gamma + 1/2).
+
+    The bracketing argument applied directly at exponent gamma gives
+    Sigma|E|^gamma <= this * int V^(gamma + 1/2); it is far from sharp.
+    """
+    return VARSIGMA_3 ** (2.0 * gamma) / 3.0 ** (gamma + 0.5)
+
+
+def bs_interval_bound(V, interval, E: float) -> float:
+    """Birman-Schwinger count bound coth^2(lambda l)/lambda^2 (int V)^2
+    for the Neumann interval problem, lambda = sqrt(|E|)."""
+    if E >= 0:
+        raise ValueError("E must be negative")
+    a, b = float(interval[0]), float(interval[1])
+    lam = math.sqrt(-E)
+    mass = V.integrate(a, b)
+    if mass == 0.0:
+        return 0.0
+    return (mass / (lam * math.tanh(lam * (b - a)))) ** 2
+
+
+def bs_line_ground_bound(V) -> float:
+    """Upper bound (1/2) int V on sqrt(|E_1|) for the whole-line operator."""
+    return 0.5 * V.integrate()
+
+
+def sobolev_pointwise_check(grid, values) -> tuple[float, float]:
+    """Check sup|u|^2 <= (l/3) int |u'|^2 for a mean-zero piecewise-linear u.
+
+    The mean of the interpolant is subtracted first; returns (lhs, rhs),
+    both evaluated exactly for the piecewise-linear function.
+    """
+    x = np.asarray(grid, dtype=float)
+    u = np.asarray(values, dtype=float)
+    if len(x) < 3:
+        raise ValueError("need at least 3 grid points")
+    if np.any(np.diff(x) <= 0):
+        raise ValueError("grid must be strictly increasing")
+    length = x[-1] - x[0]
+    mean = np.trapezoid(u, x) / length
+    u = u - mean
+    lhs = float(np.max(np.abs(u)) ** 2)
+    slopes = np.diff(u) / np.diff(x)
+    rhs = float(length / 3.0 * np.sum(slopes**2 * np.diff(x)))
+    return lhs, rhs

@@ -6,14 +6,15 @@ from lt_spectral import bracketing
 from lt_spectral.bracketing import (LOWER_FACTOR, PARTITION_RTOL,
                                     UPPER_FACTOR, BracketingError, Partition,
                                     Theorem1Certificate, build_partition,
-                                    certify_theorem1, interval_ground_bounds,
-                                    raw_moment_constant)
+                                    certify_theorem1, interval_ground_bounds)
 from lt_spectral.cli import random_piecewise
 from lt_spectral.constants import VARSIGMA_3
 from lt_spectral.numerics import InvariantError
 from lt_spectral.potential import (Gaussian, PiecewiseConstant,
                                    PoschlTeller, SquareWell, Zero)
 from lt_spectral.sturm import solve_interval
+
+from oracles import raw_moment_constant
 
 
 class TestPartitionInvariants:

@@ -395,6 +395,50 @@ class TestUsageErrors:
         assert captured.out == ""
 
 
+class TestUnderflowingMass:
+    # int |V| = 1.8e-320 is subnormal: 3 / int V overflows in the partition
+    # and the FD ladder sees no well; the loader refuses the document
+    DOC = {"family": "gaussian", "params": {"amplitude": 1, "width": 1e-320}}
+
+    @pytest.mark.parametrize("command", ["certify", "sumrule"])
+    def test_usage_error(self, tmp_path, capsys, command):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(self.DOC))
+        assert main([command, "--potential", str(path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: int |V| = 1.77e-320")
+        assert captured.out == ""
+
+
+class TestSmoothRepros:
+    """Deep and wide smooth wells, whose raw FD defect missed the default
+    tolerance on 2^16 + 1 nodes; the second Richardson step certifies
+    them."""
+
+    PT = {"family": "poschl_teller", "params": {"nu": 6.2}}
+    DEEP = {"family": "gaussian", "params": {"amplitude": 50}}
+    WIDE = {"family": "gaussian", "params": {"amplitude": 1, "width": 100}}
+
+    def _run(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "smooth.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, command, "--potential", str(path))
+        assert code == EXIT_PASS
+        return json.loads(out)
+
+    def test_certify_contains_closed_form(self, tmp_path, capsys):
+        # levels -(6.2 - n)^2, n = 0 .. 6: sum sqrt|E| = 22.4
+        doc = self._run(tmp_path, capsys, "certify", self.PT)
+        assert abs(doc["sum_sqrt"] - 22.4) <= doc["sum_sqrt_error"]
+
+    @pytest.mark.parametrize("command, doc", [
+        ("sumrule", PT), ("certify", DEEP), ("sumrule", DEEP),
+        ("certify", WIDE)], ids=["nu6.2-sumrule", "deep-certify",
+                                  "deep-sumrule", "wide-certify"])
+    def test_exit_pass(self, tmp_path, capsys, command, doc):
+        self._run(tmp_path, capsys, command, doc)
+
+
 class TestNumericalFailures:
     @pytest.mark.parametrize("command, module, name, error", [
         ("certify", bracketing, "certify_theorem1", SolverError),

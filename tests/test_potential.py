@@ -519,6 +519,21 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match=f"^{key}: .* not a finite float"):
             pot.from_json_dict(doc)
 
+    def test_underflowing_mass_rejected(self):
+        # the check is on the whole document: a term's subnormal mass next
+        # to a normal one is harmless, and zero is no mass at all
+        for amplitude in (1, -1):
+            with pytest.raises(ValueError, match="underflows"):
+                pot.from_json_dict({"family": "gaussian", "params": {
+                    "amplitude": amplitude, "width": 1e-320}})
+        tiny = {"family": "gaussian",
+                "params": {"amplitude": 1, "width": 1e-320}}
+        one = {"family": "gaussian", "params": {"amplitude": 1}}
+        V = pot.from_json_dict({"family": "sum",
+                                "params": {"terms": [tiny, one]}})
+        assert V.integrate() == pytest.approx(math.sqrt(math.pi))
+        assert pot.from_json_dict({"family": "zero"}).integrate() == 0.0
+
 
 class TestValidation:
     @pytest.mark.parametrize("domain", [[-1.0, 2.0], (0.0, 1.0)])

@@ -10,14 +10,14 @@ from lt_spectral.numerics import InvariantError, Tolerance
 from lt_spectral.potential import (Gaussian, PiecewiseConstant, PoschlTeller,
                                    Sampled, SquareWell, Sum, Zero)
 from lt_spectral.sturm import (SOLVER_TOL, SolverError, Spectrum,
-                               _negative_eigs, _tridiag,
-                               bs_interval_bound, bs_line_ground_bound,
-                               riesz_mean, sobolev_pointwise_check,
+                               _negative_eigs, _tridiag, riesz_mean,
                                solve_interval, solve_line)
 
 from fd_path import FDOnly
-from oracles import (poschl_teller_levels, prufer_angle,
-                     prufer_neumann_levels, square_well_line_levels)
+from oracles import (bs_interval_bound, bs_line_ground_bound,
+                     poschl_teller_levels, prufer_angle,
+                     prufer_neumann_levels, sobolev_pointwise_check,
+                     square_well_line_levels)
 
 
 def _check_against(spec, exact, tol=1e-6):
@@ -147,6 +147,97 @@ class TestScalingCovariance:
         for e, es, r, rs in zip(base.eigenvalues, scaled.eigenvalues,
                                 base.radii, scaled.radii):
             assert abs(es - alpha**2 * e) <= alpha**2 * r + rs + 1e-9
+
+
+def _ladder(V, interval, bc, top):
+    """Raw FD eigenvalues of levels top - 3 .. top, the finest matrix and
+    the solver's resolved mask at the default tolerance."""
+    a, b = interval
+    levels = [_negative_eigs(*_tridiag(V, a, b, 2**k + 1, (bc, bc)))
+              for k in range(top - 3, top + 1)]
+    d, e = _tridiag(V, a, b, 2**top + 1, (bc, bc))
+    coarse, fine = levels[-2:]
+    m = min(len(coarse), len(fine))
+    keep = (4.0 * fine[:m] - coarse[:m]) / 3.0 < -10.0 * SOLVER_TOL.abs
+    return levels, d, e, keep
+
+
+class TestSecondStep:
+    """The second Richardson step, fed real four-level ladders: taken on
+    the boxes of smooth wells, refused where the raw error is not
+    c2 h^2 + c4 h^4 + ... (a kink, or a Neumann end where V' != 0)."""
+
+    HALF = (PoschlTeller(2.0, c=0.5, alpha=2.0).half_view(+1), (1.07, 6.0))
+
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 3.0, 6.2])
+    def test_accepted_on_whole_line_boxes(self, nu):
+        V = PoschlTeller(nu)
+        X = sturm._box(V, SOLVER_TOL)
+        tail = sturm._tail_sup(V, X)
+        ends = {}
+        for bc in ("neumann", "dirichlet"):
+            levels, d, e, keep = _ladder(V, (-X, X), bc, 11)
+            vals, rads, ordered = sturm._second_step(levels, d, e)
+            assert keep.any() and ordered[keep].all()
+            ends[bc] = (vals[keep], rads[keep])
+        # each closed-form level lies in its Neumann-Dirichlet sandwich
+        (vn, rn), (vd, rd) = ends["neumann"], ends["dirichlet"]
+        exact = poschl_teller_levels(nu)
+        assert len(vn) == len(exact)
+        for i, ex in enumerate(exact[:len(vd)]):
+            assert vn[i] - rn[i] - tail <= ex <= vd[i] + rd[i] + tail
+
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 3.0, 6.2])
+    def test_line_spectra_stop_early(self, monkeypatch, nu):
+        sizes = []
+
+        def spy(d, e, cutoff=0.0):
+            sizes.append(len(d))
+            return _negative_eigs(d, e, cutoff)
+
+        monkeypatch.setattr(sturm, "_negative_eigs", spy)
+        spec = solve_line(PoschlTeller(nu))
+        _check_against(spec, poschl_teller_levels(nu)[:len(spec)])
+        assert len(spec) + spec.near_threshold >= math.ceil(nu)
+        # the raw defect alone climbs to 2^16 + 1 nodes on nu = 2 and 3
+        assert max(sizes) <= 2**12 + 1
+
+    @pytest.mark.parametrize("top", [11, 12, 13])
+    def test_rejected_on_kinked_tent(self, top):
+        V = Sampled([-1.0, 0.0, 1.0], [0.0, 4.0, 0.0])
+        levels, d, e, keep = _ladder(V, (-3.0, 3.0), "neumann", top)
+        _, _, ordered = sturm._second_step(levels, d, e)
+        assert keep.any() and not ordered[keep].all()
+
+    def test_rejected_where_neumann_end_has_slope(self):
+        V, iv = self.HALF
+        levels, d, e, keep = _ladder(V, iv, "neumann", 11)
+        _, _, ordered = sturm._second_step(levels, d, e)
+        assert keep.any() and not ordered[keep].all()
+        spec = solve_interval(V, iv)
+        _check_against(spec, prufer_neumann_levels(V, *iv))
+
+    def test_not_tried_across_jumps(self, monkeypatch):
+        # this well's first-order jump allowance keeps the first step short
+        # of its tolerance until 2^15 + 1 nodes; a second step would drop
+        # that allowance from the radius
+        def refuse(*args):
+            raise AssertionError("second step tried across a jump")
+
+        monkeypatch.setattr(sturm, "_second_step", refuse)
+        spec = solve_interval(SquareWell(50.0, -1.0, 1.0), (-3.0, 3.0))
+        assert len(spec) > 0
+
+    def test_planted_fault_without_order_window(self, monkeypatch):
+        # the h^3 term at a sloped Neumann end gives ratios near 8; taken
+        # anyway, the second step's radius (1.72e-8 at 2049 nodes) misses
+        # the true error (1.86e-8)
+        V, iv = self.HALF
+        monkeypatch.setattr(sturm, "_ORDER_WINDOW", (-math.inf, math.inf))
+        spec = solve_interval(V, iv)
+        exact = prufer_neumann_levels(V, *iv)
+        assert len(spec) == len(exact) == 1
+        assert abs(spec.eigenvalues[0] - exact[0]) > spec.radii[0]
 
 
 class TestSturmCount:
