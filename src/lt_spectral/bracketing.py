@@ -178,7 +178,7 @@ def _bisect_to_value(g, lo: float, hi: float, x: float,
 
 
 def interval_ground_bounds(V: Potential, partition: Partition, k: int,
-                           tol: Tolerance = SOLVER_TOL):
+                           tol: float = SOLVER_TOL):
     """(lambda1, lower, upper) for partition interval k.
 
     lambda1 = sqrt(|E_1|) from the Neumann interval solve; lower and upper
@@ -268,7 +268,7 @@ def _bracket_side(V: Potential, tol) -> tuple[Partition, float, float]:
     return part, total, err
 
 
-def certify_theorem1(V: Potential, tol: Tolerance = SOLVER_TOL,
+def certify_theorem1(V: Potential, tol: float = SOLVER_TOL,
                      assume_even: bool = False) -> Theorem1Certificate:
     """Certified sandwich (1/4) int V <= Sigma sqrt|E_i| <= (varsigma(3)/3) int V.
 

@@ -7,6 +7,8 @@
 Commands that need a potential read the JSON format of the potential module;
 without --potential they fall back to a seeded random piecewise-constant
 well, so every command is runnable (and reproducible) out of the box.
+--tol, the eigenvalue solver's absolute tolerance, is taken by certify,
+sumrule and kyfan only; the wave pipeline runs at fixed tolerances.
 
 Exit codes: 0 pass, 1 a certified inequality failed, 2 numerical failure,
 64 usage error.
@@ -20,7 +22,7 @@ import math
 import sys
 
 from . import bracketing, constants, kyfan, potential, scattering, sturm
-from .numerics import NumericsError, Tolerance
+from .numerics import NumericsError
 
 EXIT_PASS = 0
 EXIT_INEQUALITY = 1
@@ -100,10 +102,12 @@ def _load_potential(args, domain_default="full_line"):
     return random_piecewise(args.seed, domain=domain_default)
 
 
-def _tol(args, default=sturm.SOLVER_TOL) -> Tolerance | None:
+def _tol(args) -> float:
     if args.tol is None:
-        return default
-    return Tolerance(abs=args.tol, rel=args.tol)
+        return sturm.SOLVER_TOL
+    if not 0.0 < args.tol < 1.0:
+        raise UsageError(f"--tol must lie in (0, 1), got {args.tol}")
+    return args.tol
 
 
 def _gamma_values(args) -> list[float]:
@@ -159,16 +163,14 @@ def cmd_partition(args) -> int:
 
 
 def cmd_scatter(args) -> int:
-    V = _load_potential(args)
-    tol = _tol(args, scattering.SCATTER_TOL)
-    data = scattering.reflection_coefficient(V, tol=tol)
+    data = scattering.reflection_coefficient(_load_potential(args))
     _emit(data.to_csv(), args.out)
     return EXIT_PASS
 
 
 def cmd_sumrule(args) -> int:
     V = _load_potential(args)
-    residual, moment = scattering._sum_rule(V, _tol(args, None))
+    residual, moment = scattering._sum_rule(V, _tol(args))
     # the moment enters four times; 1e-6 covers the log-integral quadrature
     budget = 4.0 * moment.error + 1e-6
     doc = {
@@ -209,6 +211,8 @@ _COMMANDS = {
     "kyfan": cmd_kyfan,
 }
 
+_TOL_COMMANDS = ("certify", "kyfan", "sumrule")  # their handlers read --tol
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="lt-spectral",
@@ -218,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--potential", help="potential JSON file")
     p.add_argument("--gamma", type=float, help="single moment exponent")
     p.add_argument("--gamma-grid", help="LO:HI:N moment exponent grid")
-    p.add_argument("--tol", type=float, help="absolute/relative tolerance")
+    p.add_argument("--tol", type=float, help="eigenvalue tolerance")
     p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
                    help="seed for generated potentials (default 0x5EED)")
     p.add_argument("--out", help="output file (default stdout)")
@@ -231,6 +235,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.gamma is not None and args.gamma_grid is not None:
             raise UsageError("--gamma and --gamma-grid are exclusive")
+        if args.tol is not None and args.command not in _TOL_COMMANDS:
+            raise UsageError("--tol is taken only by "
+                             + ", ".join(_TOL_COMMANDS))
         return _COMMANDS[args.command](args)
     except (UsageError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 from .constants import constants_row
-from .numerics import Tolerance
 from .potential import Potential
 from .sturm import SOLVER_TOL, Spectrum, riesz_mean, solve_line
 
@@ -115,7 +114,7 @@ def build_interleaving(spec0: Spectrum, spec1: Spectrum, N: int,
                                 tuple(l_idx))
 
 
-def _solve_share(V: Potential, share: float, tol: Tolerance) -> Spectrum:
+def _solve_share(V: Potential, share: float, tol: float) -> Spectrum:
     """Spectrum of -share*u'' - V u, realized by scaling the potential.
 
     Dividing the equation by share shows the eigenvalues are share times
@@ -137,7 +136,7 @@ def _moment_factor(p: float, share: float, N_factor: float):
 
 
 def verify_splitting(V: Potential, split: Splitting, k_max: int,
-                     tol: Tolerance = SOLVER_TOL) -> dict:
+                     tol: float = SOLVER_TOL) -> dict:
     """Check |E_k(H)| <= |a_k| + |b_k| for k <= k_max, radii folded in.
 
     This is the splitting inequality with eigenvalue magnitudes written out;

@@ -14,8 +14,10 @@ codes do the same; Ledoux, Van Daele and Vanden Berghe, "MATSLISE", ACM TOMS
 wavenumber served, since a staircase of width h reflects coherently near
 k = pi / h.  Adaptive Runge-Kutta only cross-checks that product once per
 log integral.  The log-transmission integral below is computed once per
-potential object and tolerance and then reused by reflection_coefficient,
-sum_rule_residual and theorem2_check.
+potential object and then reused by reflection_coefficient,
+sum_rule_residual and theorem2_check.  The wave pipeline takes no
+tolerance: its gates sit at 1e-6, its cells settle to 1e-8, and the
+Runge-Kutta cross-check solves at rtol 1e-10.
 
 The first trace identity ties the three independent pipelines together:
 
@@ -44,8 +46,8 @@ from .numerics import (InvariantError, NumericsError, Tolerance, piece_step,
 from .potential import FULL_LINE, Potential, piece_steps, truncation_point
 from .sturm import SOLVER_TOL, RieszMean, riesz_mean, solve_line
 
-#: default tolerance of the gates, and the loosest the ODE and the cell
-#: count ever run at
+#: tolerance of the wave pipeline: its gates sit at 100 SCATTER_TOL.abs,
+#: its cells settle to SCATTER_TOL.abs
 SCATTER_TOL = Tolerance(abs=1e-8, rel=1e-8)
 
 #: default k-grid limits (geometric) for sampled reflection data
@@ -78,7 +80,7 @@ class ScatteringData:
     log_integral = pi^(-1) int_R ln(1 - |R(k)|^2) dk, using the symmetry
     R(-k) = conj(R(k)) so the whole-line integral is twice the positive-k
     one.  It is computed by adaptive quadrature of the underlying solver,
-    not from the grid samples, once per potential object and tolerance.
+    not from the grid samples, once per potential object.
     """
 
     k_grid: tuple[float, ...]
@@ -130,15 +132,16 @@ def _transfer_exact(steps, k: float) -> tuple[float, float, float, float]:
     return a, b, c, d
 
 
-def _transfer_ode(V: Potential, X: float, k: float,
-                  tol: Tolerance) -> tuple[float, float, float, float]:
+def _transfer_ode(V: Potential, X: float,
+                  k: float) -> tuple[float, float, float, float]:
     def rhs(x, y):
         q = k * k + float(V.evaluate(x))
         return [y[1], -q * y[0], y[3], -q * y[2]]
 
+    # 100 times tighter than the cells: across the kinks of a Sampled V,
+    # DOP853 missed its own tolerance by a factor of 200
     sol = solve_ivp(rhs, (-X, X), [1.0, 0.0, 0.0, 1.0], method="DOP853",
-                    rtol=max(min(tol.rel, SCATTER_TOL.rel), 1e-12),
-                    atol=max(min(tol.abs, SCATTER_TOL.abs) * 1e-2, 1e-13))
+                    rtol=1e-10, atol=1e-12)
     if not sol.success:
         raise ScatteringError(f"wave propagation failed at k={k}")
     return tuple(sol.y[[0, 2, 1, 3], -1].tolist())
@@ -169,16 +172,15 @@ def _extrapolated(coarse, fine, k: float) -> np.ndarray:
     return (4.0 * _transfer_cells(fine, k) - _transfer_cells(coarse, k)) / 3.0
 
 
-def _cell_pair(V: Potential, X: float, tol: Tolerance, k_max: float):
+def _cell_pair(V: Potential, X: float, k_max: float):
     """(coarse, fine) cells of V on [-X, X] for the extrapolated product
     at wavenumbers up to k_max.
 
     The coarse cells start as uniform cells, at least CELLS_MIN of them
     and at most pi / (BRAGG_MARGIN k_max) wide, cut at the jumps inside.
     They are halved until the extrapolations of two successive halvings
-    agree, at K_CHECK and at k_max, within tol.abs of their largest entry,
-    tol.abs taken no looser than SCATTER_TOL and no tighter than 1e-12, as
-    _transfer_ode takes its rtol.
+    agree, at K_CHECK and at k_max, within SCATTER_TOL.abs of their largest
+    entry.
     """
     n = CELLS_MIN
     while math.pi * n / (2.0 * X) < BRAGG_MARGIN * k_max:
@@ -186,7 +188,6 @@ def _cell_pair(V: Potential, X: float, tol: Tolerance, k_max: float):
     if n > CELLS_MAX:
         raise ScatteringError(
             f"k up to {k_max} needs more than {CELLS_MAX} cells")
-    crit = max(min(tol.abs, SCATTER_TOL.abs), 1e-12)
     edges = np.union1d(np.linspace(-X, X, n + 1),
                        [x for x, _ in V.jumps() if -X < x < X])
     coarse, last = _cells(V, edges), None
@@ -195,7 +196,7 @@ def _cell_pair(V: Potential, X: float, tol: Tolerance, k_max: float):
         fine = _cells(V, edges)
         Ms = [_extrapolated(coarse, fine, k) for k in (K_CHECK, k_max)]
         if last is not None and all(
-                np.max(np.abs(M - L)) <= crit * np.max(np.abs(M))
+                np.max(np.abs(M - L)) <= SCATTER_TOL.abs * np.max(np.abs(M))
                 for M, L in zip(Ms, last)):
             return coarse, fine
         n, coarse, last = 2 * n, fine, Ms
@@ -210,17 +211,17 @@ class _Propagator:
     wavenumbers up to k_max.  Scattering is defined on the whole line
     only."""
 
-    def __init__(self, V: Potential, tol: Tolerance, k_max: float = K_MAX):
+    def __init__(self, V: Potential, k_max: float = K_MAX):
         if V.domain != FULL_LINE:
             raise ValueError("scattering requires a full-line potential")
         X = _scatter_box(V)
-        self.V, self.X, self.tol, self.k_max = V, X, tol, k_max
+        self.V, self.X, self.k_max = V, X, k_max
         pieces = V.pieces()
         self.steps = None if pieces is None else piece_steps(pieces, -X, X)
 
     @functools.cached_property
     def cells(self):
-        return _cell_pair(self.V, self.X, self.tol, self.k_max)
+        return _cell_pair(self.V, self.X, self.k_max)
 
     def matrix(self, k: float) -> tuple[float, float, float, float]:
         if self.steps is None:
@@ -232,9 +233,9 @@ def _reflection_at(prop: _Propagator, k: float):
     """(R, T, unitarity_defect) at one positive wavenumber."""
     if k <= 0.0:
         raise ValueError("wavenumbers must be positive")
-    (a, b, c, d), X, tol = prop.matrix(k), prop.X, prop.tol
+    (a, b, c, d), X = prop.matrix(k), prop.X
     det_err = abs(a * d - b * c - 1.0)
-    if det_err > 100.0 * tol.abs:
+    if det_err > 100.0 * SCATTER_TOL.abs:
         raise ScatteringError(
             f"transfer matrix determinant drifted by {det_err:.2e} at k={k}")
     ik, kkb = 1j * k, k * k * b
@@ -246,41 +247,36 @@ def _reflection_at(prop: _Propagator, k: float):
     R = -P10 / P11
     T = P00 + P01 * R
     defect = abs(1.0 - abs(R) ** 2 - abs(T) ** 2)
-    if defect > 100.0 * tol.abs:
+    if defect > 100.0 * SCATTER_TOL.abs:
         raise ScatteringError(f"unitarity defect {defect:.2e} at k={k}")
     return R, T, defect
 
 
-#: log integrals by potential, then by tolerance.  Keyed on identity, so
-#: that equal-valued potentials (a cell twin of a piece list, say) each get
-#: their own; weak, so that an entry dies with its potential.
+#: log integrals by potential.  Keyed on identity, so that equal-valued
+#: potentials (a cell twin of a piece list, say) each get their own; weak,
+#: so that an entry dies with its potential.
 _LOG_INTEGRALS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _log_integral(prop: _Propagator) -> float:
-    """_log_integral_uncached(prop), once per (prop.V, prop.tol).
+    """_log_integral_uncached(prop), once per prop.V.
 
     prop.X depends only on V, and the integral always runs on cells for
     K_MAX, so that the stored value does not depend on which call came
     first.  A failed computation stores nothing.
     """
-    by_tol = _LOG_INTEGRALS.setdefault(prop.V, {})
-    if prop.tol not in by_tol:
+    if prop.V not in _LOG_INTEGRALS:
         if prop.steps is None and prop.k_max != K_MAX:
-            prop = _Propagator(prop.V, prop.tol)
-        by_tol[prop.tol] = _log_integral_uncached(prop)
-    return by_tol[prop.tol]
+            prop = _Propagator(prop.V)
+        _LOG_INTEGRALS[prop.V] = _log_integral_uncached(prop)
+    return _LOG_INTEGRALS[prop.V]
 
 
 def _check_against_ode(prop: _Propagator, k: float) -> None:
     """The cell product at k against an independent Runge-Kutta solve."""
-    M, tol = np.array(prop.matrix(k)), prop.tol
-    # the solve runs 100 times tighter than the gate: across the kinks of a
-    # Sampled V, DOP853 missed its own tolerance by a factor of 200
-    ode = _transfer_ode(prop.V, prop.X, k,
-                        Tolerance(tol.abs * 1e-2, tol.rel * 1e-2))
-    err = np.max(np.abs(M - ode))
-    if err > 100.0 * tol.abs * np.max(np.abs(M)):
+    M = np.array(prop.matrix(k))
+    err = np.max(np.abs(M - _transfer_ode(prop.V, prop.X, k)))
+    if err > 100.0 * SCATTER_TOL.abs * np.max(np.abs(M)):
         raise ScatteringError(
             f"cell product and ODE differ by {err:.2e} at k={k}")
 
@@ -321,8 +317,7 @@ def _log_integral_uncached(prop: _Propagator) -> float:
     return (2.0 / math.pi) * (val - tail)
 
 
-def reflection_coefficient(V: Potential, k_grid=None,
-                           tol: Tolerance = SCATTER_TOL) -> ScatteringData:
+def reflection_coefficient(V: Potential, k_grid=None) -> ScatteringData:
     """Reflection data R(k) on a grid of positive wavenumbers.
 
     Non-compact potentials are truncated where the tail mass drops below
@@ -335,7 +330,7 @@ def reflection_coefficient(V: Potential, k_grid=None,
     if len(ks) == 0 or np.any(ks <= 0.0):
         raise ValueError("k_grid must contain positive wavenumbers")
     ks = np.sort(ks)
-    prop = _Propagator(V, tol, max(K_MAX, float(ks[-1])))
+    prop = _Propagator(V, max(K_MAX, float(ks[-1])))
     Rs = {k: _reflection_at(prop, k) for k in ks}
     extra = []
     for k1, k2 in zip(ks[:-1], ks[1:]):
@@ -351,30 +346,27 @@ def reflection_coefficient(V: Potential, k_grid=None,
         log_integral=_log_integral(prop))
 
 
-def _sum_rule(V: Potential, tol: Tolerance | None = None
+def _sum_rule(V: Potential, tol: float = SOLVER_TOL
               ) -> tuple[float, RieszMean]:
-    """The sum-rule residual and the certified moment it subtracts; tol
-    None is resolved here, to each of the two pipelines' own default."""
-    wave_tol, tol = (SCATTER_TOL, SOLVER_TOL) if tol is None else (tol, tol)
-    prop = _Propagator(V, wave_tol)
+    """The sum-rule residual and the certified moment it subtracts."""
+    prop = _Propagator(V)
     integral = V.integrate()
     moment = riesz_mean(solve_line(V, tol), 0.5)
     return integral - 4.0 * moment.value - _log_integral(prop), moment
 
 
-def sum_rule_residual(V: Potential, tol: Tolerance | None = None) -> float:
+def sum_rule_residual(V: Potential, tol: float = SOLVER_TOL) -> float:
     """int V - 4 Sigma sqrt|E_i| - pi^(-1) int ln(1-|R|^2) dk.
 
     The three terms come from independent pipelines (quadrature, eigenvalue
     solver, wave propagation); the residual is a cross-check of all three.
-    A stated tol goes to both solve_line and the wave propagation; None
-    stands for two defaults, SOLVER_TOL and SCATTER_TOL respectively.
+    tol goes to solve_line; the wave propagation runs at SCATTER_TOL.
     """
     return _sum_rule(V, tol)[0]
 
 
-def theorem2_check(V: Potential, L_half: float | None = None,
-                   tol: Tolerance = SCATTER_TOL) -> tuple[float, float]:
+def theorem2_check(V: Potential,
+                   L_half: float | None = None) -> tuple[float, float]:
     """(lhs, rhs) of the transmission bound; the contract is lhs <= rhs.
 
     lhs = pi^(-1) int |ln(1-|R|^2)| dk; rhs = int V_- + (4 L - 1) int V_+
@@ -382,7 +374,7 @@ def theorem2_check(V: Potential, L_half: float | None = None,
     """
     if L_half is None:
         L_half = VARSIGMA_3 / 3.0
-    lhs = -_log_integral(_Propagator(V, tol))
+    lhs = -_log_integral(_Propagator(V))
     plus, minus = V.sign_split()
     rhs = minus.integrate() + (4.0 * L_half - 1.0) * plus.integrate()
     return lhs, rhs

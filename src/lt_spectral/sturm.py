@@ -49,9 +49,9 @@ from .numerics import (InvariantError, NumericsError, Tolerance, find_root,
                        piece_step)
 from .potential import HALF_LINE, Potential, piece_steps, truncation_point
 
-#: default certification target for eigenvalue radii; 1e-10 is not
-#: reachable with second-order differences on a 2^16 grid
-SOLVER_TOL = Tolerance(abs=1e-6, rel=1e-6)
+#: default certification target for eigenvalue radii, absolute; 1e-10 is
+#: not reachable with second-order differences on a 2^16 grid
+SOLVER_TOL = 1e-6
 #: the least FD tolerance across a jump, whatever tolerance is stated
 JUMP_TOL = 1e-3
 
@@ -162,9 +162,9 @@ def _second_step(ladder, d, e):
     return vals, rads, (ratio >= lo) & (ratio <= hi)
 
 
-def _certified(vals, rads, tol: Tolerance) -> bool:
-    """Every radius meets tol.abs and leaves the sign of its value certain."""
-    return bool(np.all(rads <= tol.abs)) and bool(np.all(rads < np.abs(vals)))
+def _certified(vals, rads, tol: float) -> bool:
+    """Every radius meets tol and leaves the sign of its value certain."""
+    return bool(np.all(rads <= tol)) and bool(np.all(rads < np.abs(vals)))
 
 
 def _jump_sum(V: Potential, a: float, b: float) -> float:
@@ -172,25 +172,24 @@ def _jump_sum(V: Potential, a: float, b: float) -> float:
     return sum(d for x, d in V.jumps() if a <= x <= b)
 
 
-def _effective_tol(tol: Tolerance, jumps: float, length: float) -> Tolerance:
-    """tol with abs raised to JUMP_TOL and 4 x the first-order floor when
-    there are jumps; a tolerance so raised passes through unchanged."""
+def _effective_tol(tol: float, jumps: float, length: float) -> float:
+    """tol raised to JUMP_TOL and 4 x the first-order floor when there are
+    jumps; a tolerance so raised passes through unchanged."""
     if jumps > 0.0:
         floor = 0.5 * jumps * length / 2**LEVEL_MAX
         if 4.0 * floor >= 1.0:
             raise SolverError(f"jump sum {jumps:.6g} gives a first-order "
                               f"floor {floor:.3e}; 4 x floor must be < 1")
-        return Tolerance(abs=max(tol.abs, JUMP_TOL, 4.0 * floor),
-                         rel=tol.rel)
+        return max(tol, JUMP_TOL, 4.0 * floor)
     return tol
 
 
 def solve_interval(V: Potential, interval, bc="neumann",
-                   tol: Tolerance = SOLVER_TOL) -> Spectrum:
+                   tol: float = SOLVER_TOL) -> Spectrum:
     """All negative eigenvalues of -u'' - V u on a finite interval.
 
     bc is "neumann", "dirichlet", or a (left, right) pair.  Values above
-    -10 tol.abs are unresolvable and count as near-threshold candidates.
+    -10 tol are unresolvable and count as near-threshold candidates.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -198,7 +197,7 @@ def solve_interval(V: Potential, interval, bc="neumann",
     jumps = _jump_sum(V, a, b)
     tol = _effective_tol(tol, jumps, b - a)
     pair = (bc, bc) if isinstance(bc, str) else tuple(bc)
-    threshold = -10.0 * tol.abs  # eigenvalues above this are unresolvable
+    threshold = -10.0 * tol  # eigenvalues above this are unresolvable
     k = LEVEL_MIN
     # raw eigenvalues of the last four levels, coarsest first
     ladder = [_negative_eigs(*_tridiag(V, a, b, 2**k + 1, pair))]
@@ -235,7 +234,7 @@ def solve_interval(V: Potential, interval, bc="neumann",
                 raise SolverError(
                     f"grid budget exhausted: worst radius "
                     f"{float(np.max(rads[keep], initial=0.0)):.3e} "
-                    f"> tol {tol.abs:.1e}")
+                    f"> tol {tol:.1e}")
             bound = -threshold
             if near > 0:
                 excl = np.abs(vals[~keep]) + rads[~keep]
@@ -246,8 +245,8 @@ def solve_interval(V: Potential, interval, bc="neumann",
             return Spectrum(tuple(vals[keep]), tuple(rads[keep]), near, bound)
 
 
-def _box(V: Potential, tol: Tolerance) -> float:
-    tail_tol = max(tol.abs * 1e-2, 1e-15)
+def _box(V: Potential, tol: float) -> float:
+    tail_tol = max(tol * 1e-2, 1e-15)
     X = truncation_point(V, tail_tol)
     lo, hi = V.support()
     if math.isfinite(lo) and math.isfinite(hi):
@@ -333,17 +332,17 @@ EXACT_RTOL = 1e-12
 _ROOT_TOL = Tolerance(abs=1e-15, rel=1e-14)
 
 
-def _solve_exact(steps, half: bool, tol: Tolerance) -> Spectrum:
+def _solve_exact(steps, half: bool, tol: float) -> Spectrum:
     """Negative spectrum of a piecewise-constant V by exact shooting.
 
-    Eigenvalues below -eps, eps = 10 tol.abs, are isolated by bisection on
+    Eigenvalues below -eps, eps = 10 tol, are isolated by bisection on
     N(E) and found by Brent's method on g.  Each radius is the half-width
     of a bracket around the root on whose ends g was seen to change sign;
     eigenvalues closer than EXACT_RTOL share the bracket the counts put
     them in.  The N(0) - N(-eps) states in [-eps, 0) are near-threshold
     candidates with threshold eps.
     """
-    eps = 10.0 * tol.abs
+    eps = 10.0 * tol
 
     def count(E):
         return _shoot(steps, E, half)[0]
@@ -381,7 +380,7 @@ def _solve_exact(steps, half: bool, tol: Tolerance) -> Spectrum:
     return Spectrum(tuple(vals), tuple(rads), near, eps)
 
 
-def solve_line(V: Potential, tol: Tolerance = SOLVER_TOL) -> Spectrum:
+def solve_line(V: Potential, tol: float = SOLVER_TOL) -> Spectrum:
     """Negative spectrum on the whole line (or Neumann half-line).
 
     A piecewise-constant V on either line is solved exactly by shooting
@@ -413,7 +412,7 @@ def solve_line(V: Potential, tol: Tolerance = SOLVER_TOL) -> Spectrum:
             up_i = upper.eigenvalues[i] + upper.radii[i] + tail
             mid = 0.5 * (lo_i + up_i)
             rad = 0.5 * (up_i - lo_i)
-            if mid + rad < -10.0 * tol.abs:
+            if mid + rad < -10.0 * tol:
                 vals.append(mid)
                 rads.append(rad)
                 continue

@@ -234,6 +234,31 @@ class TestCertificate:
         json.dumps(d)  # serializable end to end
 
 
+#: the certificates the benchmark workloads build (random piece lists,
+#: centred square wells, Poschl-Teller wells (nu, alpha, c) and a Gaussian,
+#: whose ratios reach 0.321) and two shallow wells, where a single state
+#: nearly attains the constant (ratios 0.464 and 0.499)
+_SHARP_CASES = {
+    **{f"seed{seed}": random_piecewise(seed) for seed in range(1, 21)},
+    **{f"well{v}x{a}": SquareWell(v, -a, a)
+       for v, a in ((2.0, 1.0), (5.0, 0.5), (1.0, 2.0), (0.5, 0.5),
+                    (1.0, 0.05))},
+    **{f"pt{nu}": PoschlTeller(nu, c=c, alpha=alpha)
+       for nu, alpha, c in ((1, 2.0, 0.0), (2, 2.0, 0.5), (3, 1.5, -0.25))},
+    "gaussian": Gaussian(1.5, width=2.0),
+}
+
+
+@pytest.mark.parametrize("V", _SHARP_CASES.values(), ids=_SHARP_CASES)
+def test_sharp_half_constant(V):
+    # Hundertmark, Lieb and Thomas (Adv. Theor. Math. Phys. 2, 1998):
+    # L_{1/2,1} = 1/2, so sum sqrt|E_i| <= (1/2) int V for every V >= 0;
+    # the enclosure's lower end must respect it
+    cert = certify_theorem1(V)
+    assert cert.sum_sqrt.value - cert.sum_sqrt.error \
+        <= 0.5 * cert.integral_V
+
+
 class TestRawMomentConstant:
     def test_endpoint_value(self):
         assert raw_moment_constant(0.5) == pytest.approx(

@@ -8,7 +8,6 @@ from lt_spectral.bracketing import BracketingError
 from lt_spectral.cli import (DEFAULT_SEED, EXIT_INEQUALITY, EXIT_NUMERICAL,
                              EXIT_PASS, EXIT_USAGE, main, random_piecewise,
                              splitmix64)
-from lt_spectral.numerics import Tolerance
 from lt_spectral.potential import Gaussian, SquareWell, Sum
 from lt_spectral.scattering import ScatteringError
 from lt_spectral.sturm import RieszMean, SolverError, Spectrum
@@ -221,7 +220,7 @@ class TestSumRule:
         budgets = {json.loads(out)["budget"]}
         for t in (1e-2, 2e-2):
             _, out = run(capsys, "sumrule", "--seed", "2", "--tol", str(t))
-            spec = _fd_solve_line(V, Tolerance(abs=t, rel=t))
+            spec = _fd_solve_line(V, t)
             expected = 4.0 * sturm.riesz_mean(spec, 0.5).error + 1e-6
             budget = json.loads(out)["budget"]
             assert budget == float(f"{expected:.15g}")
@@ -324,6 +323,25 @@ class TestUsageErrors:
     def test_bad_tolerance(self, capsys, well_file):
         code = main(["certify", "--potential", well_file, "--tol", "-1"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("tol", ["0", "1", "-1", "nan", "inf"])
+    def test_tolerance_outside_the_unit_interval(self, capsys, tol):
+        # nan fails the range comparison like any value outside (0, 1)
+        assert main(["certify", "--tol", tol]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"usage error: --tol must lie in (0, 1), got {float(tol)}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["scatter", "constants", "partition"])
+    def test_tolerance_refused_where_nothing_reads_it(self, capsys, command):
+        # scatter runs at fixed tolerances; constants and partition solve
+        # no eigenvalues
+        assert main([command, "--tol", "1e-6"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == ("usage error: --tol is taken only by "
+                                "certify, kyfan, sumrule\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("doc", [
         '{"family": "square_well", "params": {"v": 1}}',

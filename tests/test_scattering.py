@@ -8,10 +8,10 @@ import pytest
 from lt_spectral import scattering
 from lt_spectral.cli import random_piecewise
 from lt_spectral.constants import VARSIGMA_3
-from lt_spectral.numerics import InvariantError, Tolerance
+from lt_spectral.numerics import InvariantError
 from lt_spectral.potential import (Gaussian, PiecewiseConstant, PoschlTeller,
                                    Sampled, SquareWell, Zero)
-from lt_spectral.scattering import (K_CHECK, SCATTER_TOL, ScatteringData,
+from lt_spectral.scattering import (K_CHECK, ScatteringData,
                                     ScatteringError, _cells,
                                     _check_against_ode, _extrapolated,
                                     _halved, _log_integral, _Propagator,
@@ -36,8 +36,8 @@ class Opaque(PiecewiseConstant):
 class StubPropagator:
     """A fixed transfer matrix (m00, m01, m10, m11) across [-X, X]."""
 
-    def __init__(self, M, X=1.0, tol=SCATTER_TOL):
-        self.M, self.X, self.tol = M, X, tol
+    def __init__(self, M, X=1.0):
+        self.M, self.X = M, X
 
     def matrix(self, k):
         return self.M
@@ -61,12 +61,12 @@ class TestClosedFormAgreement:
         # exact up to rounding since its cells are cut at the jumps, and
         # the ODE is a third, independent route
         args = ([-0.9, 0.2, 1.4], [2.0, -1.0])
-        exact = _Propagator(PiecewiseConstant(*args), SCATTER_TOL)
-        cells = _Propagator(Opaque(*args), SCATTER_TOL)
+        exact = _Propagator(PiecewiseConstant(*args))
+        cells = _Propagator(Opaque(*args))
         assert cells.steps is None and exact.steps is not None
         for k in (0.3, 1.7, 6.0):
             ode = StubPropagator(
-                _transfer_ode(cells.V, cells.X, k, SCATTER_TOL), cells.X)
+                _transfer_ode(cells.V, cells.X, k), cells.X)
             r_exact = _reflection_at(exact, k)[0]
             assert abs(r_exact - _reflection_at(cells, k)[0]) < 1e-12
             assert abs(r_exact - _reflection_at(ode, k)[0]) < 1e-6
@@ -83,7 +83,7 @@ class TestClosedFormAgreement:
         ids=[*(f"seed{seed}" for seed in range(1, 6)), "well", "cells"])
     def test_projection_matches_linear_solve(self, V):
         # the closed-form projection against np.linalg.solve(Wp, M Wm)
-        prop = _Propagator(V, SCATTER_TOL)
+        prop = _Propagator(V)
         for k in np.geomspace(0.01, 100.0, 40):
             M = prop.matrix(k)
             R, T, _ = _reflection_at(StubPropagator(M, prop.X), k)
@@ -113,22 +113,14 @@ class TestUnitarity:
 
     @pytest.mark.parametrize("k", [0.3, 3.0])
     def test_determinant_gate(self, k):
-        # the gate sits at 100 tol.abs = 1e-6; M = diag(1 + delta, 1) has
-        # det M - 1 = delta and unitarity defect delta (1 + O(delta^2))
+        # the gate sits at 100 SCATTER_TOL.abs = 1e-6; M = diag(1 + delta,
+        # 1) has det M - 1 = delta and unitarity defect delta (1 + O(delta^2))
         defect = _reflection_at(StubPropagator((1.0 + 5e-7, 0.0, 0.0, 1.0)),
                                 k)[2]
         assert defect == pytest.approx(5e-7, abs=1e-12)
         with pytest.raises(ScatteringError,
                            match="transfer matrix determinant drifted"):
             _reflection_at(StubPropagator((1.0 + 2e-6, 0.0, 0.0, 1.0)), k)
-
-    def test_loose_tol_keeps_the_ode_tight(self):
-        # at rtol 1e-3 DOP853 let det M drift by 0.1 here; _transfer_ode
-        # runs no looser than SCATTER_TOL, whatever tolerance it is given
-        V = PoschlTeller(1.0, alpha=2.0)
-        a, b, c, d = _transfer_ode(V, _scatter_box(V), 34.25,
-                                   Tolerance(1e-3, 1e-3))
-        assert abs(a * d - b * c - 1.0) <= 100.0 * SCATTER_TOL.abs
 
     def test_gaussian_cell_path(self):
         # cell steps have det 1, and the extrapolation moves it only to
@@ -178,21 +170,22 @@ class TestLogIntegralMemo:
         assert len(quads) == 1 and len(solves) == after_first
         assert lhs == -data.log_integral
 
-    def test_tolerance_is_part_of_the_key(self, monkeypatch):
+    def test_stated_tolerance_shares_the_integral(self, monkeypatch):
+        # a stated tolerance reaches the eigenvalue solver only, so the
+        # sum rule at 1e-9 reuses the integral the default computed
         V = SquareWell(2.0, -1.0, 1.0)
         quads = self.count(monkeypatch, "quad")
-        _log_integral(_Propagator(V, SCATTER_TOL))
-        _log_integral(_Propagator(V, Tolerance(1e-9, 1e-9)))
-        _log_integral(_Propagator(V, SCATTER_TOL))
-        assert len(quads) == 2
+        reflection_coefficient(V)
+        assert len(quads) == 1
+        sum_rule_residual(V, 1e-9)
+        assert len(quads) == 1
 
     def test_cached_value_is_a_fresh_value(self):
         args = ([-0.9, 0.2, 1.4], [2.0, -1.0])
         V = PiecewiseConstant(*args)
-        first = _log_integral(_Propagator(V, SCATTER_TOL))
-        again = _log_integral(_Propagator(V, SCATTER_TOL))
-        fresh = _log_integral(_Propagator(PiecewiseConstant(*args),
-                                          SCATTER_TOL))
+        first = _log_integral(_Propagator(V))
+        again = _log_integral(_Propagator(V))
+        fresh = _log_integral(_Propagator(PiecewiseConstant(*args)))
         assert again.hex() == first.hex() == fresh.hex()
 
     def test_equal_potentials_keep_their_own_routes(self, monkeypatch):
@@ -207,14 +200,14 @@ class TestLogIntegralMemo:
             return -1.0 * len(routes)
 
         monkeypatch.setattr(scattering, "_log_integral_uncached", record)
-        values = [_log_integral(_Propagator(U, SCATTER_TOL))
+        values = [_log_integral(_Propagator(U))
                   for U in (V, W, V, W)]
         assert routes == ["exact", "cells"]
         assert values == [-1.0, -2.0, -1.0, -2.0]
 
     def test_entry_dies_with_its_potential(self):
         V = SquareWell(2.0, -1.0, 1.0)
-        _log_integral(_Propagator(V, SCATTER_TOL))
+        _log_integral(_Propagator(V))
         assert V in scattering._LOG_INTEGRALS
         ref = weakref.ref(V)
         del V
@@ -243,7 +236,7 @@ class TestLogIntegralMemo:
 class TestCellPath:
     @pytest.mark.parametrize("nu", [0.3, 2.7, 6.2])
     def test_poschl_teller_closed_form(self, nu):
-        prop = _Propagator(PoschlTeller(nu), SCATTER_TOL)
+        prop = _Propagator(PoschlTeller(nu))
         for k in MODEST_GRID:
             r2 = abs(_reflection_at(prop, k)[0]) ** 2
             assert r2 == pytest.approx(
@@ -268,14 +261,13 @@ class TestCellPath:
         # a piece list without pieces(): its cells are cut at the jumps, so
         # the cell path matches the exact path's log integral
         args = ([-0.9, 0.2, 1.4], [2.0, -1.0])
-        cells = _log_integral(_Propagator(Opaque(*args), SCATTER_TOL))
-        exact = _log_integral(_Propagator(PiecewiseConstant(*args),
-                                          SCATTER_TOL))
+        cells = _log_integral(_Propagator(Opaque(*args)))
+        exact = _log_integral(_Propagator(PiecewiseConstant(*args)))
         assert cells == pytest.approx(exact, abs=1e-9)
 
     @pytest.mark.parametrize("shift,fails", [(5e-7, False), (2e-6, True)])
     def test_cross_check_against_the_ode(self, monkeypatch, shift, fails):
-        # the gate sits at 100 tol.abs = 1e-6 of the largest entry
+        # the gate sits at 100 SCATTER_TOL.abs = 1e-6 of the largest entry
         real = scattering._transfer_ode
 
         def shifted(*args):
@@ -283,7 +275,7 @@ class TestCellPath:
             return (M[0] + shift * max(map(abs, M)), *M[1:])
 
         monkeypatch.setattr(scattering, "_transfer_ode", shifted)
-        prop = _Propagator(Gaussian(1.0), SCATTER_TOL)
+        prop = _Propagator(Gaussian(1.0))
         if fails:
             with pytest.raises(ScatteringError, match="differ"):
                 _log_integral(prop)
@@ -291,20 +283,22 @@ class TestCellPath:
             assert _log_integral(prop) < 0.0
 
     def test_cross_check_holds_across_kinks(self):
-        # at the gate's own tolerance, 1e-10, DOP853 missed this matrix by
-        # 2.2e-8 across V's kinks, past the gate at 1e-8
+        # at the gate's own tolerance, rtol 1e-6, DOP853 missed this matrix
+        # by 2.4e-6 across V's kinks, past the gate at 1e-6
         V = Sampled([-1.0, 0.0, 0.5, 2.0], [0.0, 3.0, 1.0, 0.5])
-        _check_against_ode(_Propagator(V, Tolerance(1e-10, 1e-10)), K_CHECK)
+        _check_against_ode(_Propagator(V), K_CHECK)
 
     def test_unsettled_cells_raise(self, monkeypatch):
-        monkeypatch.setattr(scattering, "CELLS_MAX", 2 ** 10)
-        prop = _Propagator(Gaussian(1.5, width=2.0), Tolerance(1e-14, 1e-14),
-                           k_max=K_CHECK)
+        # from 32 cells, the extrapolations on 256 and on 512 cells still
+        # differ by 1.2e-7, past the settle criterion SCATTER_TOL.abs
+        monkeypatch.setattr(scattering, "CELLS_MIN", 2 ** 5)
+        monkeypatch.setattr(scattering, "CELLS_MAX", 2 ** 8)
+        prop = _Propagator(Gaussian(1.5, width=2.0), k_max=K_CHECK)
         with pytest.raises(ScatteringError, match="did not settle"):
             prop.matrix(K_CHECK)
 
     def test_unresolvable_k_max_raises(self):
-        prop = _Propagator(Gaussian(1.5, width=2.0), SCATTER_TOL, k_max=1e5)
+        prop = _Propagator(Gaussian(1.5, width=2.0), k_max=1e5)
         with pytest.raises(ScatteringError, match="needs more than"):
             prop.matrix(1.0)
 
@@ -314,7 +308,7 @@ class TestCellPath:
         # with the cells chosen at K_CHECK alone that peak sat inside the
         # default grid on these wells (box X ~ 50) and |R| was off by 2e-5
         # where the true R is about 0
-        prop = _Propagator(PoschlTeller(nu, alpha=alpha), SCATTER_TOL)
+        prop = _Propagator(PoschlTeller(nu, alpha=alpha))
         ks = default_k_grid()
         for k in ks[ks >= 10.0]:
             r = abs(_reflection_at(prop, k)[0])
@@ -322,27 +316,17 @@ class TestCellPath:
                 math.sqrt(poschl_teller_reflection_sq(nu, alpha, k)),
                 abs=1e-8)
 
-    def test_loose_tol_keeps_the_cells_tight(self):
-        # the settle test runs no looser than SCATTER_TOL either; taken at
-        # 1e-3, it stopped on this well 1e-7 off the ODE
-        V = PoschlTeller(6.2)
-        prop = _Propagator(V, Tolerance(1e-3, 1e-3))
-        for k in (K_CHECK, 30.0):
-            M = np.array(prop.matrix(k))
-            ode = _transfer_ode(V, prop.X, k, Tolerance(1e-12, 1e-12))
-            assert np.max(np.abs(M - ode)) <= 1e-8 * np.max(np.abs(M))
-
     def test_cells_are_chosen_once_and_only_when_needed(self, monkeypatch):
         pairs = TestLogIntegralMemo.count(monkeypatch, "_cell_pair")
         V = Gaussian(1.5, width=2.0)
-        prop = _Propagator(V, SCATTER_TOL)
+        prop = _Propagator(V)
         assert pairs == []
         prop.matrix(1.0)
         prop.matrix(3.0)
         assert len(pairs) == 1
         _log_integral(prop)
         # a memo hit builds no cells
-        _log_integral(_Propagator(V, SCATTER_TOL))
+        _log_integral(_Propagator(V))
         theorem2_check(V)
         assert len(pairs) == 1
 
@@ -352,11 +336,11 @@ class TestCellPath:
         V, W = Gaussian(1.5, width=2.0), Gaussian(1.5, width=2.0)
         wide = reflection_coefficient(V, [1.0, 150.0])
         assert wide.log_integral.hex() == _log_integral(
-            _Propagator(W, SCATTER_TOL)).hex()
+            _Propagator(W)).hex()
 
     def test_box_outside_the_domain(self):
         with pytest.raises(ValueError, match="requires a full-line"):
-            _Propagator(Gaussian(1.0, domain="half_line"), SCATTER_TOL)
+            _Propagator(Gaussian(1.0, domain="half_line"))
 
 
 class TestSumRule:

@@ -6,7 +6,7 @@ import pytest
 from lt_spectral import sturm
 from lt_spectral.cli import random_piecewise
 from lt_spectral.kyfan import _solve_share
-from lt_spectral.numerics import InvariantError, Tolerance
+from lt_spectral.numerics import InvariantError
 from lt_spectral.potential import (Gaussian, PiecewiseConstant, PoschlTeller,
                                    Sampled, SquareWell, Sum, Zero)
 from lt_spectral.sturm import (SOLVER_TOL, SolverError, Spectrum,
@@ -86,7 +86,7 @@ class TestSampledContainment:
         # 2e-4 lies below the jump tolerance (JUMP_TOL = 1e-3), so the
         # solver raises it to that instead of refusing; the radius it
         # returns must not miss the level
-        spec = solve_line(V, tol=Tolerance(abs=2e-4, rel=2e-4))
+        spec = solve_line(V, tol=2e-4)
         _check_against(spec, self.LEVEL, tol=2e-4)
         _check_against(solve_line(V), self.LEVEL, tol=1e-2)
 
@@ -158,7 +158,7 @@ def _ladder(V, interval, bc, top):
     d, e = _tridiag(V, a, b, 2**top + 1, (bc, bc))
     coarse, fine = levels[-2:]
     m = min(len(coarse), len(fine))
-    keep = (4.0 * fine[:m] - coarse[:m]) / 3.0 < -10.0 * SOLVER_TOL.abs
+    keep = (4.0 * fine[:m] - coarse[:m]) / 3.0 < -10.0 * SOLVER_TOL
     return levels, d, e, keep
 
 
@@ -406,7 +406,7 @@ class TestSolverBehavior:
         # a tolerance below the jump tolerance means that tolerance, so a
         # stated 1e-8 solves as the default does instead of refusing
         V = SquareWell(2.0, -1.0, 1.0)
-        assert solve_interval(V, (-3.0, 3.0), tol=Tolerance(1e-8, 1e-8)) \
+        assert solve_interval(V, (-3.0, 3.0), tol=1e-8) \
             == solve_interval(V, (-3.0, 3.0))
 
     def test_tail_allowance_on_both_sides(self, monkeypatch):
