@@ -12,7 +12,7 @@ from .constants import (VARSIGMA_3, ConstantsRow, classical_constant,
 from .kyfan import (InterleavedSequences, Splitting, build_interleaving,
                     split_indices, verify_splitting)
 from .numerics import (BracketError, DivergenceError, NumericsError,
-                       Tolerance, find_root, integrate_de, minimize_1d)
+                       find_root, integrate_de, minimize_1d)
 from .potential import (Gaussian, PiecewiseConstant, PoschlTeller, Potential,
                         Sampled, SquareWell, Sum, Zero, from_json,
                         from_json_dict, load)
@@ -29,7 +29,7 @@ __all__ = [
     "Gaussian", "InterleavedSequences", "NumericsError", "Partition",
     "PiecewiseConstant", "PoschlTeller", "Potential", "RieszMean", "Sampled",
     "ScatteringData", "ScatteringError", "SolverError", "Spectrum",
-    "Splitting", "SquareWell", "Sum", "Theorem1Certificate", "Tolerance",
+    "Splitting", "SquareWell", "Sum", "Theorem1Certificate",
     "VARSIGMA_3", "Zero", "build_interleaving", "build_partition",
     "certify_theorem1", "classical_constant", "constants_row", "crossover",
     "density_constants", "doublestar_constant", "find_root", "from_json",

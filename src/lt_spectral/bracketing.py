@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from .constants import VARSIGMA_3
-from .numerics import InvariantError, NumericsError, Tolerance, find_root
+from .numerics import InvariantError, NumericsError, find_root
 from .potential import FULL_LINE, HALF_LINE, Potential
 from .sturm import (SOLVER_TOL, RieszMean, Spectrum, riesz_mean,
                     solve_interval, solve_line)
@@ -104,9 +104,6 @@ def build_partition(V: Potential) -> Partition:
         raise ValueError("partition requires a half-line potential")
     if not V.is_nonnegative():
         raise ValueError("partition requires V >= 0")
-    # breakpoints are cheap to locate precisely; the product invariant
-    # (1e-8 relative) needs far better than the eigenvalue tolerance
-    root_tol = Tolerance(abs=1e-13, rel=1e-13)
     total = V.integrate()
     if not math.isfinite(total):
         raise ValueError("int V must be finite")
@@ -145,7 +142,9 @@ def build_partition(V: Potential) -> Partition:
         hi = lo + 3.0 / tail
         while g(hi) < 0.0:
             hi = lk + 2.0 * (hi - lk)
-        lnext = find_root(g, min(lo, hi), hi, root_tol)
+        # breakpoints are cheap to locate precisely; the product invariant
+        # (1e-8 relative) needs far better than the eigenvalue tolerance
+        lnext = find_root(g, min(lo, hi), hi, 1e-13, 1e-13)
         mass = V.integrate(lk, lnext)
         if abs((lnext - lk) * mass - 3.0) > PARTITION_RTOL * 3.0:
             # within half the slack of the invariant, as a margin

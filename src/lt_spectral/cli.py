@@ -8,7 +8,8 @@ Commands that need a potential read the JSON format of the potential module;
 without --potential they fall back to a seeded random piecewise-constant
 well, so every command is runnable (and reproducible) out of the box.
 --tol, the eigenvalue solver's absolute tolerance, is taken by certify,
-sumrule and kyfan only; the wave pipeline runs at fixed tolerances.
+sumrule and kyfan only; the wave pipeline runs at fixed tolerances.  A
+command refuses any option it does not read (exit 64).
 
 Exit codes: 0 pass, 1 a certified inequality failed, 2 numerical failure,
 64 usage error.
@@ -99,7 +100,8 @@ def _emit(text: str, out: str | None):
 def _load_potential(args, domain_default="full_line"):
     if args.potential:
         return potential.load(args.potential)
-    return random_piecewise(args.seed, domain=domain_default)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    return random_piecewise(seed, domain=domain_default)
 
 
 def _tol(args) -> float:
@@ -211,7 +213,18 @@ _COMMANDS = {
     "kyfan": cmd_kyfan,
 }
 
-_TOL_COMMANDS = ("certify", "kyfan", "sumrule")  # their handlers read --tol
+_POTENTIAL_COMMANDS = ("certify", "kyfan", "partition", "scatter", "sumrule")
+
+#: option -> the commands whose handlers read it; a stated option that the
+#: command does not read is a usage error
+_READERS = {
+    "tol": ("certify", "kyfan", "sumrule"),
+    "potential": _POTENTIAL_COMMANDS,
+    "seed": _POTENTIAL_COMMANDS,
+    "gamma": ("constants",),
+    "gamma_grid": ("constants",),
+    "out": tuple(sorted(_COMMANDS)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, help="single moment exponent")
     p.add_argument("--gamma-grid", help="LO:HI:N moment exponent grid")
     p.add_argument("--tol", type=float, help="eigenvalue tolerance")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
+    p.add_argument("--seed", type=lambda s: int(s, 0),
                    help="seed for generated potentials (default 0x5EED)")
     p.add_argument("--out", help="output file (default stdout)")
     return p
@@ -235,9 +248,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.gamma is not None and args.gamma_grid is not None:
             raise UsageError("--gamma and --gamma-grid are exclusive")
-        if args.tol is not None and args.command not in _TOL_COMMANDS:
-            raise UsageError("--tol is taken only by "
-                             + ", ".join(_TOL_COMMANDS))
+        for dest, readers in _READERS.items():
+            if args.command not in readers and vars(args)[dest] is not None:
+                flag = "--" + dest.replace("_", "-")
+                raise UsageError(f"{flag} is taken only by "
+                                 + ", ".join(readers))
         return _COMMANDS[args.command](args)
     except (UsageError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

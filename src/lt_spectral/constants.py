@@ -26,8 +26,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .numerics import (Tolerance, find_root, gamma_fn, integrate_de,
-                       minimize_1d)
+from .numerics import find_root, gamma_fn, integrate_de, minimize_1d
 
 #: lower limit of u in the closed-form Theta(eta, 1/2, 3/2) integrals
 U0 = math.sqrt(2.0 / (2.0 + math.sqrt(3.0)))
@@ -40,13 +39,6 @@ def theta_fn(x: float) -> float:
     return x * math.tanh(x)
 
 
-#: root tolerance of varsigma
-VARSIGMA_TOL = Tolerance(abs=1e-12, rel=1e-12)
-
-#: root tolerance of crossover
-CROSSOVER_TOL = Tolerance(abs=1e-6, rel=1e-6)
-
-
 def varsigma(y: float) -> float:
     """Inverse of x*tanh(x): the unique x >= 0 with x*tanh(x) = y."""
     if y < 0:
@@ -55,7 +47,7 @@ def varsigma(y: float) -> float:
         return 0.0
     # x*tanh(x) >= x - 1, so the root lies in [0, y + 2]
     return find_root(lambda x: x * math.tanh(x) - y, 0.0, y + 2.0,
-                     VARSIGMA_TOL)
+                     1e-12, 1e-12)
 
 
 VARSIGMA_3 = varsigma(3.0)
@@ -176,8 +168,6 @@ def _theta_half_threehalf_closed(eta: float) -> float:
 #: the end value up to a relative O(e^-700)
 _U_CUT = 700.0
 
-_CRIT_TOL = Tolerance(abs=1e-13, rel=1e-13)
-
 
 def _log_sigmoid(u: float) -> float:
     """ln(1 / (1 + e^-u)), without overflow for any finite u."""
@@ -213,7 +203,7 @@ def _theta_log_inf(s: float, p0: float, p1: float) -> tuple[int, float]:
     best = min((s, 0), (0.0, 2))
     for a, b, fa, fb in zip(cuts, cuts[1:], signs, signs[1:]):
         if fa < 0.0 <= fb:
-            u = find_root(slope_sign, a, b, _CRIT_TOL)
+            u = find_root(slope_sign, a, b, 1e-13, 1e-13)
             # ln((1-y)^p0 + e^s y^p1) as a log-sum-exp of the two terms
             x0, x1 = p0 * _log_sigmoid(-u), s + p1 * _log_sigmoid(u)
             top = max(x0, x1)
@@ -327,7 +317,7 @@ def crossover() -> float:
     """gamma in (1.0, 1.3) where the doublestar and star bounds cross."""
     def diff(g):
         return doublestar_constant(g) - star_constant(g)
-    return find_root(diff, 1.0, 1.3, CROSSOVER_TOL)
+    return find_root(diff, 1.0, 1.3, 1e-6, 1e-6)
 
 
 def density_constants(L_half: float | None = None,

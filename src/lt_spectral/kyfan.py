@@ -73,14 +73,6 @@ class InterleavedSequences:
     def __len__(self):
         return len(self.a)
 
-    def multiplicity_bounds(self) -> tuple[int, int]:
-        """Worst reuse count of any source index in s and in l."""
-        mult_s = max((self.s_index.count(i) for i in set(self.s_index)),
-                     default=0)
-        mult_l = max((self.l_index.count(i) for i in set(self.l_index)),
-                     default=0)
-        return mult_s, mult_l
-
 
 def _padded(spec: Spectrum, index: int) -> float:
     """index-th eigenvalue (1-based), or 0 beyond the negative spectrum."""

@@ -10,7 +10,6 @@ varies with a parameter; one kernel covers them all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,30 +35,22 @@ class InvariantError(NumericsError):
     """A computed result object failed its own consistency check."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute/relative tolerance; the iteration budget is MAX_ITER."""
-
-    abs: float = 1e-10
-    rel: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.abs < 1.0 and 0.0 < self.rel < 1.0):
-            raise ValueError("abs and rel must lie in (0, 1)")
-
-
-DEFAULT_TOL = Tolerance()
-
 #: iteration budget of find_root and minimize_1d
 MAX_ITER = 200
+#: minimize_1d's absolute tolerance on the argmin
+MIN_XATOL = 1e-10
+#: integrate_de stops when successive levels differ by at most
+#: DE_ABS + DE_REL * |value|
+DE_ABS = DE_REL = 1e-10
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float,
-              tol: Tolerance = DEFAULT_TOL) -> float:
+              xtol: float, rtol: float) -> float:
     """Root of f on [lo, hi]; f(lo) and f(hi) must not have the same sign.
 
-    Brent's method with a guaranteed bisection fallback (scipy brentq).
-    The result always lies inside the initial bracket.
+    Brent's method with a guaranteed bisection fallback (scipy brentq),
+    stopped at xtol + rtol * |root|.  The result always lies inside the
+    initial bracket.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -68,13 +59,14 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
         return hi
     if flo * fhi > 0.0:
         raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
-    rtol = max(tol.rel, 4 * math.ulp(1.0))
-    return float(optimize.brentq(f, lo, hi, xtol=tol.abs, rtol=rtol,
+    # brentq refuses rtol below 4 ulp(1)
+    rtol = max(rtol, 4 * math.ulp(1.0))
+    return float(optimize.brentq(f, lo, hi, xtol=xtol, rtol=rtol,
                                  maxiter=MAX_ITER))
 
 
-def minimize_1d(f: Callable[[float], float], lo: float, hi: float,
-                tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
+def minimize_1d(f: Callable[[float], float], lo: float,
+                hi: float) -> tuple[float, float]:
     """Minimum of f on [lo, hi]: golden section with parabolic refinement.
 
     Returns (argmin, min).  Intended for the unimodal integrands used by the
@@ -84,7 +76,7 @@ def minimize_1d(f: Callable[[float], float], lo: float, hi: float,
         raise ValueError("need lo < hi")
     res = optimize.minimize_scalar(
         f, bounds=(lo, hi), method="bounded",
-        options={"xatol": tol.abs, "maxiter": MAX_ITER})
+        options={"xatol": MIN_XATOL, "maxiter": MAX_ITER})
     x = float(res.x)
     fx = float(res.fun)
     if not math.isfinite(fx):
@@ -97,7 +89,7 @@ def minimize_1d(f: Callable[[float], float], lo: float, hi: float,
     return x, fx
 
 
-def _tanhsinh_finite(f, a, b, tol):
+def _tanhsinh_finite(f, a, b):
     """tanh-sinh rule on a finite interval, doubling levels until converged."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -113,10 +105,10 @@ def _tanhsinh_finite(f, a, b, tol):
         w = half * 0.5 * math.pi * math.cosh(t) / math.cosh(s) ** 2
         return x, w
 
-    return _de_levels(f, node, a, b, tol)
+    return _de_levels(f, node, a, b)
 
 
-def _tanhsinh_semi(f, a, tol):
+def _tanhsinh_semi(f, a):
     """tanh-sinh rule on [a, inf) via x = a + exp(pi/2 sinh t)."""
 
     def node(t):
@@ -128,10 +120,10 @@ def _tanhsinh_semi(f, a, tol):
         w = 0.5 * math.pi * math.cosh(t) * e
         return x, w
 
-    return _de_levels(f, node, a, math.inf, tol)
+    return _de_levels(f, node, a, math.inf)
 
 
-def _de_levels(f, node, a, b, tol):
+def _de_levels(f, node, a, b):
     # Endpoint singularities x^{-s} with s near 1 need deep tails: the node
     # contribution decays like exp(-(1-s)*pi*sinh(t)), so t must reach ~6.
     t_max = 6.5
@@ -166,7 +158,7 @@ def _de_levels(f, node, a, b, tol):
         total += add
         new_value = h * total
         err = abs(new_value - value)
-        if err <= tol.abs + tol.rel * abs(new_value):
+        if err <= DE_ABS + DE_REL * abs(new_value):
             return new_value
         if abs(new_value) > 1e12 and abs(new_value) > 10.0 * abs(prev):
             raise DivergenceError("integral appears to diverge")
@@ -179,8 +171,7 @@ def _de_levels(f, node, a, b, tol):
     return value
 
 
-def integrate_de(f: Callable[[float], float], a: float, b: float,
-                 tol: Tolerance = DEFAULT_TOL) -> float:
+def integrate_de(f: Callable[[float], float], a: float, b: float) -> float:
     """Double-exponential quadrature of f over (a, b).
 
     Endpoints may be infinite (the whole line is split at 0 into two half
@@ -197,15 +188,14 @@ def integrate_de(f: Callable[[float], float], a: float, b: float,
     if a == b:
         return 0.0
     if a > b:
-        return -integrate_de(f, b, a, tol)
+        return -integrate_de(f, b, a)
     if math.isinf(a) and math.isinf(b):
-        return (_tanhsinh_semi(lambda x: f(-x), 0.0, tol)
-                + _tanhsinh_semi(f, 0.0, tol))
+        return _tanhsinh_semi(lambda x: f(-x), 0.0) + _tanhsinh_semi(f, 0.0)
     if math.isinf(b):
-        return _tanhsinh_semi(f, a, tol)
+        return _tanhsinh_semi(f, a)
     if math.isinf(a):
-        return _tanhsinh_semi(lambda x: f(-x), -b, tol)
-    return _tanhsinh_finite(f, a, b, tol)
+        return _tanhsinh_semi(lambda x: f(-x), -b)
+    return _tanhsinh_finite(f, a, b)
 
 
 def piece_step(d: float, q: float) -> tuple[float, float, float, float]:

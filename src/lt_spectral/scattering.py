@@ -41,14 +41,14 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
 from .constants import VARSIGMA_3
-from .numerics import (InvariantError, NumericsError, Tolerance, piece_step,
+from .numerics import (InvariantError, NumericsError, piece_step,
                        piece_step_array)
 from .potential import FULL_LINE, Potential, piece_steps, truncation_point
 from .sturm import SOLVER_TOL, RieszMean, riesz_mean, solve_line
 
-#: tolerance of the wave pipeline: its gates sit at 100 SCATTER_TOL.abs,
-#: its cells settle to SCATTER_TOL.abs
-SCATTER_TOL = Tolerance(abs=1e-8, rel=1e-8)
+#: tolerance of the wave pipeline: its gates sit at 100 SCATTER_TOL, its
+#: cells settle to SCATTER_TOL
+SCATTER_TOL = 1e-8
 
 #: default k-grid limits (geometric) for sampled reflection data
 K_MIN, K_MAX, K_COUNT = 0.01, 100.0, 400
@@ -179,7 +179,7 @@ def _cell_pair(V: Potential, X: float, k_max: float):
     The coarse cells start as uniform cells, at least CELLS_MIN of them
     and at most pi / (BRAGG_MARGIN k_max) wide, cut at the jumps inside.
     They are halved until the extrapolations of two successive halvings
-    agree, at K_CHECK and at k_max, within SCATTER_TOL.abs of their largest
+    agree, at K_CHECK and at k_max, within SCATTER_TOL of their largest
     entry.
     """
     n = CELLS_MIN
@@ -196,7 +196,7 @@ def _cell_pair(V: Potential, X: float, k_max: float):
         fine = _cells(V, edges)
         Ms = [_extrapolated(coarse, fine, k) for k in (K_CHECK, k_max)]
         if last is not None and all(
-                np.max(np.abs(M - L)) <= SCATTER_TOL.abs * np.max(np.abs(M))
+                np.max(np.abs(M - L)) <= SCATTER_TOL * np.max(np.abs(M))
                 for M, L in zip(Ms, last)):
             return coarse, fine
         n, coarse, last = 2 * n, fine, Ms
@@ -235,7 +235,7 @@ def _reflection_at(prop: _Propagator, k: float):
         raise ValueError("wavenumbers must be positive")
     (a, b, c, d), X = prop.matrix(k), prop.X
     det_err = abs(a * d - b * c - 1.0)
-    if det_err > 100.0 * SCATTER_TOL.abs:
+    if det_err > 100.0 * SCATTER_TOL:
         raise ScatteringError(
             f"transfer matrix determinant drifted by {det_err:.2e} at k={k}")
     ik, kkb = 1j * k, k * k * b
@@ -247,7 +247,7 @@ def _reflection_at(prop: _Propagator, k: float):
     R = -P10 / P11
     T = P00 + P01 * R
     defect = abs(1.0 - abs(R) ** 2 - abs(T) ** 2)
-    if defect > 100.0 * SCATTER_TOL.abs:
+    if defect > 100.0 * SCATTER_TOL:
         raise ScatteringError(f"unitarity defect {defect:.2e} at k={k}")
     return R, T, defect
 
@@ -276,7 +276,7 @@ def _check_against_ode(prop: _Propagator, k: float) -> None:
     """The cell product at k against an independent Runge-Kutta solve."""
     M = np.array(prop.matrix(k))
     err = np.max(np.abs(M - _transfer_ode(prop.V, prop.X, k)))
-    if err > 100.0 * SCATTER_TOL.abs * np.max(np.abs(M)):
+    if err > 100.0 * SCATTER_TOL * np.max(np.abs(M)):
         raise ScatteringError(
             f"cell product and ODE differ by {err:.2e} at k={k}")
 

@@ -45,8 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .numerics import (InvariantError, NumericsError, Tolerance, find_root,
-                       piece_step)
+from .numerics import InvariantError, NumericsError, find_root, piece_step
 from .potential import HALF_LINE, Potential, piece_steps, truncation_point
 
 #: default certification target for eigenvalue radii, absolute; 1e-10 is
@@ -129,13 +128,13 @@ def _tridiag(V: Potential, a: float, b: float, n: int, bc: tuple[str, str]):
     return d, e
 
 
-def _negative_eigs(d, e, cutoff=0.0):
-    """All eigenvalues below cutoff, by LAPACK bisection."""
+def _negative_eigs(d, e):
+    """All negative eigenvalues, by LAPACK bisection."""
     lo = float(np.min(d)) - 2.0 * float(np.max(np.abs(e), initial=0.0)) - 1.0
-    if lo >= cutoff:
+    if lo >= 0.0:
         return np.empty(0)
     vals = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
-                            select_range=(lo, cutoff))
+                            select_range=(lo, 0.0))
     return np.sort(vals)
 
 
@@ -328,8 +327,6 @@ def _shoot(steps, E: float, half: bool) -> tuple[int, float]:
 
 #: relative half-width of the first bracket checked around an exact root
 EXACT_RTOL = 1e-12
-#: Brent tolerance of the exact roots, well inside that bracket
-_ROOT_TOL = Tolerance(abs=1e-15, rel=1e-14)
 
 
 def _solve_exact(steps, half: bool, tol: float) -> Spectrum:
@@ -368,7 +365,8 @@ def _solve_exact(steps, half: bool, tol: float) -> Spectrum:
     for a, b, k in sorted(brackets):
         lo, hi = a, b
         if k == 1:
-            root = find_root(g, a, b, _ROOT_TOL)
+            # Brent stops well inside the EXACT_RTOL bracket checked next
+            root = find_root(g, a, b, 1e-15, 1e-14)
             h = EXACT_RTOL * abs(root)
             lo, hi = max(root - h, a), min(root + h, b)
             while (lo, hi) != (a, b) and g(lo) * g(hi) > 0.0:

@@ -4,9 +4,9 @@ Nothing here shares code paths with the library: eigenvalues come from
 Prüfer-angle shooting or transcendental closed forms, reflection amplitudes
 from textbook closed forms or a linear solve of the plane-wave matching.
 Agreement between these and the library is the point of the comparisons.
-The count and ground-state bounds, the Sobolev check and the raw moment
-constant at the end are textbook inequalities the tests hold the solvers
-to; the library does not use them.
+The count and ground-state bounds, the Sobolev check, the raw moment
+constant and the index multiplicities at the end are textbook inequalities
+the tests hold the solvers to; the library does not use them.
 """
 
 import cmath
@@ -236,3 +236,10 @@ def sobolev_pointwise_check(grid, values) -> tuple[float, float]:
     slopes = np.diff(u) / np.diff(x)
     rhs = float(length / 3.0 * np.sum(slopes**2 * np.diff(x)))
     return lhs, rhs
+
+
+def multiplicity_bounds(seqs) -> tuple[int, int]:
+    """Worst reuse count of any source index in seqs.s_index and in
+    seqs.l_index."""
+    return tuple(max((idx.count(i) for i in set(idx)), default=0)
+                 for idx in (seqs.s_index, seqs.l_index))

@@ -29,8 +29,6 @@ so gap/(eta ln(1/eta)) tends to varsigma(3)/2 ~ 1.507, from below here
 
 import math
 
-import pytest
-
 from lt_spectral.bracketing import build_partition, certify_theorem1
 from lt_spectral.cli import random_piecewise
 from lt_spectral.constants import (VARSIGMA_3, ThetaParams,

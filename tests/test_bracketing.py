@@ -4,15 +4,14 @@ import pytest
 
 from lt_spectral import bracketing
 from lt_spectral.bracketing import (LOWER_FACTOR, PARTITION_RTOL,
-                                    UPPER_FACTOR, BracketingError, Partition,
-                                    Theorem1Certificate, build_partition,
+                                    UPPER_FACTOR, Partition, build_partition,
                                     certify_theorem1, interval_ground_bounds)
 from lt_spectral.cli import random_piecewise
-from lt_spectral.constants import VARSIGMA_3
+from lt_spectral.constants import VARSIGMA_3, constants_row
 from lt_spectral.numerics import InvariantError
 from lt_spectral.potential import (Gaussian, PiecewiseConstant,
                                    PoschlTeller, SquareWell, Zero)
-from lt_spectral.sturm import solve_interval
+from lt_spectral.sturm import riesz_mean, solve_interval, solve_line
 
 from oracles import raw_moment_constant
 
@@ -257,6 +256,41 @@ def test_sharp_half_constant(V):
     cert = certify_theorem1(V)
     assert cert.sum_sqrt.value - cert.sum_sqrt.error \
         <= 0.5 * cert.integral_V
+
+
+@pytest.fixture(scope="module")
+def sharp_spectra():
+    return {name: solve_line(V) for name, V in _SHARP_CASES.items()}
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.75, 1.0, 1.25, 1.5])
+def test_table_bounds_computed_moments(sharp_spectra, gamma):
+    # every upper constant claims sum |E_i|^gamma <= L int V^(gamma + 1/2)
+    # for every V >= 0, L_char for characteristic functions, and
+    # L_{3/2,1} = 3/16 (Lieb and Thirring 1976); the claim is about the
+    # true moment, so the enclosure's lower end must respect it
+    row = constants_row(gamma)
+    upper = [L for L in (row.L_LT, row.L_GGM, row.L_star, row.L_dstar)
+             if L is not None] + ([3.0 / 16.0] if gamma == 1.5 else [])
+    for name, V in _SHARP_CASES.items():
+        bounds = upper + ([row.L_char] if isinstance(V, SquareWell)
+                          and row.L_char is not None else [])
+        moment = riesz_mean(sharp_spectra[name], gamma)
+        ratio = (moment.value - moment.error) / V.lp_integral(gamma + 0.5)
+        assert ratio <= min(bounds), name
+
+
+def test_reflectionless_wells_attain_three_sixteenths():
+    # integer nu: sum |E_i|^(3/2) = (3/16) int V^2, the equality case of
+    # the second trace identity; other nu keep a gap of order 1e-2
+    for nu in (1.0, 2.0, 3.0, 4.0, 0.5, 2.7):
+        V = PoschlTeller(nu)
+        moment = riesz_mean(solve_line(V), 1.5)
+        sharp = 3.0 / 16.0 * V.lp_integral(2.0)
+        if nu.is_integer():
+            assert abs(moment.value - sharp) <= moment.error, nu
+        else:
+            assert moment.value + moment.error < sharp, nu
 
 
 class TestRawMomentConstant:

@@ -3,11 +3,11 @@ import math
 
 import pytest
 
-from lt_spectral import bracketing, scattering, sturm
+from lt_spectral import bracketing, cli, scattering, sturm
 from lt_spectral.bracketing import BracketingError
 from lt_spectral.cli import (DEFAULT_SEED, EXIT_INEQUALITY, EXIT_NUMERICAL,
-                             EXIT_PASS, EXIT_USAGE, main, random_piecewise,
-                             splitmix64)
+                             EXIT_PASS, EXIT_USAGE, build_parser, main,
+                             random_piecewise, splitmix64)
 from lt_spectral.potential import Gaussian, SquareWell, Sum
 from lt_spectral.scattering import ScatteringError
 from lt_spectral.sturm import RieszMean, SolverError, Spectrum
@@ -292,6 +292,21 @@ _HALF_WELL = {"family": "square_well", "params": {"v": 1, "a": -2, "b": 2},
               "domain": "half_line"}
 
 
+#: the options each command's handler reads, stated apart from cli's table
+_READS = {
+    "certify": {"--potential", "--seed", "--tol"},
+    "constants": {"--gamma", "--gamma-grid"},
+    "kyfan": {"--potential", "--seed", "--tol"},
+    "partition": {"--potential", "--seed"},
+    "scatter": {"--potential", "--seed"},
+    "sumrule": {"--potential", "--seed", "--tol"},
+}
+_VALUES = {"--potential": "/nonexistent.json", "--seed": "3",
+           "--gamma": "1.0", "--gamma-grid": "0.5:1.5:3", "--tol": "1e-6"}
+_UNREAD = [(c, o) for c in sorted(_READS) for o in sorted(_VALUES)
+           if o not in _READS[c]]
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
@@ -342,6 +357,21 @@ class TestUsageErrors:
         assert captured.err == ("usage error: --tol is taken only by "
                                 "certify, kyfan, sumrule\n")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command, option", _UNREAD)
+    def test_option_refused_where_nothing_reads_it(self, capsys, command,
+                                                   option):
+        # refused before it is read: the missing file is never opened
+        assert main([command, option, _VALUES[option]]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        readers = ", ".join(c for c in sorted(_READS) if option in _READS[c])
+        assert captured.err == \
+            f"usage error: {option} is taken only by {readers}\n"
+        assert captured.out == ""
+
+    def test_every_option_names_its_readers(self):
+        options = {a.dest for a in build_parser()._actions}
+        assert options - {"help", "command"} == set(cli._READERS)
 
     @pytest.mark.parametrize("doc", [
         '{"family": "square_well", "params": {"v": 1}}',

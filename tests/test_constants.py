@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lt_spectral.constants import (CSV_HEADER, U0, VARSIGMA_3, ConstantsRow,
-                                   ThetaParams, _theta_log_inf, c_factor,
+from lt_spectral.constants import (CSV_HEADER, U0, VARSIGMA_3, ThetaParams,
+                                   _theta_log_inf, c_factor,
                                    char_interp_constant,
                                    classical_constant, constants_row,
                                    crossover, density_constants,
@@ -13,7 +13,6 @@ from lt_spectral.constants import (CSV_HEADER, U0, VARSIGMA_3, ConstantsRow,
                                    lt_constant, m_factor, one_state_constant,
                                    rows_to_csv, star_constant, theta_fn,
                                    theta_weight, varsigma)
-from lt_spectral.numerics import Tolerance
 
 from oracles import theta_inner_inf
 

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from lt_spectral.kyfan import (InterleavedSequences, Splitting,
@@ -7,6 +5,8 @@ from lt_spectral.kyfan import (InterleavedSequences, Splitting,
                                verify_splitting)
 from lt_spectral.potential import (Gaussian, PoschlTeller, SquareWell, Zero)
 from lt_spectral.sturm import Spectrum, riesz_mean
+
+from oracles import multiplicity_bounds
 
 
 class TestSplitIndices:
@@ -84,7 +84,7 @@ class TestInterleaving:
         s0 = self._spec(-4.0, -1.0)
         s1 = self._spec(-2.0, -0.5)
         seqs = build_interleaving(s0, s1, 2, 9)
-        ms, ml = seqs.multiplicity_bounds()
+        ms, ml = multiplicity_bounds(seqs)
         assert ms <= 3 and ml <= 2
 
     def test_rejects_bad_n(self):

@@ -3,33 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from lt_spectral.numerics import (BracketError, DivergenceError, Tolerance,
-                                  find_root, gamma_fn, integrate_de,
-                                  minimize_1d, piece_step, piece_step_array)
-
-TIGHT = Tolerance(abs=1e-12, rel=1e-12)
-
-
-class TestTolerance:
-    def test_defaults(self):
-        tol = Tolerance()
-        assert tol.abs == 1e-10 and tol.rel == 1e-10
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Tolerance(abs=0.0)
-        with pytest.raises(ValueError):
-            Tolerance(rel=-1e-3)
+from lt_spectral.numerics import (BracketError, DivergenceError, find_root,
+                                  gamma_fn, integrate_de, minimize_1d,
+                                  piece_step, piece_step_array)
 
 
 class TestFindRoot:
     def test_linear(self):
-        assert find_root(lambda x: x - 1.0, 0.0, 2.0, TIGHT) == \
+        assert find_root(lambda x: x - 1.0, 0.0, 2.0, 1e-12, 1e-12) == \
             pytest.approx(1.0, abs=1e-12)
 
     def test_x_tanh_x(self):
         # root of x tanh x = 3; bisection cross-check of the same equation
-        root = find_root(lambda x: x * math.tanh(x) - 3.0, 0.0, 10.0, TIGHT)
+        root = find_root(lambda x: x * math.tanh(x) - 3.0, 0.0, 10.0,
+                         1e-12, 1e-12)
         assert root == pytest.approx(3.0144828, abs=1e-6)
         lo, hi = 0.0, 10.0
         for _ in range(60):
@@ -42,55 +29,54 @@ class TestFindRoot:
         assert root * math.tanh(root) == pytest.approx(3.0, abs=1e-8)
 
     def test_sqrt2(self):
-        root = find_root(lambda x: x * x - 2.0, 0.0, 2.0, TIGHT)
+        root = find_root(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12, 1e-12)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
-            find_root(lambda x: x * x + 1.0, -1.0, 1.0, TIGHT)
+            find_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-12)
 
 
 class TestMinimize1d:
     def test_parabola(self):
-        xmin, fmin = minimize_1d(lambda x: (x - 0.3) ** 2, 0.0, 1.0, TIGHT)
+        xmin, fmin = minimize_1d(lambda x: (x - 0.3) ** 2, 0.0, 1.0)
         assert xmin == pytest.approx(0.3, abs=1e-7)
         assert fmin == pytest.approx(0.0, abs=1e-12)
 
     def test_constant(self):
-        xmin, fmin = minimize_1d(lambda x: 4.2, 0.0, 1.0, TIGHT)
+        xmin, fmin = minimize_1d(lambda x: 4.2, 0.0, 1.0)
         assert fmin == 4.2
         assert 0.0 <= xmin <= 1.0
 
     def test_boundary_minimum(self):
-        xmin, fmin = minimize_1d(lambda x: x, 0.0, 1.0, TIGHT)
+        xmin, fmin = minimize_1d(lambda x: x, 0.0, 1.0)
         assert fmin == pytest.approx(0.0, abs=1e-6)
 
     def test_non_finite(self):
         with pytest.raises(Exception):
-            minimize_1d(lambda x: float("nan"), 0.0, 1.0, TIGHT)
+            minimize_1d(lambda x: float("nan"), 0.0, 1.0)
 
 
 class TestIntegrateDE:
     def test_inverse_sqrt(self):
         # endpoint singularity
-        val = integrate_de(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, TIGHT)
+        val = integrate_de(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0)
         assert val == pytest.approx(2.0, abs=1e-10)
 
     def test_exponential_halfline(self):
-        val = integrate_de(lambda x: math.exp(-x), 0.0, math.inf, TIGHT)
+        val = integrate_de(lambda x: math.exp(-x), 0.0, math.inf)
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_gaussian_line(self):
-        val = integrate_de(lambda x: math.exp(-x * x), -math.inf, math.inf,
-                           TIGHT)
+        val = integrate_de(lambda x: math.exp(-x * x), -math.inf, math.inf)
         assert val == pytest.approx(math.sqrt(math.pi), abs=1e-10)
 
     def test_strong_endpoint_singularity(self):
-        val = integrate_de(lambda x: x ** -0.75, 0.0, 1.0, TIGHT)
+        val = integrate_de(lambda x: x ** -0.75, 0.0, 1.0)
         assert val == pytest.approx(4.0, abs=1e-9)
 
     def test_log_singularity(self):
-        val = integrate_de(lambda x: math.log(x), 0.0, 1.0, TIGHT)
+        val = integrate_de(lambda x: math.log(x), 0.0, 1.0)
         assert val == pytest.approx(-1.0, abs=1e-10)
 
     def test_brute_force_oracle(self):
@@ -102,7 +88,7 @@ class TestIntegrateDE:
             u = 1.0 - v
             return u * (2.0 + u) * v ** -0.75 * (1.0 + u) ** -1.25
 
-        val = integrate_de(f, 0.0, 1.0 - u0, TIGHT)
+        val = integrate_de(f, 0.0, 1.0 - u0)
         # substitution v = t^4 absorbs the singularity:
         # f dv = 4 u (2 + u) (1 + u)^(-5/4) dt with u = 1 - t^4
         t_hi = (1.0 - u0) ** 0.25
@@ -116,7 +102,7 @@ class TestIntegrateDE:
 
     def test_divergent(self):
         with pytest.raises(DivergenceError):
-            integrate_de(lambda x: 1.0 / x, 0.0, 1.0, TIGHT)
+            integrate_de(lambda x: 1.0 / x, 0.0, 1.0)
 
 
 class TestGamma:

@@ -191,9 +191,9 @@ class TestSecondStep:
     def test_line_spectra_stop_early(self, monkeypatch, nu):
         sizes = []
 
-        def spy(d, e, cutoff=0.0):
+        def spy(d, e):
             sizes.append(len(d))
-            return _negative_eigs(d, e, cutoff)
+            return _negative_eigs(d, e)
 
         monkeypatch.setattr(sturm, "_negative_eigs", spy)
         spec = solve_line(PoschlTeller(nu))
@@ -254,13 +254,14 @@ class TestSturmCount:
         mu = float(rng.uniform(-5.0, 5.0))
         from scipy.linalg import eigh_tridiagonal
         w = eigh_tridiagonal(d, e, eigvals_only=True)
-        assert len(_negative_eigs(d, e, mu)) == int(np.sum(w < mu))
+        # eigenvalues of T - mu below 0 are those of T below mu
+        assert len(_negative_eigs(d - mu, e)) == int(np.sum(w < mu))
 
     def test_shift_consistency(self):
         V = SquareWell(4.0, 0.0, 2.0)
         d, e = _tridiag(V, -1.0, 3.0, 257, ("dirichlet", "dirichlet"))
-        c1 = len(_negative_eigs(d, e, -1.0))
-        c2 = len(_negative_eigs(d, e, 0.0))
+        c1 = len(_negative_eigs(d + 1.0, e))
+        c2 = len(_negative_eigs(d, e))
         assert 0 <= c1 <= c2
 
 
