@@ -9,7 +9,8 @@ without --potential they fall back to a seeded random piecewise-constant
 well, so every command is runnable (and reproducible) out of the box.
 --tol, the eigenvalue solver's absolute tolerance, is taken by certify,
 sumrule and kyfan only; the wave pipeline runs at fixed tolerances.  A
-command refuses any option it does not read (exit 64).
+command refuses any option it does not read, and --seed next to
+--potential (exit 64).
 
 Exit codes: 0 pass, 1 a certified inequality failed, 2 numerical failure,
 64 usage error.
@@ -248,6 +249,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.gamma is not None and args.gamma_grid is not None:
             raise UsageError("--gamma and --gamma-grid are exclusive")
+        if args.seed is not None and args.potential is not None:
+            raise UsageError("--seed and --potential are exclusive")
         for dest, readers in _READERS.items():
             if args.command not in readers and vars(args)[dest] is not None:
                 flag = "--" + dest.replace("_", "-")

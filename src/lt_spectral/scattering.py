@@ -3,21 +3,27 @@
 For a compactly supported potential the wave equation -u'' - V u = k^2 u is
 propagated across the support by a real 2x2 transfer matrix; its closed-form
 projection on plane waves at both ends gives R(k) and T(k).  With pieces(),
-V is propagated exactly by scalar products of piece steps (Pruess's method;
-J. D. Pryce, Numerical Solution of Sturm-Liouville Problems, OUP 1993), its
-step list built once per call and reused for every k.  Any other potential
-is replaced by its cell averages, cut at every jump, and the exact products
-on N and 2N cells are Richardson-extrapolated, (4 M_2N - M_N) / 3, with N
-doubled until two successive extrapolations agree (the constant-perturbation
-codes do the same; Ledoux, Van Daele and Vanden Berghe, "MATSLISE", ACM TOMS
-31, 2005).  N starts where the cells are narrow enough for the largest
-wavenumber served, since a staircase of width h reflects coherently near
-k = pi / h.  Adaptive Runge-Kutta only cross-checks that product once per
-log integral.  The log-transmission integral below is computed once per
-potential object and then reused by reflection_coefficient,
-sum_rule_residual and theorem2_check.  The wave pipeline takes no
-tolerance: its gates sit at 1e-6, its cells settle to 1e-8, and the
-Runge-Kutta cross-check solves at rtol 1e-10.
+V is propagated exactly by products of piece steps (Pruess's method;
+J. D. Pryce, Numerical Solution of Sturm-Liouville Problems, OUP 1993): its
+step list is built once per call, and one loop over the steps multiplies
+them for a whole array of wavenumbers at once.  Any other potential is
+replaced by its cell averages, cut at every jump, and the exact products on
+N and 2N cells are Richardson-extrapolated, (4 M_2N - M_N) / 3, one k at a
+time, with N doubled until two successive extrapolations agree (the
+constant-perturbation codes do the same; Ledoux, Van Daele and Vanden
+Berghe, "MATSLISE", ACM TOMS 31, 2005).  N starts where the cells are narrow
+enough for the largest wavenumber served, since a staircase of width h
+reflects coherently near k = pi / h.  Adaptive Runge-Kutta only
+cross-checks that product once per log integral.
+
+The log-transmission integral below is computed once per potential object
+and then reused by reflection_coefficient, sum_rule_residual and
+theorem2_check: on the exact path by a batched adaptive Gauss-Kronrod 7/15
+rule in t = sqrt(k), each of whose rounds evaluates all its new nodes in one
+product, and on the cell path by quad.  The wave pipeline takes no
+tolerance: its gates sit at 1e-6, its cells settle to 1e-8, the log
+integral stops at quad's epsabs 1e-9 and epsrel 1e-8, and the Runge-Kutta
+cross-check solves at rtol 1e-10.
 
 The first trace identity ties the three independent pipelines together:
 
@@ -41,8 +47,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
 from .constants import VARSIGMA_3
-from .numerics import (InvariantError, NumericsError, piece_step,
-                       piece_step_array)
+from .numerics import InvariantError, NumericsError, piece_step_array
 from .potential import FULL_LINE, Potential, piece_steps, truncation_point
 from .sturm import SOLVER_TOL, RieszMean, riesz_mean, solve_line
 
@@ -55,6 +60,14 @@ K_MIN, K_MAX, K_COUNT = 0.01, 100.0, 400
 
 #: tail mass at which non-compact potentials are truncated
 TRUNCATION_TAIL = 1e-10
+
+#: quad's stopping rule for the log integral, kept by the exact path's
+#: Gauss-Kronrod rule
+LOG_EPSABS, LOG_EPSREL = 1e-9, 1e-8
+
+#: panels that rule may hold, its starting panels included (quad's limit
+#: is 2000 subintervals; this leaves room for supports up to width 250)
+LOG_PANELS_MAX = 2 ** 13
 
 #: cell counts of the extrapolated cell product: the doubling starts at the
 #: first and gives up past the second
@@ -69,6 +82,34 @@ K_CHECK = 2.0
 BRAGG_MARGIN = 2.0
 
 
+#: QUADPACK's qk15: the Gauss-Kronrod 7/15 nodes in [0, 1), descending, and
+#: their Kronrod weights; the Gauss nodes are every other one from 0.949,
+#: with the Gauss weights _WG
+_XGK = np.array([0.991455371120812639206854697526329,
+                 0.949107912342758524526189684047851,
+                 0.864864423359769072789712788640926,
+                 0.741531185599394439863864773280788,
+                 0.586087235467691130294144845693013,
+                 0.405845151377397166906606412076961,
+                 0.207784955007898467600689403773245, 0.0])
+_WGK = np.array([0.022935322010529224963732008058970,
+                 0.063092092629978553290700663189204,
+                 0.104790010322250183839876322541518,
+                 0.140653259715525918745189590510238,
+                 0.169004726639267902826583426598550,
+                 0.190350578064785409913256402421014,
+                 0.204432940075298892414161999234649,
+                 0.209482141084727828012999174891714])
+_WG = np.array([0.129484966168869693270611432679082,
+                0.279705391489276667901467771423780,
+                0.381830050505118944950369775488975,
+                0.417959183673469387755102040816327])
+#: the same on [-1, 1], ascending; the Gauss nodes are the odd-indexed ones
+_GK_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
+_GK_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
+_G_WEIGHTS = np.concatenate([_WG, _WG[-2::-1]])
+
+
 class ScatteringError(NumericsError):
     """Unitarity or consistency of the transfer matrix failed."""
 
@@ -79,8 +120,9 @@ class ScatteringData:
 
     log_integral = pi^(-1) int_R ln(1 - |R(k)|^2) dk, using the symmetry
     R(-k) = conj(R(k)) so the whole-line integral is twice the positive-k
-    one.  It is computed by adaptive quadrature of the underlying solver,
-    not from the grid samples, once per potential object.
+    one.  It is computed by adaptive quadrature of the underlying solver
+    (batched Gauss-Kronrod on the exact path, quad on the cell path), not
+    from the grid samples, once per potential object.
     """
 
     k_grid: tuple[float, ...]
@@ -123,12 +165,29 @@ def _scatter_box(V: Potential) -> float:
     return truncation_point(V, TRUNCATION_TAIL)
 
 
-def _transfer_exact(steps, k: float) -> tuple[float, float, float, float]:
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+def _transfer_exact(steps, ks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(m00, m01, m10, m11) of the product of the exact steps, as arrays over
+    the wavenumbers ks.  Each step's rotation, hyperbolic or shear entries
+    (piece_step's) are computed only where k^2 + v has that sign."""
+    kk = ks * ks
+    a, b, c, d = (np.ones_like(kk), np.zeros_like(kk), np.zeros_like(kk),
+                  np.ones_like(kk))
     for length, v in steps:
-        m00, m01, m10, m11 = piece_step(length, k * k + v)
+        q = kk + v
+        m00, m01, m10 = (np.ones_like(q), np.full_like(q, length),
+                         np.zeros_like(q))
+        for where, cos, sin, sign in ((q > 0.0, np.cos, np.sin, -1.0),
+                                      (q < 0.0, np.cosh, np.sinh, 1.0)):
+            if where.all():
+                where = slice(None)  # no gather where every k takes it
+            elif not where.any():
+                continue
+            w = np.sqrt(np.abs(q[where]))
+            s = sin(w * length)
+            m00[where], m01[where], m10[where] = (cos(w * length), s / w,
+                                                  sign * w * s)
         a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
-                      m10 * a + m11 * c, m10 * b + m11 * d)
+                      m10 * a + m00 * c, m10 * b + m00 * d)
     return a, b, c, d
 
 
@@ -223,33 +282,56 @@ class _Propagator:
     def cells(self):
         return _cell_pair(self.V, self.X, self.k_max)
 
-    def matrix(self, k: float) -> tuple[float, float, float, float]:
+    def matrix(self, k):
+        """(m00, m01, m10, m11) at k: floats at a float k, and on the exact
+        path arrays at an array of wavenumbers."""
         if self.steps is None:
             return tuple(_extrapolated(*self.cells, k).tolist())
-        return _transfer_exact(self.steps, k)
+        if np.ndim(k):
+            return _transfer_exact(self.steps, k)
+        return tuple(float(m[0]) for m in _transfer_exact(self.steps,
+                                                          np.array([k])))
 
 
-def _reflection_at(prop: _Propagator, k: float):
-    """(R, T, unitarity_defect) at one positive wavenumber."""
-    if k <= 0.0:
+def _gate(errors, k, what: str) -> None:
+    """ScatteringError naming the first k whose error passes 100 SCATTER_TOL
+    or is not a number."""
+    errors, ks = np.atleast_1d(errors), np.atleast_1d(k)
+    bad = np.flatnonzero(~(errors <= 100.0 * SCATTER_TOL))
+    if len(bad):
+        i = bad[0]
+        raise ScatteringError(f"{what} {errors[i]:.2e} at k={ks[i]}")
+
+
+def _reflection_at(prop: _Propagator, k):
+    """(R, T, unitarity_defect) at a positive wavenumber k, or elementwise
+    at an array of them from one batched product (exact path only).
+
+    T is det M / P11, which keeps its digits as |T| -> 0 at k -> 0; the
+    unitarity gate tests its other form P00 + P01 R, which cancels there.
+    A float k is projected in Python complex arithmetic, as the cell
+    path's quad integrand has always been.
+    """
+    if np.any(np.asarray(k) <= 0.0):
         raise ValueError("wavenumbers must be positive")
-    (a, b, c, d), X = prop.matrix(k), prop.X
-    det_err = abs(a * d - b * c - 1.0)
-    if det_err > 100.0 * SCATTER_TOL:
-        raise ScatteringError(
-            f"transfer matrix determinant drifted by {det_err:.2e} at k={k}")
-    ik, kkb = 1j * k, k * k * b
-    h, e2 = 0.5 / ik, cmath.exp(2.0 * ik * X)
-    # P = W(X)^-1 M W(-X) in closed form; W(x) has columns e^{ikx}, e^{-ikx}
-    # as (u, u').  T not via det M = 1, so the unitarity gate tests more
-    P00, P01 = (ik * (a + d) - kkb + c) * h / e2, (ik * (a - d) + kkb + c) * h
-    P10, P11 = (ik * (a - d) - kkb - c) * h, (ik * (a + d) + kkb - c) * h * e2
-    R = -P10 / P11
-    T = P00 + P01 * R
-    defect = abs(1.0 - abs(R) ** 2 - abs(T) ** 2)
-    if defect > 100.0 * SCATTER_TOL:
-        raise ScatteringError(f"unitarity defect {defect:.2e} at k={k}")
-    return R, T, defect
+    # an overflowed step leaves inf or nan, which the gates name
+    with np.errstate(over="ignore", invalid="ignore"):
+        (a, b, c, d), X = prop.matrix(k), prop.X
+        det = a * d - b * c
+        _gate(abs(det - 1.0), k, "transfer matrix determinant drifted by")
+        ik, kkb = 1j * k, k * k * b
+        h = 0.5 / ik
+        e2 = np.exp(2.0 * ik * X) if np.ndim(k) else cmath.exp(2.0 * ik * X)
+        # P = W(X)^-1 M W(-X) in closed form; W(x) has columns e^{ikx},
+        # e^{-ikx} as (u, u'); det P = det M
+        P00 = (ik * (a + d) - kkb + c) * h / e2
+        P01 = (ik * (a - d) + kkb + c) * h
+        P10 = (ik * (a - d) - kkb - c) * h
+        P11 = (ik * (a + d) + kkb - c) * h * e2
+        R = -P10 / P11
+        defect = abs(1.0 - abs(R) ** 2 - abs(P00 + P01 * R) ** 2)
+    _gate(defect, k, "unitarity defect")
+    return R, det / P11, defect
 
 
 #: log integrals by potential.  Keyed on identity, so that equal-valued
@@ -281,10 +363,75 @@ def _check_against_ode(prop: _Propagator, k: float) -> None:
             f"cell product and ODE differ by {err:.2e} at k={k}")
 
 
+def _gk_panels(g, lo: np.ndarray, hi: np.ndarray):
+    """Gauss-Kronrod 7/15 values of int g over the panels [lo, hi] and
+    their errors |K15 - G7|, from one call of g on all their nodes."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    gx = g((mid[:, None] + half[:, None] * _GK_NODES).ravel())
+    gx = gx.reshape(len(lo), len(_GK_NODES))
+    kronrod = half * (gx @ _GK_WEIGHTS)
+    return kronrod, np.abs(kronrod - half * (gx[:, 1::2] @ _G_WEIGHTS))
+
+
+def _kronrod(g, edges: np.ndarray) -> float:
+    """int g over [edges[0], edges[-1]], starting from the panels between
+    the edges, by batched adaptive Gauss-Kronrod 7/15.
+
+    quad's stopping rule: the panel errors must sum to at most
+    max(LOG_EPSABS, LOG_EPSREL |I|).  Until they do, every panel whose
+    error passes its share of that by width is halved, and each round
+    evaluates g once, on the nodes of all the new panels.  Past
+    LOG_PANELS_MAX panels the rule gives up.
+    """
+    lo, hi = edges[:-1], edges[1:]
+    vals, errs = _gk_panels(g, lo, hi)
+    while True:
+        total = vals.sum()
+        tol = max(LOG_EPSABS, LOG_EPSREL * abs(total))
+        if errs.sum() <= tol:
+            return float(total)
+        split = errs > tol * (hi - lo) / (edges[-1] - edges[0])
+        if len(lo) + np.count_nonzero(split) > LOG_PANELS_MAX:
+            raise ScatteringError(
+                f"log integral did not settle on {LOG_PANELS_MAX} panels")
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_vals, new_errs = _gk_panels(g, new_lo, new_hi)
+        keep = ~split
+        lo, hi = (np.concatenate([lo[keep], new_lo]),
+                  np.concatenate([hi[keep], new_hi]))
+        vals = np.concatenate([vals[keep], new_vals])
+        errs = np.concatenate([errs[keep], new_errs])
+
+
+def _log_integral_exact(prop: _Propagator) -> float:
+    """(2/pi) int_0^K_MAX ln|T|^2 dk, less the tail, on the exact path.
+
+    The integrand is ln|T|^2 = -2 ln|P11|, which keeps its digits at
+    k -> 0, where 1 - |R|^2 cancels; in t = sqrt(k) its logarithmic
+    singularity there becomes 2 t ln|T(t^2)|^2 -> 0.  The starting panels
+    are uniform in k and no wider than pi / (support width), the period
+    in k of the interference between the outermost jumps.
+    """
+    def log_t2(k):
+        return 2.0 * np.log(np.abs(_reflection_at(prop, k)[1]))
+
+    lo, hi = prop.V.support()
+    n = max(1, math.ceil(K_MAX * (hi - lo) / math.pi))
+    val = _kronrod(lambda t: 2.0 * t * log_t2(t * t),
+                   np.sqrt(np.linspace(0.0, K_MAX, n + 1)))
+    tail = abs(float(log_t2(np.array([K_MAX]))[0])) * K_MAX / 3.0
+    return (2.0 / math.pi) * (val - tail)
+
+
 def _log_integral_uncached(prop: _Propagator) -> float:
     """pi^(-1) int_R ln(1-|R|^2) dk = (2/pi) int_0^inf, by symmetry."""
+    if prop.steps is not None:
+        return _log_integral_exact(prop)
+
     def f(k):
-        R, _, _ = _reflection_at(prop, k)
+        R = _reflection_at(prop, k)[0]
         # keep 1 - r2 representable; |R|^2 can round to exactly 1 at low k
         r2 = min(abs(R) ** 2, 1.0 - 1e-16)
         return math.log1p(-r2)
@@ -299,22 +446,31 @@ def _log_integral_uncached(prop: _Propagator) -> float:
         return probed[k]
 
     k_cut = K_MAX
-    if prop.steps is None:
-        _check_against_ode(prop, K_CHECK)
-        for kc in (K_CHECK, 5.0, 10.0, 25.0):
-            if abs(probe(kc)) < 1e-14 and abs(probe(1.37 * kc)) < 1e-14:
-                k_cut = 1.37 * kc
-                break
+    _check_against_ode(prop, K_CHECK)
+    for kc in (K_CHECK, 5.0, 10.0, 25.0):
+        if abs(probe(kc)) < 1e-14 and abs(probe(1.37 * kc)) < 1e-14:
+            k_cut = 1.37 * kc
+            break
     with warnings.catch_warnings():
         # near-total reflection at k -> 0 makes the integrand log-singular;
         # quad flags roundoff there although the value converges fine
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(f, 0.0, k_cut, epsabs=1e-9, epsrel=1e-8, limit=2000)
+        val, _ = quad(f, 0.0, k_cut, epsabs=LOG_EPSABS, epsrel=LOG_EPSREL,
+                      limit=2000)
     # beyond the cut the integrand decays at least like k^-4 (the Born
     # amplitude of an L1 potential falls off like 1/k^2 or faster)
     f_cut = probed[k_cut] if k_cut in probed else f(k_cut)
     tail = abs(f_cut) * k_cut / 3.0
     return (2.0 / math.pi) * (val - tail)
+
+
+def _sampled(prop: _Propagator, ks) -> dict:
+    """{k: (R, T, unitarity_defect)} at the wavenumbers ks: one batched
+    call on the exact path, one call per k on the cell path."""
+    if prop.steps is None:
+        return {k: _reflection_at(prop, k) for k in ks}
+    columns = _reflection_at(prop, np.asarray(ks))
+    return dict(zip(ks, zip(*(column.tolist() for column in columns))))
 
 
 def reflection_coefficient(V: Potential, k_grid=None) -> ScatteringData:
@@ -331,13 +487,10 @@ def reflection_coefficient(V: Potential, k_grid=None) -> ScatteringData:
         raise ValueError("k_grid must contain positive wavenumbers")
     ks = np.sort(ks)
     prop = _Propagator(V, max(K_MAX, float(ks[-1])))
-    Rs = {k: _reflection_at(prop, k) for k in ks}
-    extra = []
-    for k1, k2 in zip(ks[:-1], ks[1:]):
-        if abs(abs(Rs[k1][0]) ** 2 - abs(Rs[k2][0]) ** 2) > 0.05:
-            extra.append(math.sqrt(k1 * k2))
-    for k in extra:
-        Rs[k] = _reflection_at(prop, k)
+    Rs = _sampled(prop, ks)
+    extra = [math.sqrt(k1 * k2) for k1, k2 in zip(ks[:-1], ks[1:])
+             if abs(abs(Rs[k1][0]) ** 2 - abs(Rs[k2][0]) ** 2) > 0.05]
+    Rs.update(_sampled(prop, extra))
     grid = sorted(Rs)
     return ScatteringData(
         k_grid=tuple(grid),

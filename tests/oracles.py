@@ -2,7 +2,8 @@
 
 Nothing here shares code paths with the library: eigenvalues come from
 Prüfer-angle shooting or transcendental closed forms, reflection amplitudes
-from textbook closed forms or a linear solve of the plane-wave matching.
+from textbook closed forms or a linear solve of the plane-wave matching,
+and transfer matrices of piece lists from one scalar step at a time.
 Agreement between these and the library is the point of the comparisons.
 The count and ground-state bounds, the Sobolev check, the raw moment
 constant and the index multiplicities at the end are textbook inequalities
@@ -13,7 +14,7 @@ import cmath
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from lt_spectral.constants import VARSIGMA_3
@@ -132,20 +133,74 @@ def poschl_teller_levels(nu, alpha=1.0):
     return sorted(out)
 
 
-def plane_wave_projection(M, k, X):
-    """(R, T) of a transfer matrix M = (m00, m01, m10, m11) across [-X, X].
-
-    Solves Wp P = M Wm for the matrix P that takes the plane-wave
-    amplitudes at -X to those at +X; the columns of W(x) are the waves
-    e^{ikx}, e^{-ikx} as (u, u') data.  Then R = -P10/P11, T = P00 + P01 R.
-    """
+def _plane_wave_matrix(M, k, X):
+    """P with Wp P = M Wm: it takes the plane-wave amplitudes at -X to those
+    at +X of a transfer matrix M = (m00, m01, m10, m11) across [-X, X]; the
+    columns of W(x) are the waves e^{ikx}, e^{-ikx} as (u, u') data."""
     ik = 1j * k
     em, ep = cmath.exp(-ik * X), cmath.exp(ik * X)
     Wm = np.array([[em, ep], [ik * em, -ik * ep]])
     Wp = np.array([[ep, em], [ik * ep, -ik * em]])
-    P = np.linalg.solve(Wp, np.reshape(M, (2, 2)) @ Wm)
+    return np.linalg.solve(Wp, np.reshape(M, (2, 2)) @ Wm)
+
+
+def plane_wave_projection(M, k, X):
+    """(R, T) of a transfer matrix M = (m00, m01, m10, m11) across [-X, X]:
+    R = -P10/P11, T = P00 + P01 R with P from the linear solve."""
+    P = _plane_wave_matrix(M, k, X)
     R = -P[1, 0] / P[1, 1]
     return complex(R), complex(P[0, 0] + P[0, 1] * R)
+
+
+def transfer_exact(steps, k):
+    """(m00, m01, m10, m11) of the transfer matrix of (length, v) steps at
+    the wavenumber k: one step and one k at a time in Python floats, each
+    step the propagator of u'' = -(k^2 + v) u on (u, u'), a rotation, a
+    hyperbolic rotation or a shear."""
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for length, v in steps:
+        q = k * k + v
+        if q > 0.0:
+            w = math.sqrt(q)
+            co, si = math.cos(w * length), math.sin(w * length)
+            m00, m01, m10 = co, si / w, -w * si
+        elif q < 0.0:
+            w = math.sqrt(-q)
+            co, si = math.cosh(w * length), math.sinh(w * length)
+            m00, m01, m10 = co, si / w, w * si
+        else:
+            m00, m01, m10 = 1.0, length, 0.0
+        a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
+                      m10 * a + m00 * c, m10 * b + m00 * d)
+    return a, b, c, d
+
+
+def log_transmission_integral(pieces, k_max):
+    """(2/pi) (int_0^k_max ln|T|^2 dk - |ln|T(k_max)|^2| k_max / 3) of a
+    pieces() list: the library's log integral with its k^-4 tail model.
+
+    ln|T|^2 = -2 ln|P11| with P from transfer_exact and the linear solve,
+    which does not cancel as |T| -> 0 at k -> 0.  quad at epsabs 1e-14 on
+    fixed panels, 0.25 wide in k and halving toward 0.
+    """
+    steps, x = [], pieces[0][0] if pieces else 0.0
+    for p0, p1, v in pieces:
+        if p0 > x:
+            steps.append((p0 - x, 0.0))
+        steps.append((p1 - p0, v))
+        x = p1
+    # |T| does not depend on where the steps lie
+    X = 0.5 * sum(length for length, _ in steps)
+
+    def log_t2(k):
+        P = _plane_wave_matrix(transfer_exact(steps, k), k, X)
+        return -2.0 * math.log(abs(P[1, 1]))
+
+    edges = [0.0, *(0.25 * 0.5 ** j for j in range(50, 0, -1)),
+             *np.arange(0.25, k_max + 0.125, 0.25)]
+    total = sum(quad(log_t2, a, b, epsabs=1e-14, epsrel=0.0, limit=200)[0]
+                for a, b in zip(edges, edges[1:]))
+    return (2.0 / math.pi) * (total - abs(log_t2(k_max)) * k_max / 3.0)
 
 
 def theta_inner_inf(s, p0, p1, dps=20):

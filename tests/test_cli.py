@@ -185,6 +185,20 @@ class TestScatter:
         assert code == EXIT_PASS
         assert len(out.strip().splitlines()) >= 401
 
+    @pytest.mark.parametrize("command", ["scatter", "sumrule"])
+    def test_overflowing_barrier(self, capsys, tmp_path, command):
+        # cosh overflows across this barrier at low k: a numerical failure
+        # at the determinant gate (an OverflowError traceback before)
+        path = tmp_path / "barrier.json"
+        path.write_text(json.dumps({"family": "piecewise_constant", "params":
+                                    {"breakpoints": [-1, 1],
+                                     "values": [-1e6]}}))
+        assert main([command, "--potential", str(path)]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: transfer matrix "
+                                       "determinant drifted by nan at k=")
+        assert captured.out == ""
+
 
 def _fd_solve_line(V, tol=sturm.SOLVER_TOL):
     return sturm.solve_line(FDOnly(V), tol)
@@ -338,6 +352,17 @@ class TestUsageErrors:
     def test_bad_tolerance(self, capsys, well_file):
         code = main(["certify", "--potential", well_file, "--tol", "-1"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["certify", "kyfan", "partition",
+                                         "scatter", "sumrule"])
+    def test_seed_next_to_potential(self, capsys, well_file, command):
+        # the seed would be ignored: the document is the potential
+        code = main([command, "--potential", well_file, "--seed", "3"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "usage error: --seed and --potential are exclusive\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("tol", ["0", "1", "-1", "nan", "inf"])
     def test_tolerance_outside_the_unit_interval(self, capsys, tol):

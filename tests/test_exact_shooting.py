@@ -12,6 +12,7 @@ Adv. Theor. Math. Phys. 2 (1998) 719).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from lt_spectral.potential import (HALF_LINE, PiecewiseConstant, SquareWell,
 from lt_spectral.scattering import _transfer_exact
 from lt_spectral.sturm import riesz_mean, solve_interval, solve_line
 
-from oracles import prufer_angle, square_well_line_levels
+from oracles import prufer_angle, square_well_line_levels, transfer_exact
 
 EXAMPLES = settings(max_examples=40, derandomize=True, deadline=None,
                     database=None,
@@ -152,18 +153,54 @@ def test_tunnelling_pair_below_rounding():
 
 @pytest.mark.parametrize("q", [2.5, -1.5, 0.0])
 def test_scattering_steps_share_the_formula(q):
-    # the transfer matrix of one step is piece_step's entries, bit for bit
-    M = _transfer_exact([(0.7, q - 0.25)], 0.5)
-    assert M == piece_step(0.7, q)
+    # the batched transfer matrix of one step is piece_step's entries; numpy
+    # and libm may round cos, cosh and sinh one ulp apart
+    M = [float(m[0]) for m in _transfer_exact([(0.7, q - 0.25)],
+                                               np.array([0.5]))]
+    assert M == pytest.approx(piece_step(0.7, q), rel=4e-16, abs=0.0)
 
 
 @EXAMPLES
 @given(V=piece_lists("full_line", signed=True), k=st.floats(0.01, 30.0))
 def test_scalar_transfer_matches_matrix_product(V, k):
-    # the scalar product of the piece steps against numpy's 2x2 products
+    # the scalar oracle against numpy's 2x2 products of piece_step
     steps = piece_steps(V.pieces(), -5.0, 5.0)
     M = np.eye(2)
     for d, v in steps:
         M = np.array(piece_step(d, k * k + v)).reshape(2, 2) @ M
-    scalar = np.array(_transfer_exact(steps, k))
+    scalar = np.array(transfer_exact(steps, k))
     assert np.max(np.abs(scalar - M.ravel())) <= 1e-12 * np.max(np.abs(M))
+
+
+@st.composite
+def step_lists(draw):
+    """1-6 (length, v) steps: signed values, exact zeros (free steps) and
+    deep narrow wells."""
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["signed", "free", "deep"]))
+        if kind == "deep":
+            steps.append((draw(st.floats(1e-4, 0.05)),
+                          draw(st.floats(1e2, 1e6))))
+        else:
+            v = 0.0 if kind == "free" else draw(st.floats(-20.0, 50.0))
+            steps.append((draw(st.floats(0.01, 2.0)), v))
+    return steps
+
+
+@EXAMPLES
+@given(steps=step_lists(),
+       ks=st.lists(st.floats(0.01, 30.0), min_size=1, max_size=8),
+       shear=st.booleans())
+def test_batched_transfer_matches_scalar_oracle(steps, ks, shear):
+    # one batched product over all ks against the oracle one k at a time;
+    # a barrier is a rotation at some k and hyperbolic at others, and with
+    # shear one step has k^2 + v == 0 exactly at the first k
+    if shear:
+        steps = [*steps, (0.5, -(ks[0] * ks[0]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batched = np.array(_transfer_exact(steps, np.array(ks)))
+    for j, k in enumerate(ks):
+        M = np.array(transfer_exact(steps, k))
+        assert np.max(np.abs(batched[:, j] - M)) <= 1e-12 * np.max(np.abs(M))

@@ -20,8 +20,8 @@ from lt_spectral.scattering import (K_CHECK, ScatteringData,
                                     reflection_coefficient,
                                     sum_rule_residual, theorem2_check)
 
-from oracles import (plane_wave_projection, poschl_teller_reflection_sq,
-                     square_well_reflection_sq)
+from oracles import (log_transmission_integral, plane_wave_projection,
+                     poschl_teller_reflection_sq, square_well_reflection_sq)
 
 MODEST_GRID = np.geomspace(0.02, 20.0, 40)
 
@@ -136,6 +136,38 @@ class TestLogIntegral:
             data = reflection_coefficient(V, MODEST_GRID)
             assert data.log_integral <= 1e-12
 
+    @pytest.mark.parametrize("V", [
+        *(random_piecewise(seed) for seed in range(1, 21)),
+        SquareWell(2.0, -1.0, 1.0), SquareWell(5.0, -0.5, 0.5),
+        SquareWell(1.0, -2.0, 2.0), random_piecewise(3, signed=True),
+        SquareWell(1000.0, 200.0, 200.0001)],
+        ids=[*(f"seed{seed}" for seed in range(1, 21)), "well2", "well5",
+             "well1", "signed3", "narrow"])
+    def test_exact_path_matches_the_oracle(self, V):
+        # the batched Gauss-Kronrod rule against quad of the scalar oracle
+        # on fixed panels, with the same k^-4 tail model
+        ref = log_transmission_integral(V.pieces(), scattering.K_MAX)
+        assert abs(_log_integral(_Propagator(V)) - ref) <= 1e-9
+
+    @pytest.mark.parametrize("degree", range(23))
+    def test_kronrod_rule_is_exact_on_polynomials(self, degree):
+        # K15 integrates degree 22 exactly and G7 degree 13, so the error
+        # estimate vanishes up to degree 13
+        one = np.array([-1.0]), np.array([1.0])
+        value, err = scattering._gk_panels(lambda x: x ** degree, *one)
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        assert abs(value[0] - exact) <= 1e-15
+        assert err[0] <= (1e-15 if degree <= 13 else 1.0)
+
+    def test_panel_cap_raises(self, monkeypatch):
+        # this well starts on 64 panels and settles on 74; with room for
+        # 70 the rule gives up, and nothing is memoised
+        monkeypatch.setattr(scattering, "LOG_PANELS_MAX", 70)
+        V = SquareWell(2.0, -1.0, 1.0)
+        with pytest.raises(ScatteringError, match="did not settle on 70"):
+            _log_integral(_Propagator(V))
+        assert V not in scattering._LOG_INTEGRALS
+
     def test_low_k_total_reflection(self):
         # |R| -> 1 as k -> 0 for generic potentials, yet the integral
         # converges; check it is finite and clearly negative
@@ -174,11 +206,11 @@ class TestLogIntegralMemo:
         # a stated tolerance reaches the eigenvalue solver only, so the
         # sum rule at 1e-9 reuses the integral the default computed
         V = SquareWell(2.0, -1.0, 1.0)
-        quads = self.count(monkeypatch, "quad")
+        computed = self.count(monkeypatch, "_log_integral_uncached")
         reflection_coefficient(V)
-        assert len(quads) == 1
+        assert len(computed) == 1
         sum_rule_residual(V, 1e-9)
-        assert len(quads) == 1
+        assert len(computed) == 1
 
     def test_cached_value_is_a_fresh_value(self):
         args = ([-0.9, 0.2, 1.4], [2.0, -1.0])
@@ -217,20 +249,23 @@ class TestLogIntegralMemo:
         assert all(r() is not None
                    for r in scattering._LOG_INTEGRALS.keyrefs())
 
-    def test_failure_is_not_cached(self):
-        class Drifting(StubPropagator):
-            # a determinant drift past the gate at every k
-            V, steps, calls = SquareWell(2.0, -1.0, 1.0), [], 0
+    def test_failure_is_not_cached(self, monkeypatch):
+        # a determinant drift past the gate at every k, planted in the
+        # batched product: each call computes again and fails again
+        real, calls = scattering._transfer_exact, []
 
-            def matrix(self, k):
-                self.calls += 1
-                return super().matrix(k)
+        def drifting(steps, ks):
+            calls.append(ks)
+            a, b, c, d = real(steps, ks)
+            return a * (1.0 + 2e-6), b, c, d
 
-        prop = Drifting((1.0 + 2e-6, 0.0, 0.0, 1.0))
-        for calls in (1, 2):
+        monkeypatch.setattr(scattering, "_transfer_exact", drifting)
+        V = SquareWell(2.0, -1.0, 1.0)
+        for count in (1, 2):
             with pytest.raises(ScatteringError, match="determinant"):
-                _log_integral(prop)
-            assert prop.calls == calls
+                _log_integral(_Propagator(V))
+            assert len(calls) == count
+        assert V not in scattering._LOG_INTEGRALS
 
 
 class TestCellPath:
