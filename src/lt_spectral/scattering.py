@@ -65,9 +65,10 @@ TRUNCATION_TAIL = 1e-10
 #: Gauss-Kronrod rule
 LOG_EPSABS, LOG_EPSREL = 1e-9, 1e-8
 
-#: panels that rule may hold, its starting panels included (quad's limit
-#: is 2000 subintervals; this leaves room for supports up to width 250)
-LOG_PANELS_MAX = 2 ** 13
+#: halvings that rule may make before it gives up, as quad's limit=2000,
+#: and the most panels whose nodes one batched product takes, which bounds
+#: its memory however wide the support and so the starting panels
+LOG_SPLITS_MAX, LOG_CHUNK = 2000, 2 ** 12
 
 #: cell counts of the extrapolated cell product: the doubling starts at the
 #: first and gives up past the second
@@ -307,13 +308,15 @@ def _reflection_at(prop: _Propagator, k):
     """(R, T, unitarity_defect) at a positive wavenumber k, or elementwise
     at an array of them from one batched product (exact path only).
 
-    T is det M / P11, which keeps its digits as |T| -> 0 at k -> 0; the
-    unitarity gate tests its other form P00 + P01 R, which cancels there.
-    A float k is projected in Python complex arithmetic, as the cell
-    path's quad integrand has always been.
+    T is det M / P11, which keeps its digits as |T| -> 0 at k -> 0.  A
+    float k is projected in Python complex arithmetic, as the cell path's
+    quad integrand has always been, and its unitarity gate tests T's other
+    form P00 + P01 R, which cancels as k -> 0; an array of k is gated on
+    det M / P11, which tests P10 and P11 against the determinant.
     """
     if np.any(np.asarray(k) <= 0.0):
         raise ValueError("wavenumbers must be positive")
+    batched = np.ndim(k) > 0
     # an overflowed step leaves inf or nan, which the gates name
     with np.errstate(over="ignore", invalid="ignore"):
         (a, b, c, d), X = prop.matrix(k), prop.X
@@ -321,17 +324,23 @@ def _reflection_at(prop: _Propagator, k):
         _gate(abs(det - 1.0), k, "transfer matrix determinant drifted by")
         ik, kkb = 1j * k, k * k * b
         h = 0.5 / ik
-        e2 = np.exp(2.0 * ik * X) if np.ndim(k) else cmath.exp(2.0 * ik * X)
+        e2 = np.exp(2.0 * ik * X) if batched else cmath.exp(2.0 * ik * X)
         # P = W(X)^-1 M W(-X) in closed form; W(x) has columns e^{ikx},
         # e^{-ikx} as (u, u'); det P = det M
-        P00 = (ik * (a + d) - kkb + c) * h / e2
-        P01 = (ik * (a - d) + kkb + c) * h
         P10 = (ik * (a - d) - kkb - c) * h
         P11 = (ik * (a + d) + kkb - c) * h * e2
-        R = -P10 / P11
-        defect = abs(1.0 - abs(R) ** 2 - abs(P00 + P01 * R) ** 2)
+        R, T = -P10 / P11, det / P11
+        if batched:
+            # the log integral's rule probes k down to about 1e-13, where
+            # P00 + P01 R cancels: |P00| ~ |c| / 2k while |T| ~ k
+            checked = T
+        else:
+            P00 = (ik * (a + d) - kkb + c) * h / e2
+            P01 = (ik * (a - d) + kkb + c) * h
+            checked = P00 + P01 * R
+        defect = abs(1.0 - abs(R) ** 2 - abs(checked) ** 2)
     _gate(defect, k, "unitarity defect")
-    return R, det / P11, defect
+    return R, T, defect
 
 
 #: log integrals by potential.  Keyed on identity, so that equal-valued
@@ -365,10 +374,13 @@ def _check_against_ode(prop: _Propagator, k: float) -> None:
 
 def _gk_panels(g, lo: np.ndarray, hi: np.ndarray):
     """Gauss-Kronrod 7/15 values of int g over the panels [lo, hi] and
-    their errors |K15 - G7|, from one call of g on all their nodes."""
+    their errors |K15 - G7|, from one call of g on the nodes of every
+    LOG_CHUNK panels."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    gx = g((mid[:, None] + half[:, None] * _GK_NODES).ravel())
-    gx = gx.reshape(len(lo), len(_GK_NODES))
+    x = mid[:, None] + half[:, None] * _GK_NODES
+    gx = np.concatenate([g(x[i:i + LOG_CHUNK].ravel())
+                         for i in range(0, len(x), LOG_CHUNK)])
+    gx = gx.reshape(x.shape)
     kronrod = half * (gx @ _GK_WEIGHTS)
     return kronrod, np.abs(kronrod - half * (gx[:, 1::2] @ _G_WEIGHTS))
 
@@ -380,20 +392,22 @@ def _kronrod(g, edges: np.ndarray) -> float:
     quad's stopping rule: the panel errors must sum to at most
     max(LOG_EPSABS, LOG_EPSREL |I|).  Until they do, every panel whose
     error passes its share of that by width is halved, and each round
-    evaluates g once, on the nodes of all the new panels.  Past
-    LOG_PANELS_MAX panels the rule gives up.
+    evaluates g on the nodes of all the new panels at once.  Past
+    LOG_SPLITS_MAX halvings the rule gives up.
     """
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _gk_panels(g, lo, hi)
+    splits = 0
     while True:
         total = vals.sum()
         tol = max(LOG_EPSABS, LOG_EPSREL * abs(total))
         if errs.sum() <= tol:
             return float(total)
         split = errs > tol * (hi - lo) / (edges[-1] - edges[0])
-        if len(lo) + np.count_nonzero(split) > LOG_PANELS_MAX:
+        splits += np.count_nonzero(split)
+        if splits > LOG_SPLITS_MAX:
             raise ScatteringError(
-                f"log integral did not settle on {LOG_PANELS_MAX} panels")
+                f"log integral did not settle in {LOG_SPLITS_MAX} halvings")
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])

@@ -213,6 +213,19 @@ class TestSumRule:
         assert abs(doc["residual"]) < 1e-3
         assert doc["integral_V"] == pytest.approx(4.0)
 
+    def test_wide_support_closes_the_sum_rule(self, capsys, tmp_path):
+        # two wells 298 apart: quad on [0, K_MAX] missed the log integral
+        # by 0.32 (exit 1); the Gauss-Kronrod panels resolve the
+        # interference period pi / 300, and its rule probes k below 1e-10,
+        # where the unitarity check must not cancel
+        path = tmp_path / "wells.json"
+        path.write_text(json.dumps({"family": "piecewise_constant", "params":
+                                    {"breakpoints": [-150, -149, 149, 150],
+                                     "values": [3, 0, 3]}}))
+        code, out = run(capsys, "sumrule", "--potential", str(path))
+        assert code == EXIT_PASS
+        assert abs(json.loads(out)["residual"]) < 1e-6
+
     def test_residual_within_moment_budget(self, capsys, monkeypatch):
         # on the FD path seed 2's shallowest state is unresolved; its
         # certified budget, not a fixed 1e-3, decides

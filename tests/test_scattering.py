@@ -159,14 +159,23 @@ class TestLogIntegral:
         assert abs(value[0] - exact) <= 1e-15
         assert err[0] <= (1e-15 if degree <= 13 else 1.0)
 
-    def test_panel_cap_raises(self, monkeypatch):
-        # this well starts on 64 panels and settles on 74; with room for
-        # 70 the rule gives up, and nothing is memoised
-        monkeypatch.setattr(scattering, "LOG_PANELS_MAX", 70)
+    def test_halving_cap_raises(self, monkeypatch):
+        # this well settles after 10 halvings of its 64 starting panels;
+        # with room for 5 the rule gives up, and nothing is memoised
+        monkeypatch.setattr(scattering, "LOG_SPLITS_MAX", 5)
         V = SquareWell(2.0, -1.0, 1.0)
-        with pytest.raises(ScatteringError, match="did not settle on 70"):
+        with pytest.raises(ScatteringError, match="did not settle in 5"):
             _log_integral(_Propagator(V))
         assert V not in scattering._LOG_INTEGRALS
+
+    def test_chunked_rounds_give_the_same_integral(self, monkeypatch):
+        # one product per LOG_CHUNK panels bounds the memory of a round;
+        # where the panels go does not depend on it
+        V, W = SquareWell(2.0, -1.0, 1.0), SquareWell(2.0, -1.0, 1.0)
+        whole = _log_integral(_Propagator(V))
+        monkeypatch.setattr(scattering, "LOG_CHUNK", 3)
+        assert _log_integral(_Propagator(W)) == pytest.approx(whole,
+                                                              abs=1e-15)
 
     def test_low_k_total_reflection(self):
         # |R| -> 1 as k -> 0 for generic potentials, yet the integral
