@@ -65,10 +65,10 @@ TRUNCATION_TAIL = 1e-10
 #: Gauss-Kronrod rule
 LOG_EPSABS, LOG_EPSREL = 1e-9, 1e-8
 
-#: halvings that rule may make before it gives up, as quad's limit=2000,
-#: and the most panels whose nodes one batched product takes, which bounds
-#: its memory however wide the support and so the starting panels
-LOG_SPLITS_MAX, LOG_CHUNK = 2000, 2 ** 12
+#: halvings that rule may make before it gives up, as quad's limit=2000;
+#: the most panels whose nodes one batched product takes; and the most
+#: starting panels.  The last two bound its memory however wide the support
+LOG_SPLITS_MAX, LOG_CHUNK, LOG_START_MAX = 2000, 2 ** 12, 2 ** 16
 
 #: cell counts of the extrapolated cell product: the doubling starts at the
 #: first and gives up past the second
@@ -426,13 +426,14 @@ def _log_integral_exact(prop: _Propagator) -> float:
     k -> 0, where 1 - |R|^2 cancels; in t = sqrt(k) its logarithmic
     singularity there becomes 2 t ln|T(t^2)|^2 -> 0.  The starting panels
     are uniform in k and no wider than pi / (support width), the period
-    in k of the interference between the outermost jumps.
+    in k of the interference between the outermost jumps, on supports up
+    to width pi LOG_START_MAX / K_MAX, about 2,060.
     """
     def log_t2(k):
         return 2.0 * np.log(np.abs(_reflection_at(prop, k)[1]))
 
     lo, hi = prop.V.support()
-    n = max(1, math.ceil(K_MAX * (hi - lo) / math.pi))
+    n = min(max(1, math.ceil(K_MAX * (hi - lo) / math.pi)), LOG_START_MAX)
     val = _kronrod(lambda t: 2.0 * t * log_t2(t * t),
                    np.sqrt(np.linspace(0.0, K_MAX, n + 1)))
     tail = abs(float(log_t2(np.array([K_MAX]))[0])) * K_MAX / 3.0

@@ -169,6 +169,21 @@ class TestLogIntegral:
             _log_integral(_Propagator(V))
         assert V not in scattering._LOG_INTEGRALS
 
+    def test_start_is_capped_on_very_wide_supports(self, monkeypatch):
+        # pi / width panels would be 32 million here; the start is capped,
+        # so memory stays bounded, and the rule gives up on the 10^6
+        # interference periods it cannot resolve in 2000 halvings
+        sizes, real = [], scattering._gk_panels
+
+        def spy(g, lo, hi):
+            sizes.append(len(lo))
+            return real(g, lo, hi)
+
+        monkeypatch.setattr(scattering, "_gk_panels", spy)
+        with pytest.raises(ScatteringError, match="did not settle"):
+            _log_integral(_Propagator(SquareWell(1.0, -5e5, 5e5)))
+        assert sizes[0] == scattering.LOG_START_MAX
+
     def test_chunked_rounds_give_the_same_integral(self, monkeypatch):
         # one product per LOG_CHUNK panels bounds the memory of a round;
         # where the panels go does not depend on it
