@@ -168,25 +168,13 @@ def _scatter_box(V: Potential) -> float:
 
 def _transfer_exact(steps, ks: np.ndarray) -> tuple[np.ndarray, ...]:
     """(m00, m01, m10, m11) of the product of the exact steps, as arrays over
-    the wavenumbers ks.  Each step's rotation, hyperbolic or shear entries
-    (piece_step's) are computed only where k^2 + v has that sign."""
+    the wavenumbers ks, each step's entries from piece_step_array."""
     kk = ks * ks
     a, b, c, d = (np.ones_like(kk), np.zeros_like(kk), np.zeros_like(kk),
                   np.ones_like(kk))
     for length, v in steps:
-        q = kk + v
-        m00, m01, m10 = (np.ones_like(q), np.full_like(q, length),
-                         np.zeros_like(q))
-        for where, cos, sin, sign in ((q > 0.0, np.cos, np.sin, -1.0),
-                                      (q < 0.0, np.cosh, np.sinh, 1.0)):
-            if where.all():
-                where = slice(None)  # no gather where every k takes it
-            elif not where.any():
-                continue
-            w = np.sqrt(np.abs(q[where]))
-            s = sin(w * length)
-            m00[where], m01[where], m10[where] = (cos(w * length), s / w,
-                                                  sign * w * s)
+        m00, m01, m10, _ = piece_step_array(np.full_like(kk, length),
+                                            kk + v).reshape(-1, 4).T
         a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
                       m10 * a + m00 * c, m10 * b + m00 * d)
     return a, b, c, d
@@ -311,8 +299,10 @@ def _reflection_at(prop: _Propagator, k):
     T is det M / P11, which keeps its digits as |T| -> 0 at k -> 0.  A
     float k is projected in Python complex arithmetic, as the cell path's
     quad integrand has always been, and its unitarity gate tests T's other
-    form P00 + P01 R, which cancels as k -> 0; an array of k is gated on
-    det M / P11, which tests P10 and P11 against the determinant.
+    form P00 + P01 R, which cancels as k -> 0.  An array of k is gated on
+    det M / P11 instead.  For real a, b, c, d, |P11|^2 - |P10|^2 = det M in
+    closed form, so that gate checks only the rounding of the projection;
+    the determinant gate is the real check of the exact path.
     """
     if np.any(np.asarray(k) <= 0.0):
         raise ValueError("wavenumbers must be positive")

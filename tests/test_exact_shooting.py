@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from lt_spectral.numerics import piece_step
+from lt_spectral.numerics import piece_step, piece_step_array
 from lt_spectral.potential import (HALF_LINE, PiecewiseConstant, SquareWell,
                                    Sum, piece_steps)
 from lt_spectral.scattering import _transfer_exact
@@ -153,11 +153,12 @@ def test_tunnelling_pair_below_rounding():
 
 @pytest.mark.parametrize("q", [2.5, -1.5, 0.0])
 def test_scattering_steps_share_the_formula(q):
-    # the batched transfer matrix of one step is piece_step's entries; numpy
-    # and libm may round cos, cosh and sinh one ulp apart
+    # the transfer matrix of one step is the step's entries, bit for bit:
+    # piece_step_array's in the batched product, piece_step's in the oracle
     M = [float(m[0]) for m in _transfer_exact([(0.7, q - 0.25)],
                                                np.array([0.5]))]
-    assert M == pytest.approx(piece_step(0.7, q), rel=4e-16, abs=0.0)
+    assert M == piece_step_array([0.7], [q])[0].ravel().tolist()
+    assert transfer_exact([(0.7, q - 0.25)], 0.5) == piece_step(0.7, q)
 
 
 @EXAMPLES
