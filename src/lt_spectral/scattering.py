@@ -1,14 +1,17 @@
 """Reflection coefficients, the trace sum rule, and the transmission bound.
 
 For a compactly supported potential the wave equation -u'' - V u = k^2 u is
-propagated across the support by a real 2x2 transfer matrix; its closed-form
-projection on plane waves at both ends gives R(k) and T(k).  With pieces(),
-V is propagated exactly by products of piece steps (Pruess's method;
-J. D. Pryce, Numerical Solution of Sturm-Liouville Problems, OUP 1993): its
-step list is built once per call, and one loop over the steps multiplies
-them for a whole array of wavenumbers at once.  Any other potential is
-replaced by its cell averages, cut at every jump, and the exact products on
-N and 2N cells are Richardson-extrapolated, (4 M_2N - M_N) / 3, one k at a
+propagated across the support by a real 2x2 transfer matrix M; its
+closed-form projection P on plane waves at both ends gives R(k) and
+1 - |R|^2 = det M / |P11|^2.  Every potential takes the same array pipeline:
+its propagator returns the entries of M as four arrays over an array of
+wavenumbers, and one numpy projection gates them and projects them.  With
+pieces(), V is propagated exactly by products of piece steps (Pruess's
+method; J. D. Pryce, Numerical Solution of Sturm-Liouville Problems, OUP
+1993): its step list is built once per call, and one loop over the steps
+multiplies them for the whole array.  Any other potential is replaced by its
+cell averages, cut at every jump, and the exact products on N and 2N cells
+are Richardson-extrapolated, (4 M_2N - M_N) / 3, one k of the array at a
 time, with N doubled until two successive extrapolations agree (the
 constant-perturbation codes do the same; Ledoux, Van Daele and Vanden
 Berghe, "MATSLISE", ACM TOMS 31, 2005).  N starts where the cells are narrow
@@ -18,12 +21,13 @@ cross-checks that product once per log integral.
 
 The log-transmission integral below is computed once per potential object
 and then reused by reflection_coefficient, sum_rule_residual and
-theorem2_check: on the exact path by a batched adaptive Gauss-Kronrod 7/15
-rule in t = sqrt(k), each of whose rounds evaluates all its new nodes in one
-product, and on the cell path by quad.  The wave pipeline takes no
-tolerance: its gates sit at 1e-6, its cells settle to 1e-8, the log
-integral stops at quad's epsabs 1e-9 and epsrel 1e-8, and the Runge-Kutta
-cross-check solves at rtol 1e-10.
+theorem2_check.  Its integrand is ln(det M / |P11|^2), which keeps its
+digits as k -> 0, where 1 - |R|^2 cancels.  On the exact path a batched
+adaptive Gauss-Kronrod 7/15 rule in t = sqrt(k) integrates it, each of whose
+rounds evaluates all its new nodes in one product, and on the cell path
+quad does.  The wave pipeline takes no tolerance: its gates sit at 1e-6, its
+cells settle to 1e-8, the log integral stops at quad's epsabs 1e-9 and
+epsrel 1e-8, and the Runge-Kutta cross-check solves at rtol 1e-10.
 
 The first trace identity ties the three independent pipelines together:
 
@@ -35,7 +39,6 @@ negative parts:  pi^(-1) int |ln(1-|R|^2)| dk <= int V_- + (4 L - 1) int V_+.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import io
 import math
@@ -121,9 +124,9 @@ class ScatteringData:
 
     log_integral = pi^(-1) int_R ln(1 - |R(k)|^2) dk, using the symmetry
     R(-k) = conj(R(k)) so the whole-line integral is twice the positive-k
-    one.  It is computed by adaptive quadrature of the underlying solver
-    (batched Gauss-Kronrod on the exact path, quad on the cell path), not
-    from the grid samples, once per potential object.
+    one.  It is computed by adaptive quadrature of ln(det M / |P11|^2) from
+    the underlying solver (batched Gauss-Kronrod on the exact path, quad on
+    the cell path), not from the grid samples, once per potential object.
     """
 
     k_grid: tuple[float, ...]
@@ -271,66 +274,55 @@ class _Propagator:
     def cells(self):
         return _cell_pair(self.V, self.X, self.k_max)
 
-    def matrix(self, k):
-        """(m00, m01, m10, m11) at k: floats at a float k, and on the exact
-        path arrays at an array of wavenumbers."""
-        if self.steps is None:
-            return tuple(_extrapolated(*self.cells, k).tolist())
-        if np.ndim(k):
-            return _transfer_exact(self.steps, k)
-        return tuple(float(m[0]) for m in _transfer_exact(self.steps,
-                                                          np.array([k])))
+    def matrix(self, ks: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(m00, m01, m10, m11) as arrays over the wavenumbers ks: one
+        product for all of them on the exact path, one extrapolated cell
+        product per k on the cell path."""
+        if self.steps is not None:
+            return _transfer_exact(self.steps, ks)
+        cells = self.cells
+        return tuple(np.reshape([_extrapolated(*cells, k) for k in ks],
+                                (-1, 4)).T)
 
 
-def _gate(errors, k, what: str) -> None:
+def _gate(errors: np.ndarray, ks: np.ndarray, what: str) -> None:
     """ScatteringError naming the first k whose error passes 100 SCATTER_TOL
     or is not a number."""
-    errors, ks = np.atleast_1d(errors), np.atleast_1d(k)
     bad = np.flatnonzero(~(errors <= 100.0 * SCATTER_TOL))
     if len(bad):
         i = bad[0]
         raise ScatteringError(f"{what} {errors[i]:.2e} at k={ks[i]}")
 
 
-def _reflection_at(prop: _Propagator, k):
-    """(R, T, unitarity_defect) at a positive wavenumber k, or elementwise
-    at an array of them from one batched product (exact path only).
+def _reflection_at(prop: _Propagator, ks) -> tuple[np.ndarray, ...]:
+    """(R, t2, unitarity_defect) elementwise at an array of positive, finite
+    wavenumbers ks, from one call of prop.matrix.
 
-    T is det M / P11, which keeps its digits as |T| -> 0 at k -> 0.  A
-    float k is projected in Python complex arithmetic, as the cell path's
-    quad integrand has always been, and its unitarity gate tests T's other
-    form P00 + P01 R, which cancels as k -> 0.  An array of k is gated on
-    det M / P11 instead.  For real a, b, c, d, |P11|^2 - |P10|^2 = det M in
-    closed form, so that gate checks only the rounding of the projection;
-    the determinant gate is the real check of the exact path.
+    t2 = det M / |P11|^2 is 1 - |R|^2 for every real M, since |P11|^2 -
+    |P10|^2 = det M in closed form, and it keeps its digits as k -> 0, where
+    1 - |R|^2 cancels.  The unitarity defect |1 - |R|^2 - |T|^2|, with
+    |T|^2 = det M t2, is therefore (1 - |R|^2) |det M - 1| plus rounding: its
+    gate checks the rounding of the projection, and the determinant gate is
+    the real check of the propagator.
     """
-    if np.any(np.asarray(k) <= 0.0):
-        raise ValueError("wavenumbers must be positive")
-    batched = np.ndim(k) > 0
+    ks = np.asarray(ks, dtype=float)
+    if not np.all(np.isfinite(ks) & (ks > 0.0)):
+        raise ValueError("wavenumbers must be positive and finite")
     # an overflowed step leaves inf or nan, which the gates name
     with np.errstate(over="ignore", invalid="ignore"):
-        (a, b, c, d), X = prop.matrix(k), prop.X
+        (a, b, c, d), X = prop.matrix(ks), prop.X
         det = a * d - b * c
-        _gate(abs(det - 1.0), k, "transfer matrix determinant drifted by")
-        ik, kkb = 1j * k, k * k * b
+        _gate(abs(det - 1.0), ks, "transfer matrix determinant drifted by")
+        ik, kkb = 1j * ks, ks * ks * b
         h = 0.5 / ik
-        e2 = np.exp(2.0 * ik * X) if batched else cmath.exp(2.0 * ik * X)
         # P = W(X)^-1 M W(-X) in closed form; W(x) has columns e^{ikx},
         # e^{-ikx} as (u, u'); det P = det M
         P10 = (ik * (a - d) - kkb - c) * h
-        P11 = (ik * (a + d) + kkb - c) * h * e2
-        R, T = -P10 / P11, det / P11
-        if batched:
-            # the log integral's rule probes k down to about 1e-13, where
-            # P00 + P01 R cancels: |P00| ~ |c| / 2k while |T| ~ k
-            checked = T
-        else:
-            P00 = (ik * (a + d) - kkb + c) * h / e2
-            P01 = (ik * (a - d) + kkb + c) * h
-            checked = P00 + P01 * R
-        defect = abs(1.0 - abs(R) ** 2 - abs(checked) ** 2)
-    _gate(defect, k, "unitarity defect")
-    return R, T, defect
+        P11 = (ik * (a + d) + kkb - c) * h * np.exp(2.0 * ik * X)
+        R, t2 = -P10 / P11, det / abs(P11) ** 2
+        defect = abs(1.0 - abs(R) ** 2 - det * t2)
+    _gate(defect, ks, "unitarity defect")
+    return R, t2, defect
 
 
 #: log integrals by potential.  Keyed on identity, so that equal-valued
@@ -355,7 +347,7 @@ def _log_integral(prop: _Propagator) -> float:
 
 def _check_against_ode(prop: _Propagator, k: float) -> None:
     """The cell product at k against an independent Runge-Kutta solve."""
-    M = np.array(prop.matrix(k))
+    M = np.ravel(prop.matrix(np.array([k])))
     err = np.max(np.abs(M - _transfer_ode(prop.V, prop.X, k)))
     if err > 100.0 * SCATTER_TOL * np.max(np.abs(M)):
         raise ScatteringError(
@@ -409,72 +401,51 @@ def _kronrod(g, edges: np.ndarray) -> float:
         errs = np.concatenate([errs[keep], new_errs])
 
 
-def _log_integral_exact(prop: _Propagator) -> float:
-    """(2/pi) int_0^K_MAX ln|T|^2 dk, less the tail, on the exact path.
-
-    The integrand is ln|T|^2 = -2 ln|P11|, which keeps its digits at
-    k -> 0, where 1 - |R|^2 cancels; in t = sqrt(k) its logarithmic
-    singularity there becomes 2 t ln|T(t^2)|^2 -> 0.  The starting panels
-    are uniform in k and no wider than pi / (support width), the period
-    in k of the interference between the outermost jumps, on supports up
-    to width pi LOG_START_MAX / K_MAX, about 2,060.
-    """
-    def log_t2(k):
-        return 2.0 * np.log(np.abs(_reflection_at(prop, k)[1]))
-
-    lo, hi = prop.V.support()
-    n = min(max(1, math.ceil(K_MAX * (hi - lo) / math.pi)), LOG_START_MAX)
-    val = _kronrod(lambda t: 2.0 * t * log_t2(t * t),
-                   np.sqrt(np.linspace(0.0, K_MAX, n + 1)))
-    tail = abs(float(log_t2(np.array([K_MAX]))[0])) * K_MAX / 3.0
-    return (2.0 / math.pi) * (val - tail)
-
-
 def _log_integral_uncached(prop: _Propagator) -> float:
-    """pi^(-1) int_R ln(1-|R|^2) dk = (2/pi) int_0^inf, by symmetry."""
-    if prop.steps is not None:
-        return _log_integral_exact(prop)
+    """pi^(-1) int_R ln(1-|R|^2) dk = (2/pi) int_0^inf ln t2 dk, by symmetry,
+    with t2 = det M / |P11|^2 from _reflection_at.
 
-    def f(k):
-        R = _reflection_at(prop, k)[0]
-        # keep 1 - r2 representable; |R|^2 can round to exactly 1 at low k
-        r2 = min(abs(R) ** 2, 1.0 - 1e-16)
-        return math.log1p(-r2)
-
-    # stop early once the integrand is negligible at two incommensurate
-    # points (smooth potentials reflect exponentially little at large k);
-    # the tail term below reuses the probe's value at the cut
-    probed = {}
-
-    def probe(k):
-        probed[k] = f(k)
-        return probed[k]
+    The exact path integrates on [0, K_MAX] by _kronrod in t = sqrt(k),
+    where the logarithmic singularity at k = 0 becomes 2 t ln t2(t^2) -> 0.
+    Its starting panels are uniform in k and no wider than pi / (support
+    width), the period in k of the interference between the outermost jumps,
+    on supports up to width pi LOG_START_MAX / K_MAX, about 2,060.  The cell
+    path, after its cross-check against the ODE, integrates by quad up to
+    K_MAX, or up to the first of its probe pairs at which the integrand is
+    negligible (smooth potentials reflect exponentially little at large k).
+    """
+    def log_t2(ks):
+        return np.log(_reflection_at(prop, ks)[1])
 
     k_cut = K_MAX
-    _check_against_ode(prop, K_CHECK)
-    for kc in (K_CHECK, 5.0, 10.0, 25.0):
-        if abs(probe(kc)) < 1e-14 and abs(probe(1.37 * kc)) < 1e-14:
-            k_cut = 1.37 * kc
-            break
-    with warnings.catch_warnings():
-        # near-total reflection at k -> 0 makes the integrand log-singular;
-        # quad flags roundoff there although the value converges fine
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(f, 0.0, k_cut, epsabs=LOG_EPSABS, epsrel=LOG_EPSREL,
-                      limit=2000)
+    if prop.steps is not None:
+        lo, hi = prop.V.support()
+        n = min(max(1, math.ceil(K_MAX * (hi - lo) / math.pi)), LOG_START_MAX)
+        val = _kronrod(lambda t: 2.0 * t * log_t2(t * t),
+                       np.sqrt(np.linspace(0.0, K_MAX, n + 1)))
+    else:
+        _check_against_ode(prop, K_CHECK)
+        for kc in (K_CHECK, 5.0, 10.0, 25.0):
+            if np.all(np.abs(log_t2([kc, 1.37 * kc])) < 1e-14):
+                k_cut = 1.37 * kc
+                break
+        with warnings.catch_warnings():
+            # near-total reflection at k -> 0 makes the integrand
+            # log-singular; quad flags roundoff there although the value
+            # converges fine
+            warnings.simplefilter("ignore", IntegrationWarning)
+            val, _ = quad(lambda k: float(log_t2([k])[0]), 0.0, k_cut,
+                          epsabs=LOG_EPSABS, epsrel=LOG_EPSREL, limit=2000)
     # beyond the cut the integrand decays at least like k^-4 (the Born
     # amplitude of an L1 potential falls off like 1/k^2 or faster)
-    f_cut = probed[k_cut] if k_cut in probed else f(k_cut)
-    tail = abs(f_cut) * k_cut / 3.0
+    tail = abs(float(log_t2([k_cut])[0])) * k_cut / 3.0
     return (2.0 / math.pi) * (val - tail)
 
 
 def _sampled(prop: _Propagator, ks) -> dict:
-    """{k: (R, T, unitarity_defect)} at the wavenumbers ks: one batched
-    call on the exact path, one call per k on the cell path."""
-    if prop.steps is None:
-        return {k: _reflection_at(prop, k) for k in ks}
-    columns = _reflection_at(prop, np.asarray(ks))
+    """{k: (R, t2, unitarity_defect)} at the wavenumbers ks, from one
+    call."""
+    columns = _reflection_at(prop, ks)
     return dict(zip(ks, zip(*(column.tolist() for column in columns))))
 
 
@@ -488,8 +459,8 @@ def reflection_coefficient(V: Potential, k_grid=None) -> ScatteringData:
     """
     ks = default_k_grid() if k_grid is None else np.asarray(k_grid,
                                                             dtype=float)
-    if len(ks) == 0 or np.any(ks <= 0.0):
-        raise ValueError("k_grid must contain positive wavenumbers")
+    if len(ks) == 0 or not np.all(np.isfinite(ks) & (ks > 0.0)):
+        raise ValueError("k_grid must contain positive, finite wavenumbers")
     ks = np.sort(ks)
     prop = _Propagator(V, max(K_MAX, float(ks[-1])))
     Rs = _sampled(prop, ks)
@@ -523,15 +494,14 @@ def sum_rule_residual(V: Potential, tol: float = SOLVER_TOL) -> float:
     return _sum_rule(V, tol)[0]
 
 
-def theorem2_check(V: Potential,
-                   L_half: float | None = None) -> tuple[float, float]:
+def theorem2_check(V: Potential) -> tuple[float, float]:
     """(lhs, rhs) of the transmission bound; the contract is lhs <= rhs.
 
     lhs = pi^(-1) int |ln(1-|R|^2)| dk; rhs = int V_- + (4 L - 1) int V_+
-    with the attractive part V_+ and repulsive part V_- of V.
+    with the attractive part V_+ and repulsive part V_- of V, and the
+    paper's L = L_{1/2,1} <= varsigma(3) / 3.
     """
-    if L_half is None:
-        L_half = VARSIGMA_3 / 3.0
+    L_half = VARSIGMA_3 / 3.0
     lhs = -_log_integral(_Propagator(V))
     plus, minus = V.sign_split()
     rhs = minus.integrate() + (4.0 * L_half - 1.0) * plus.integrate()

@@ -34,13 +34,14 @@ class Opaque(PiecewiseConstant):
 
 
 class StubPropagator:
-    """A fixed transfer matrix (m00, m01, m10, m11) across [-X, X]."""
+    """A fixed transfer matrix (m00, m01, m10, m11) across [-X, X], the same
+    at every wavenumber."""
 
     def __init__(self, M, X=1.0):
         self.M, self.X = M, X
 
-    def matrix(self, k):
-        return self.M
+    def matrix(self, ks):
+        return tuple(np.full(np.shape(ks), m) for m in self.M)
 
 
 class TestClosedFormAgreement:
@@ -64,12 +65,13 @@ class TestClosedFormAgreement:
         exact = _Propagator(PiecewiseConstant(*args))
         cells = _Propagator(Opaque(*args))
         assert cells.steps is None and exact.steps is not None
-        for k in (0.3, 1.7, 6.0):
+        ks = np.array([0.3, 1.7, 6.0])
+        r_exact = _reflection_at(exact, ks)[0]
+        assert np.all(np.abs(r_exact - _reflection_at(cells, ks)[0]) < 1e-12)
+        for k, r in zip(ks, r_exact):
             ode = StubPropagator(
                 _transfer_ode(cells.V, cells.X, k), cells.X)
-            r_exact = _reflection_at(exact, k)[0]
-            assert abs(r_exact - _reflection_at(cells, k)[0]) < 1e-12
-            assert abs(r_exact - _reflection_at(ode, k)[0]) < 1e-6
+            assert abs(r - _reflection_at(ode, [k])[0][0]) < 1e-6
 
     def test_zero_potential(self):
         data = reflection_coefficient(Zero(), MODEST_GRID)
@@ -82,13 +84,18 @@ class TestClosedFormAgreement:
         Opaque([-0.9, 0.2, 1.4], [2.0, -1.0])],
         ids=[*(f"seed{seed}" for seed in range(1, 6)), "well", "cells"])
     def test_projection_matches_linear_solve(self, V):
-        # the closed-form projection against np.linalg.solve(Wp, M Wm)
+        # the closed-form projection against np.linalg.solve(Wp, M Wm);
+        # t2 = 1 - |R|^2 against |T|^2 / det M with the solve's T = P00 +
+        # P01 R
         prop = _Propagator(V)
-        for k in np.geomspace(0.01, 100.0, 40):
-            M = prop.matrix(k)
-            R, T, _ = _reflection_at(StubPropagator(M, prop.X), k)
+        ks = np.geomspace(0.01, 100.0, 40)
+        Ms = np.transpose(prop.matrix(ks))
+        for k, M in zip(ks, Ms):
+            R, t2, _ = _reflection_at(StubPropagator(M, prop.X), [k])
             R_ref, T_ref = plane_wave_projection(M, k, prop.X)
-            assert abs(R - R_ref) <= 1e-13 and abs(T - T_ref) <= 1e-13
+            det = M[0] * M[3] - M[1] * M[2]
+            assert abs(R[0] - R_ref) <= 1e-13
+            assert abs(t2[0] - abs(T_ref) ** 2 / det) <= 1e-13
 
 
 class TestReflectionless:
@@ -101,6 +108,15 @@ class TestReflectionless:
     def test_poschl_teller_two(self):
         data = reflection_coefficient(PoschlTeller(2.0), MODEST_GRID)
         assert data.max_reflection() < 1e-5
+
+    @pytest.mark.parametrize("nu,c,alpha", [(1, 0.0, 2.0), (2, 0.5, 2.0),
+                                            (3, -0.25, 1.5)])
+    def test_cell_path_log_integral_vanishes(self, nu, c, alpha):
+        # ln t2 = ln(det M / |P11|^2) is ln(1 - |R|^2) up to rounding;
+        # ln|T|^2 would add ln det M, about 1e-11 on extrapolated cells
+        prop = _Propagator(PoschlTeller(nu, c=c, alpha=alpha))
+        assert prop.steps is None
+        assert abs(_log_integral(prop)) <= 1e-14
 
 
 class TestUnitarity:
@@ -116,11 +132,11 @@ class TestUnitarity:
         # the gate sits at 100 SCATTER_TOL.abs = 1e-6; M = diag(1 + delta,
         # 1) has det M - 1 = delta and unitarity defect delta (1 + O(delta^2))
         defect = _reflection_at(StubPropagator((1.0 + 5e-7, 0.0, 0.0, 1.0)),
-                                k)[2]
-        assert defect == pytest.approx(5e-7, abs=1e-12)
+                                [k])[2]
+        assert defect[0] == pytest.approx(5e-7, abs=1e-12)
         with pytest.raises(ScatteringError,
                            match="transfer matrix determinant drifted"):
-            _reflection_at(StubPropagator((1.0 + 2e-6, 0.0, 0.0, 1.0)), k)
+            _reflection_at(StubPropagator((1.0 + 2e-6, 0.0, 0.0, 1.0)), [k])
 
     def test_gaussian_cell_path(self):
         # cell steps have det 1, and the extrapolation moves it only to
@@ -297,9 +313,9 @@ class TestCellPath:
     @pytest.mark.parametrize("nu", [0.3, 2.7, 6.2])
     def test_poschl_teller_closed_form(self, nu):
         prop = _Propagator(PoschlTeller(nu))
-        for k in MODEST_GRID:
-            r2 = abs(_reflection_at(prop, k)[0]) ** 2
-            assert r2 == pytest.approx(
+        Rs = _reflection_at(prop, MODEST_GRID)[0]
+        for k, R in zip(MODEST_GRID, Rs):
+            assert abs(R) ** 2 == pytest.approx(
                 poschl_teller_reflection_sq(nu, 1.0, k), abs=1e-8)
 
     def test_richardson_difference_falls_sixteenfold(self):
@@ -355,12 +371,12 @@ class TestCellPath:
         monkeypatch.setattr(scattering, "CELLS_MAX", 2 ** 8)
         prop = _Propagator(Gaussian(1.5, width=2.0), k_max=K_CHECK)
         with pytest.raises(ScatteringError, match="did not settle"):
-            prop.matrix(K_CHECK)
+            prop.matrix(np.array([K_CHECK]))
 
     def test_unresolvable_k_max_raises(self):
         prop = _Propagator(Gaussian(1.5, width=2.0), k_max=1e5)
         with pytest.raises(ScatteringError, match="needs more than"):
-            prop.matrix(1.0)
+            prop.matrix(np.array([1.0]))
 
     @pytest.mark.parametrize("nu,alpha", [(2.7, 0.3), (1.5, 0.25)])
     def test_wide_well_past_the_bragg_wavenumber(self, nu, alpha):
@@ -370,9 +386,9 @@ class TestCellPath:
         # where the true R is about 0
         prop = _Propagator(PoschlTeller(nu, alpha=alpha))
         ks = default_k_grid()
-        for k in ks[ks >= 10.0]:
-            r = abs(_reflection_at(prop, k)[0])
-            assert r == pytest.approx(
+        ks = ks[ks >= 10.0]
+        for k, R in zip(ks, _reflection_at(prop, ks)[0]):
+            assert abs(R) == pytest.approx(
                 math.sqrt(poschl_teller_reflection_sq(nu, alpha, k)),
                 abs=1e-8)
 
@@ -381,8 +397,8 @@ class TestCellPath:
         V = Gaussian(1.5, width=2.0)
         prop = _Propagator(V)
         assert pairs == []
-        prop.matrix(1.0)
-        prop.matrix(3.0)
+        prop.matrix(np.array([1.0]))
+        prop.matrix(np.array([3.0]))
         assert len(pairs) == 1
         _log_integral(prop)
         # a memo hit builds no cells
@@ -440,12 +456,6 @@ class TestTheorem2:
         assert rhs == pytest.approx(expect_rhs, rel=1e-12)
         assert lhs <= rhs
 
-    def test_custom_constant(self):
-        V = SquareWell(2.0, -1.0, 1.0)
-        _, rhs_default = theorem2_check(V)
-        _, rhs_big = theorem2_check(V, L_half=2.0)
-        assert rhs_big > rhs_default
-
 
 class TestApiAndSerialization:
     def test_rejects_nonpositive_k(self):
@@ -455,6 +465,18 @@ class TestApiAndSerialization:
             reflection_coefficient(Zero(), [-1.0])
         with pytest.raises(ValueError):
             reflection_coefficient(Zero(), [])
+
+    @pytest.mark.parametrize("V", [SquareWell(2.0, -1.0, 1.0),
+                                   Gaussian(1.5, width=2.0)],
+                             ids=["exact", "cells"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_k(self, V, bad):
+        # bad input, not a numerical failure: NaN would fail a gate, and
+        # k = inf would ask the cell path for unboundedly many cells
+        with pytest.raises(ValueError, match="finite"):
+            reflection_coefficient(V, [1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            _reflection_at(_Propagator(V), np.array([1.0, bad]))
 
     def test_default_grid(self):
         ks = default_k_grid()
