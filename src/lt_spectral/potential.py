@@ -174,8 +174,8 @@ class Potential:
         The pieces are sorted, of positive length, contiguous (each ends
         where the next begins) and inside support().  A potential with
         pieces takes the exact transfer path in scattering (Pruess's
-        piecewise-constant method); the others are propagated through
-        their cell averages, cut at jumps(), with Richardson extrapolation.
+        piecewise-constant method); the others are propagated on
+        fourth-order Magnus cells, cut at jumps().
         """
         return None
 

@@ -5,26 +5,24 @@ propagated across the support by a real 2x2 transfer matrix M; its
 closed-form projection P on plane waves at both ends gives R(k) and
 1 - |R|^2 = det M / |P11|^2.  Every potential takes the same array pipeline:
 its propagator returns the entries of M as four arrays over an array of
-wavenumbers, and one numpy projection gates them and projects them.  With
-pieces(), V is propagated exactly by products of piece steps (Pruess's
-method; J. D. Pryce, Numerical Solution of Sturm-Liouville Problems, OUP
-1993): its step list is built once per call, and one loop over the steps
-multiplies them for the whole array.  Any other potential is replaced by its
-cell averages, cut at every jump, and the exact products on N and 2N cells
-are Richardson-extrapolated, (4 M_2N - M_N) / 3, one k of the array at a
-time, with N doubled until two successive extrapolations agree (the
-constant-perturbation codes do the same; Ledoux, Van Daele and Vanden
-Berghe, "MATSLISE", ACM TOMS 31, 2005).  N starts where the cells are narrow
-enough for the largest wavenumber served, since a staircase of width h
-reflects coherently near k = pi / h.  Adaptive Runge-Kutta only
-cross-checks that product once per log integral.
+wavenumbers, and one numpy projection gates them and projects them.  M is
+one pairwise product of fourth-order Magnus steps, taken over the steps and
+an array of k at once (Blanes, Casas, Oteo and Ros, Phys. Rep. 470, 2009).
+With pieces(), the steps are the exact piece steps, whose commutator term
+is zero (Pruess's method; J. D. Pryce, Numerical Solution of Sturm-Liouville
+Problems, OUP 1993).  Any other potential is sampled at two Gauss points per
+cell, the cells cut at every jump and halved until two successive products
+agree (Ledoux, Van Daele and Vanden Berghe, "MATSLISE", ACM TOMS 31, 2005).
+They start narrow enough for the largest wavenumber served, since uniform
+cells of width h reflect coherently near k = pi / h.  Adaptive Runge-Kutta
+only cross-checks the cell product once per log integral.
 
 The log-transmission integral below is computed once per potential object
 and then reused by reflection_coefficient, sum_rule_residual and
 theorem2_check.  Its integrand is ln(det M / |P11|^2), which keeps its
 digits as k -> 0, where 1 - |R|^2 cancels.  On the exact path a batched
 adaptive Gauss-Kronrod 7/15 rule in t = sqrt(k) integrates it, each of whose
-rounds evaluates all its new nodes in one product, and on the cell path
+rounds evaluates all its new nodes at once, and on the cell path
 quad does.  The wave pipeline takes no tolerance: its gates sit at 1e-6, its
 cells settle to 1e-8, the log integral stops at quad's epsabs 1e-9 and
 epsrel 1e-8, and the Runge-Kutta cross-check solves at rtol 1e-10.
@@ -69,20 +67,23 @@ TRUNCATION_TAIL = 1e-10
 LOG_EPSABS, LOG_EPSREL = 1e-9, 1e-8
 
 #: halvings that rule may make before it gives up, as quad's limit=2000;
-#: the most panels whose nodes one batched product takes; and the most
+#: the most panels whose nodes one projection call takes; and the most
 #: starting panels.  The last two bound its memory however wide the support
 LOG_SPLITS_MAX, LOG_CHUNK, LOG_START_MAX = 2000, 2 ** 12, 2 ** 16
 
-#: cell counts of the extrapolated cell product: the doubling starts at the
-#: first and gives up past the second
+#: Magnus cell counts: the doubling starts at the first and gives up past
+#: the second
 CELLS_MIN, CELLS_MAX = 2 ** 9, 2 ** 16
+
+#: the most (step, k) pairs one transfer product takes, bounding its memory
+PRODUCT_SIZE = 2 ** 13
 
 #: the wavenumber at which the cell count is cross-checked
 K_CHECK = 2.0
 
-#: a staircase of cell means with width h reflects coherently near the
-#: Bragg wavenumber pi / h, an error the extrapolation does not remove; the
-#: first cells put pi / h this many times above the largest k served
+#: uniform cells of width h reflect coherently near the Bragg wavenumber
+#: pi / h, an error that settling at a few k does not see; the first cells
+#: put pi / h this many times above the largest k served
 BRAGG_MARGIN = 2.0
 
 
@@ -169,20 +170,6 @@ def _scatter_box(V: Potential) -> float:
     return truncation_point(V, TRUNCATION_TAIL)
 
 
-def _transfer_exact(steps, ks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(m00, m01, m10, m11) of the product of the exact steps, as arrays over
-    the wavenumbers ks, each step's entries from piece_step_array."""
-    kk = ks * ks
-    a, b, c, d = (np.ones_like(kk), np.zeros_like(kk), np.zeros_like(kk),
-                  np.ones_like(kk))
-    for length, v in steps:
-        m00, m01, m10, _ = piece_step_array(np.full_like(kk, length),
-                                            kk + v).reshape(-1, 4).T
-        a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
-                      m10 * a + m00 * c, m10 * b + m00 * d)
-    return a, b, c, d
-
-
 def _transfer_ode(V: Potential, X: float,
                   k: float) -> tuple[float, float, float, float]:
     def rhs(x, y):
@@ -204,34 +191,47 @@ def _halved(edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cells(V: Potential, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.diff(edges), V.cell_average(edges[:-1], edges[1:])
+def _cells(V: Potential, edges: np.ndarray):
+    """(h, mean, beta) of the Magnus steps of V on the cells between the
+    edges, from V at each cell's two Gauss points."""
+    h, mid = np.diff(edges), 0.5 * (edges[:-1] + edges[1:])
+    x = np.concatenate([mid - h / (2.0 * math.sqrt(3.0)),
+                        mid + h / (2.0 * math.sqrt(3.0))])
+    v1, v2 = V.evaluate(x).reshape(2, -1)
+    return h, 0.5 * (v1 + v2), math.sqrt(3.0) * h * (v2 - v1) / 12.0
 
 
-def _transfer_cells(cells, k: float) -> np.ndarray:
-    """(m00, m01, m10, m11) of the product, last cell first, of the exact
-    steps of (lengths, means) at k, multiplied pairwise."""
-    lengths, means = cells
-    M = piece_step_array(lengths, k * k + means)
-    while len(M) > 1:
-        n = len(M) // 2 * 2
-        M = np.concatenate([M[1:n:2] @ M[0:n:2], M[n:]])
-    return M[0].ravel()
+def _transfer(steps, ks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(m00, m01, m10, m11), as arrays over the wavenumbers ks, of the
+    pairwise product, last step first, of the Magnus steps (h, mean, beta).
+
+    A step is exp [[beta h, h], [-q h, -beta h]] with q = k^2 + mean: the
+    piece step P of q - beta^2 plus beta P01 diag(1, -1), less beta^2 P01
+    in its lower left entry.  With beta = 0 it is P, bit for bit.
+    """
+    h, mean, beta = (np.asarray(s, dtype=float)[:, None] for s in steps)
+    q = ks * ks + mean
+    p00, p01, p10, _ = piece_step_array(
+        np.broadcast_to(h, q.shape).ravel(),
+        (q - beta * beta).ravel()).reshape(*q.shape, 4).transpose(2, 0, 1)
+    M = (p00 + beta * p01, p01, p10 - beta * beta * p01, p00 - beta * p01)
+    while len(M[0]) > 1:
+        n = len(M[0]) // 2 * 2
+        (a, b, c, d), (e, f, g, k) = ([m[0:n:2] for m in M],
+                                      [m[1:n:2] for m in M])
+        M = [np.concatenate([x, m[n:]]) for x, m in zip(
+            (e * a + f * c, e * b + f * d, g * a + k * c, g * b + k * d), M)]
+    return tuple(m[0] for m in M)
 
 
-def _extrapolated(coarse, fine, k: float) -> np.ndarray:
-    return (4.0 * _transfer_cells(fine, k) - _transfer_cells(coarse, k)) / 3.0
+def _settled_cells(V: Potential, X: float, k_max: float):
+    """Magnus cells of V on [-X, X] for wavenumbers up to k_max.
 
-
-def _cell_pair(V: Potential, X: float, k_max: float):
-    """(coarse, fine) cells of V on [-X, X] for the extrapolated product
-    at wavenumbers up to k_max.
-
-    The coarse cells start as uniform cells, at least CELLS_MIN of them
-    and at most pi / (BRAGG_MARGIN k_max) wide, cut at the jumps inside.
-    They are halved until the extrapolations of two successive halvings
-    agree, at K_CHECK and at k_max, within SCATTER_TOL of their largest
-    entry.
+    The cells start uniform, at least CELLS_MIN of them and at most
+    pi / (BRAGG_MARGIN k_max) wide, cut at the jumps inside.  They are
+    halved until the products on two successive sets agree, at K_MIN,
+    K_CHECK and k_max, within SCATTER_TOL of their largest entry; the
+    finer set is returned.
     """
     n = CELLS_MIN
     while math.pi * n / (2.0 * X) < BRAGG_MARGIN * k_max:
@@ -241,48 +241,48 @@ def _cell_pair(V: Potential, X: float, k_max: float):
             f"k up to {k_max} needs more than {CELLS_MAX} cells")
     edges = np.union1d(np.linspace(-X, X, n + 1),
                        [x for x, _ in V.jumps() if -X < x < X])
-    coarse, last = _cells(V, edges), None
+    last = None
     while n <= CELLS_MAX:
-        edges = _halved(edges)
-        fine = _cells(V, edges)
-        Ms = [_extrapolated(coarse, fine, k) for k in (K_CHECK, k_max)]
+        cells = _cells(V, edges)
+        # one k per product, the least memory a product of these cells takes
+        Ms = [np.ravel(_transfer(cells, np.array([k])))
+              for k in (K_MIN, K_CHECK, k_max)]
         if last is not None and all(
                 np.max(np.abs(M - L)) <= SCATTER_TOL * np.max(np.abs(M))
                 for M, L in zip(Ms, last)):
-            return coarse, fine
-        n, coarse, last = 2 * n, fine, Ms
+            return cells
+        n, edges, last = 2 * n, _halved(edges), Ms
     raise ScatteringError(
         f"cell products did not settle on {CELLS_MAX} cells")
 
 
 class _Propagator:
-    """Transfer matrices (m00, m01, m10, m11) of V across its box [-X, X]:
-    exact steps, built once, when V has pieces(), else the extrapolated
-    product of cells whose count is chosen on the first call, for
-    wavenumbers up to k_max.  Scattering is defined on the whole line
+    """Transfer matrices (m00, m01, m10, m11) of V across its box [-X, X],
+    as products of Magnus steps built on the first call: the exact piece
+    steps, with beta = 0, when V has pieces(), else Magnus cells settled
+    for wavenumbers up to k_max.  Scattering is defined on the whole line
     only."""
 
     def __init__(self, V: Potential, k_max: float = K_MAX):
         if V.domain != FULL_LINE:
             raise ValueError("scattering requires a full-line potential")
-        X = _scatter_box(V)
-        self.V, self.X, self.k_max = V, X, k_max
-        pieces = V.pieces()
-        self.steps = None if pieces is None else piece_steps(pieces, -X, X)
+        self.V, self.X, self.k_max = V, _scatter_box(V), k_max
+        self.pieces = V.pieces()
 
     @functools.cached_property
-    def cells(self):
-        return _cell_pair(self.V, self.X, self.k_max)
+    def steps(self):
+        if self.pieces is None:
+            return _settled_cells(self.V, self.X, self.k_max)
+        h, v = np.transpose(piece_steps(self.pieces, -self.X, self.X))
+        return h, v, np.zeros_like(h)
 
     def matrix(self, ks: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(m00, m01, m10, m11) as arrays over the wavenumbers ks: one
-        product for all of them on the exact path, one extrapolated cell
-        product per k on the cell path."""
-        if self.steps is not None:
-            return _transfer_exact(self.steps, ks)
-        cells = self.cells
-        return tuple(np.reshape([_extrapolated(*cells, k) for k in ks],
-                                (-1, 4)).T)
+        """(m00, m01, m10, m11) as arrays over the wavenumbers ks, from
+        products of at most PRODUCT_SIZE (step, k) pairs, or of one k."""
+        size = max(1, PRODUCT_SIZE // len(self.steps[0]))
+        parts = [_transfer(self.steps, chunk)
+                 for chunk in np.split(ks, range(size, len(ks), size))]
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _gate(errors: np.ndarray, ks: np.ndarray, what: str) -> None:
@@ -339,7 +339,7 @@ def _log_integral(prop: _Propagator) -> float:
     first.  A failed computation stores nothing.
     """
     if prop.V not in _LOG_INTEGRALS:
-        if prop.steps is None and prop.k_max != K_MAX:
+        if prop.pieces is None and prop.k_max != K_MAX:
             prop = _Propagator(prop.V)
         _LOG_INTEGRALS[prop.V] = _log_integral_uncached(prop)
     return _LOG_INTEGRALS[prop.V]
@@ -418,7 +418,7 @@ def _log_integral_uncached(prop: _Propagator) -> float:
         return np.log(_reflection_at(prop, ks)[1])
 
     k_cut = K_MAX
-    if prop.steps is not None:
+    if prop.pieces is not None:
         lo, hi = prop.V.support()
         n = min(max(1, math.ceil(K_MAX * (hi - lo) / math.pi)), LOG_START_MAX)
         val = _kronrod(lambda t: 2.0 * t * log_t2(t * t),

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from lt_spectral.numerics import piece_step, piece_step_array
 from lt_spectral.potential import (HALF_LINE, PiecewiseConstant, SquareWell,
                                    Sum, piece_steps)
-from lt_spectral.scattering import _transfer_exact
+from lt_spectral.scattering import _transfer
 from lt_spectral.sturm import riesz_mean, solve_interval, solve_line
 
 from oracles import prufer_angle, square_well_line_levels, transfer_exact
@@ -155,8 +155,8 @@ def test_tunnelling_pair_below_rounding():
 def test_scattering_steps_share_the_formula(q):
     # the transfer matrix of one step is the step's entries, bit for bit:
     # piece_step_array's in the batched product, piece_step's in the oracle
-    M = [float(m[0]) for m in _transfer_exact([(0.7, q - 0.25)],
-                                               np.array([0.5]))]
+    M = [float(m[0]) for m in _transfer(([0.7], [q - 0.25], [0.0]),
+                                         np.array([0.5]))]
     assert M == piece_step_array([0.7], [q])[0].ravel().tolist()
     assert transfer_exact([(0.7, q - 0.25)], 0.5) == piece_step(0.7, q)
 
@@ -201,7 +201,9 @@ def test_batched_transfer_matches_scalar_oracle(steps, ks, shear):
         steps = [*steps, (0.5, -(ks[0] * ks[0]))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batched = np.array(_transfer_exact(steps, np.array(ks)))
+        lengths, values = np.transpose(steps)
+        batched = np.array(_transfer((lengths, values, np.zeros_like(lengths)),
+                                     np.array(ks)))
     for j, k in enumerate(ks):
         M = np.array(transfer_exact(steps, k))
         assert np.max(np.abs(batched[:, j] - M)) <= 1e-12 * np.max(np.abs(M))

@@ -13,9 +13,9 @@ from lt_spectral.potential import (Gaussian, PiecewiseConstant, PoschlTeller,
                                    Sampled, SquareWell, Zero)
 from lt_spectral.scattering import (K_CHECK, ScatteringData,
                                     ScatteringError, _cells,
-                                    _check_against_ode, _extrapolated,
-                                    _halved, _log_integral, _Propagator,
-                                    _reflection_at, _scatter_box,
+                                    _check_against_ode, _halved,
+                                    _log_integral, _Propagator,
+                                    _reflection_at, _scatter_box, _transfer,
                                     _transfer_ode, default_k_grid,
                                     reflection_coefficient,
                                     sum_rule_residual, theorem2_check)
@@ -64,7 +64,7 @@ class TestClosedFormAgreement:
         args = ([-0.9, 0.2, 1.4], [2.0, -1.0])
         exact = _Propagator(PiecewiseConstant(*args))
         cells = _Propagator(Opaque(*args))
-        assert cells.steps is None and exact.steps is not None
+        assert cells.pieces is None and exact.pieces is not None
         ks = np.array([0.3, 1.7, 6.0])
         r_exact = _reflection_at(exact, ks)[0]
         assert np.all(np.abs(r_exact - _reflection_at(cells, ks)[0]) < 1e-12)
@@ -113,10 +113,20 @@ class TestReflectionless:
                                             (3, -0.25, 1.5)])
     def test_cell_path_log_integral_vanishes(self, nu, c, alpha):
         # ln t2 = ln(det M / |P11|^2) is ln(1 - |R|^2) up to rounding;
-        # ln|T|^2 would add ln det M, about 1e-11 on extrapolated cells
+        # ln|T|^2 would add ln det M, the rounding drift of the product
         prop = _Propagator(PoschlTeller(nu, c=c, alpha=alpha))
-        assert prop.steps is None
+        assert prop.pieces is None
         assert abs(_log_integral(prop)) <= 1e-14
+
+    @pytest.mark.parametrize("nu,c,alpha", [(1, 0.0, 2.0), (2, 0.5, 2.0),
+                                            (3, -0.25, 1.5)])
+    def test_cells_settle_at_low_k(self, nu, c, alpha):
+        # the Magnus error is largest at low k, where the projection
+        # divides entry errors by 2k; settled at K_CHECK and k_max alone,
+        # the nu = 3 well gave |R| = 2.7e-8 at k = 0.01 (true value 0)
+        prop = _Propagator(PoschlTeller(nu, c=c, alpha=alpha))
+        R = _reflection_at(prop, default_k_grid())[0]
+        assert np.max(np.abs(R)) <= 5e-9
 
 
 class TestUnitarity:
@@ -129,7 +139,7 @@ class TestUnitarity:
 
     @pytest.mark.parametrize("k", [0.3, 3.0])
     def test_determinant_gate(self, k):
-        # the gate sits at 100 SCATTER_TOL.abs = 1e-6; M = diag(1 + delta,
+        # the gate sits at 100 SCATTER_TOL = 1e-6; M = diag(1 + delta,
         # 1) has det M - 1 = delta and unitarity defect delta (1 + O(delta^2))
         defect = _reflection_at(StubPropagator((1.0 + 5e-7, 0.0, 0.0, 1.0)),
                                 [k])[2]
@@ -139,8 +149,7 @@ class TestUnitarity:
             _reflection_at(StubPropagator((1.0 + 2e-6, 0.0, 0.0, 1.0)), [k])
 
     def test_gaussian_cell_path(self):
-        # cell steps have det 1, and the extrapolation moves it only to
-        # second order in the difference of its two products
+        # Magnus steps have det 1, so only rounding moves the product's det
         data = reflection_coefficient(Gaussian(2.0), MODEST_GRID)
         assert max(data.unitarity_defects) < 1e-9
 
@@ -269,7 +278,7 @@ class TestLogIntegralMemo:
         routes = []
 
         def record(prop):
-            routes.append("cells" if prop.steps is None else "exact")
+            routes.append("cells" if prop.pieces is None else "exact")
             return -1.0 * len(routes)
 
         monkeypatch.setattr(scattering, "_log_integral_uncached", record)
@@ -293,14 +302,14 @@ class TestLogIntegralMemo:
     def test_failure_is_not_cached(self, monkeypatch):
         # a determinant drift past the gate at every k, planted in the
         # batched product: each call computes again and fails again
-        real, calls = scattering._transfer_exact, []
+        real, calls = scattering._transfer, []
 
         def drifting(steps, ks):
             calls.append(ks)
             a, b, c, d = real(steps, ks)
             return a * (1.0 + 2e-6), b, c, d
 
-        monkeypatch.setattr(scattering, "_transfer_exact", drifting)
+        monkeypatch.setattr(scattering, "_transfer", drifting)
         V = SquareWell(2.0, -1.0, 1.0)
         for count in (1, 2):
             with pytest.raises(ScatteringError, match="determinant"):
@@ -318,15 +327,14 @@ class TestCellPath:
             assert abs(R) ** 2 == pytest.approx(
                 poschl_teller_reflection_sq(nu, 1.0, k), abs=1e-8)
 
-    def test_richardson_difference_falls_sixteenfold(self):
-        # one extrapolation leaves an h^4 error: successive extrapolated
-        # products differ about 16 times less per halving of the cells
+    def test_magnus_difference_falls_sixteenfold(self):
+        # fourth-order Magnus steps leave an h^4 error: successive products
+        # differ about 16 times less per halving of the cells
         V = Gaussian(1.5, width=2.0)
         X = _scatter_box(V)
         edges, diffs, last = np.linspace(-X, X, 129), [], None
         for _ in range(5):
-            M = _extrapolated(_cells(V, edges), _cells(V, _halved(edges)),
-                              K_CHECK)
+            M = np.ravel(_transfer(_cells(V, edges), np.array([K_CHECK])))
             if last is not None:
                 diffs.append(np.max(np.abs(M - last)))
             last, edges = M, _halved(edges)
@@ -343,7 +351,7 @@ class TestCellPath:
 
     @pytest.mark.parametrize("shift,fails", [(5e-7, False), (2e-6, True)])
     def test_cross_check_against_the_ode(self, monkeypatch, shift, fails):
-        # the gate sits at 100 SCATTER_TOL.abs = 1e-6 of the largest entry
+        # the gate sits at 100 SCATTER_TOL = 1e-6 of the largest entry
         real = scattering._transfer_ode
 
         def shifted(*args):
@@ -365,8 +373,9 @@ class TestCellPath:
         _check_against_ode(_Propagator(V), K_CHECK)
 
     def test_unsettled_cells_raise(self, monkeypatch):
-        # from 32 cells, the extrapolations on 256 and on 512 cells still
-        # differ by 1.2e-7, past the settle criterion SCATTER_TOL.abs
+        # from 32 cells, the products on 128 and on 256 cells still differ
+        # by 1.9e-6 of their largest entry at K_CHECK, past the settle
+        # criterion SCATTER_TOL
         monkeypatch.setattr(scattering, "CELLS_MIN", 2 ** 5)
         monkeypatch.setattr(scattering, "CELLS_MAX", 2 ** 8)
         prop = _Propagator(Gaussian(1.5, width=2.0), k_max=K_CHECK)
@@ -393,7 +402,7 @@ class TestCellPath:
                 abs=1e-8)
 
     def test_cells_are_chosen_once_and_only_when_needed(self, monkeypatch):
-        pairs = TestLogIntegralMemo.count(monkeypatch, "_cell_pair")
+        pairs = TestLogIntegralMemo.count(monkeypatch, "_settled_cells")
         V = Gaussian(1.5, width=2.0)
         prop = _Propagator(V)
         assert pairs == []
@@ -477,6 +486,21 @@ class TestApiAndSerialization:
             reflection_coefficient(V, [1.0, bad])
         with pytest.raises(ValueError, match="finite"):
             _reflection_at(_Propagator(V), np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("V", [
+        PiecewiseConstant([-0.9, 0.2, 1.4], [2.0, -1.0]),
+        Gaussian(1.5, width=2.0)], ids=["exact", "cells"])
+    def test_chunked_products_match_the_whole(self, monkeypatch, V):
+        # products of 8 (step, k) pairs, or of one k, give the one
+        # product's columns bit for bit; the refinement pass may ask for no
+        # k, which gives four empty arrays
+        prop = _Propagator(V)
+        ks = np.geomspace(0.01, 100.0, 37)
+        whole = _transfer(prop.steps, ks)
+        monkeypatch.setattr(scattering, "PRODUCT_SIZE", 8)
+        assert all(np.array_equal(chunked, column)
+                   for chunked, column in zip(prop.matrix(ks), whole))
+        assert [len(m) for m in prop.matrix(np.array([]))] == [0, 0, 0, 0]
 
     def test_default_grid(self):
         ks = default_k_grid()
