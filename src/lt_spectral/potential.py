@@ -10,9 +10,10 @@ SquareWell, PiecewiseConstant) are one piece list, from which jumps, exact
 cell means, integrals and pieces() are read.  scaled, amplified and
 half_view are one mapped wrapper V(x) = c * inner(s * x) that transforms
 what its inner potential states; Sum adds up what its terms state.  jumps()
-alone says where V jumps and by how much: quadrature takes the points as
-hints, scattering's cell propagator as cell edges, and the finite-difference
-solver the sizes inside each interval it solves.
+alone says where V is not smooth and by how much it jumps there (0 at a
+kink, such as an interior grid point of Sampled): quadrature takes the
+points as hints, scattering's cell propagator as cell edges, and the
+finite-difference solver the sizes inside each interval it solves.
 pieces() selects the exact paths, which read the piece list as given
 (sorted, contiguous and inside support()) through piece_steps: transfer
 matrices in scattering and bound states on the whole or half line in
@@ -81,18 +82,9 @@ class Potential:
         raise NotImplementedError
 
     def evaluate(self, x):
-        """V(x) for a scalar or array x inside the domain.
-
-        A float x (np.float64 included, which is what solve_ivp passes)
-        skips the array round-trip: it gets the same domain check and the
-        same _values on the same one-element float64 array, so the same
-        value bit for bit.  Ints, 0-d arrays and arrays take the array path.
-        """
+        """V(x) for a scalar or array x inside the domain; a scalar gives a
+        float."""
         lo, hi = self.domain
-        if isinstance(x, float):
-            if x < lo or x > hi:
-                raise ValueError("evaluation point outside domain")
-            return float(self._values(np.array([x]))[0])
         arr = np.asarray(x, dtype=float)
         if np.any(arr < lo) or np.any(arr > hi):
             raise ValueError("evaluation point outside domain")
@@ -126,25 +118,37 @@ class Potential:
             raise ValueError("integration interval outside domain")
         return a, b
 
-    def _integral(self, a, b):
-        return self._quad_pow(1.0, a, b)
+    def sign_masses(self) -> tuple[float, float]:
+        """(int V_plus, int V_minus) over the domain: V = V_plus - V_minus."""
+        return self._sign_masses(*self.domain)
+
+    def _sign_masses(self, a, b):
+        if self.is_nonnegative():
+            return self._integral(a, b), 0.0
+        return (self._quad(lambda v: max(v, 0.0), a, b),
+                self._quad(lambda v: max(-v, 0.0), a, b))
 
     def _lp(self, p, a, b):
         if p == 1.0:
             return self._integral(a, b)
-        return self._quad_pow(p, a, b)
 
-    def _quad_pow(self, p, a, b):
+        def power(v):
+            if v < -1e-13:
+                raise ValueError("V < 0 encountered in V^p quadrature")
+            return max(v, 0.0) ** p
+
+        return self._quad(power, a, b)
+
+    def _quad(self, g, a, b):
+        """int g(V(x)) dx over [a, b] cut to support(), with the points of
+        jumps() as hints."""
         lo, hi = self.support()
         a, b = max(a, lo), min(b, hi)
         if not a < b:
             return 0.0
 
         def f(x):
-            v = float(self._values(np.atleast_1d(np.float64(x)))[0])
-            if p != 1.0 and v < -1e-13:
-                raise ValueError("V < 0 encountered in V^p quadrature")
-            return max(v, 0.0) ** p if p != 1.0 else v
+            return g(float(self._values(np.array([x]))[0]))
 
         pts = sorted({x for x, _ in self.jumps() if a < x < b})
         if math.isinf(a) or math.isinf(b):
@@ -164,8 +168,9 @@ class Potential:
         return self._values(0.5 * (lo + hi))
 
     def jumps(self) -> list[tuple[float, float]]:
-        """(x, size) for every point x of the domain where V may jump, with
-        size >= |V(x+) - V(x-)|; empty when V is continuous."""
+        """(x, size) for every point x of the domain where V is not smooth,
+        with size >= |V(x+) - V(x-)|, so 0 at a kink; empty when V is
+        smooth."""
         return []
 
     def pieces(self) -> list[tuple[float, float, float]] | None:
@@ -180,12 +185,6 @@ class Potential:
         return None
 
     # -- algebra -----------------------------------------------------------
-
-    def sign_split(self) -> tuple["Potential", "Potential"]:
-        """(V_plus, V_minus) with V = V_plus - V_minus, both nonnegative."""
-        if self.is_nonnegative():
-            return self, Zero(self._domain_json())
-        return _Clipped(self, +1), _Clipped(self, -1)
 
     def scaled(self, alpha: float) -> "Potential":
         """x -> alpha^2 V(alpha x), whose eigenvalues are alpha^2 times V's."""
@@ -277,13 +276,10 @@ class PiecewiseConstant(Potential):
         return [(float(a), float(b), float(v)) for a, b, v in
                 zip(self.breakpoints[:-1], self.breakpoints[1:], self.values)]
 
-    def sign_split(self):
-        dom = self._domain_json()
-        plus = PiecewiseConstant(self.breakpoints,
-                                 np.maximum(self.values, 0.0), dom)
-        minus = PiecewiseConstant(self.breakpoints,
-                                  np.maximum(-self.values, 0.0), dom)
-        return plus, minus
+    def _sign_masses(self, a, b):
+        overlaps = self._piece_overlaps(a, b)
+        return (float(np.dot(np.maximum(self.values, 0.0), overlaps)),
+                float(np.dot(np.maximum(-self.values, 0.0), overlaps)))
 
     def is_nonnegative(self):
         return bool(np.all(self.values >= 0))
@@ -356,7 +352,7 @@ class PoschlTeller(Potential):
             amp = self.nu * (self.nu + 1) * self.alpha**2
             return (amp**p / self.alpha * math.sqrt(math.pi)
                     * math.gamma(p) / math.gamma(p + 0.5))
-        return self._quad_pow(p, a, b)
+        return super()._lp(p, a, b)
 
     def is_nonnegative(self):
         return True
@@ -392,14 +388,11 @@ class Gaussian(Potential):
             raise ValueError("V^p integral requires V >= 0")
         if (a, b) == FULL_LINE:
             return self.amplitude**p * self.width * math.sqrt(math.pi / p)
-        return self._quad_pow(p, a, b)
+        return super()._lp(p, a, b)
 
-    def sign_split(self):
-        if self.amplitude >= 0:
-            return super().sign_split()
-        neg = Gaussian(-self.amplitude, self.center, self.width,
-                       self._domain_json())
-        return Zero(self._domain_json()), neg
+    def _sign_masses(self, a, b):
+        mass = self._integral(a, b)
+        return (mass, 0.0) if self.amplitude >= 0 else (0.0, -mass)
 
     def is_nonnegative(self):
         return self.amplitude >= 0
@@ -452,9 +445,10 @@ class Sampled(Potential):
             / (hi - lo)
 
     def jumps(self):
-        g, v = self.grid, self.values
-        return _on_domain(self.domain, [(float(g[0]), abs(float(v[0]))),
-                                        (float(g[-1]), abs(float(v[-1])))])
+        # the end values are jumps; the interior grid points are kinks
+        g, v = self.grid.tolist(), self.values
+        sizes = [abs(float(v[0]))] + [0.0] * (len(g) - 2) + [abs(float(v[-1]))]
+        return _on_domain(self.domain, zip(g, sizes))
 
     def _lp(self, p, a, b):
         if np.any(self.values < 0):
@@ -601,10 +595,9 @@ class _Mapped(Potential):
     def is_nonnegative(self):
         return self.inner.is_nonnegative()
 
-    def sign_split(self):
-        dom = self._domain_json()
-        return tuple(_Mapped(part, self.s, self.mass, dom)
-                     for part in self.inner.sign_split())
+    def _sign_masses(self, a, b):
+        return tuple(self.mass * m
+                     for m in self.inner._sign_masses(*self._image(a, b)))
 
     def to_json_dict(self):
         inner = self.inner.to_json_dict()
@@ -619,26 +612,6 @@ class _Mapped(Potential):
         return {"family": "scaled",
                 "params": {"alpha": self.s, "inner": inner},
                 "domain": self._domain_json()}
-
-
-class _Clipped(Potential):
-    """max(0, sign * V): generic positive/negative part."""
-
-    def __init__(self, inner: Potential, sign: int):
-        super().__init__(inner._domain_json())
-        self.inner, self.sign = inner, sign
-
-    def _values(self, x):
-        return np.maximum(self.sign * self.inner._values(x), 0.0)
-
-    def support(self):
-        return self.inner.support()
-
-    def jumps(self):
-        return self.inner.jumps()
-
-    def is_nonnegative(self):
-        return True
 
 
 #: the families whose params are their constructor's keyword arguments
@@ -672,7 +645,7 @@ def from_json_dict(doc: dict) -> Potential:
     potential built does not have and a total mass int |V| that underflows
     included."""
     V = _from_doc(doc)
-    mass = sum(part.integrate() for part in V.sign_split())
+    mass = sum(V.sign_masses())
     if 0.0 < mass < sys.float_info.min:
         raise ValueError(f"int |V| = {mass:.3g} underflows: it is below "
                          f"the least normal float {sys.float_info.min:.3g}")

@@ -71,6 +71,10 @@ LOG_EPSABS, LOG_EPSREL = 1e-9, 1e-8
 #: starting panels.  The last two bound its memory however wide the support
 LOG_SPLITS_MAX, LOG_CHUNK, LOG_START_MAX = 2000, 2 ** 12, 2 ** 16
 
+#: starting panels that grade the first uniform one, [0, t1], toward the
+#: t ln t behaviour at t = 0: their edges are t1 2^-LOG_GRADED, ..., t1 / 2
+LOG_GRADED = 8
+
 #: Magnus cell counts: the doubling starts at the first and gives up past
 #: the second
 CELLS_MIN, CELLS_MAX = 2 ** 9, 2 ** 16
@@ -173,7 +177,7 @@ def _scatter_box(V: Potential) -> float:
 def _transfer_ode(V: Potential, X: float,
                   k: float) -> tuple[float, float, float, float]:
     def rhs(x, y):
-        q = k * k + float(V.evaluate(x))
+        q = k * k + float(V._values(np.array([x]))[0])
         return [y[1], -q * y[0], y[3], -q * y[2]]
 
     # 100 times tighter than the cells: across the kinks of a Sampled V,
@@ -409,7 +413,8 @@ def _log_integral_uncached(prop: _Propagator) -> float:
     where the logarithmic singularity at k = 0 becomes 2 t ln t2(t^2) -> 0.
     Its starting panels are uniform in k and no wider than pi / (support
     width), the period in k of the interference between the outermost jumps,
-    on supports up to width pi LOG_START_MAX / K_MAX, about 2,060.  The cell
+    on supports up to width pi LOG_START_MAX / K_MAX, about 2,060; the first
+    is cut into LOG_GRADED + 1 panels graded toward t = 0.  The cell
     path, after its cross-check against the ODE, integrates by quad up to
     K_MAX, or up to the first of its probe pairs at which the integrand is
     negligible (smooth potentials reflect exponentially little at large k).
@@ -420,9 +425,12 @@ def _log_integral_uncached(prop: _Propagator) -> float:
     k_cut = K_MAX
     if prop.pieces is not None:
         lo, hi = prop.V.support()
-        n = min(max(1, math.ceil(K_MAX * (hi - lo) / math.pi)), LOG_START_MAX)
+        n = min(max(1, math.ceil(K_MAX * (hi - lo) / math.pi)),
+                LOG_START_MAX - LOG_GRADED)
+        edges = np.sqrt(np.linspace(0.0, K_MAX, n + 1))
+        graded = edges[1] * 2.0 ** np.arange(-LOG_GRADED, 0)
         val = _kronrod(lambda t: 2.0 * t * log_t2(t * t),
-                       np.sqrt(np.linspace(0.0, K_MAX, n + 1)))
+                       np.concatenate([[0.0], graded, edges[1:]]))
     else:
         _check_against_ode(prop, K_CHECK)
         for kc in (K_CHECK, 5.0, 10.0, 25.0):
@@ -503,6 +511,6 @@ def theorem2_check(V: Potential) -> tuple[float, float]:
     """
     L_half = VARSIGMA_3 / 3.0
     lhs = -_log_integral(_Propagator(V))
-    plus, minus = V.sign_split()
-    rhs = minus.integrate() + (4.0 * L_half - 1.0) * plus.integrate()
+    plus, minus = V.sign_masses()
+    rhs = minus + (4.0 * L_half - 1.0) * plus
     return lhs, rhs

@@ -249,7 +249,7 @@ def _box(V: Potential, tol: float) -> float:
     X = truncation_point(V, tail_tol)
     lo, hi = V.support()
     if math.isfinite(lo) and math.isfinite(hi):
-        X = max(X, abs(lo), abs(hi)) + 1.0  # keep the ends outside supp V
+        X += 1.0  # keep the ends outside supp V, which X already spans
     return X
 
 

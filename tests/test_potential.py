@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lt_spectral import potential as pot
-from lt_spectral.cli import random_piecewise, splitmix64
+from lt_spectral.cli import random_piecewise
 
 
 class TestEvaluate:
@@ -52,7 +52,7 @@ _PC = pot.PiecewiseConstant([-1.5, -0.2, 0.9, 2.3], [1.0, -3.0, 0.5])
 _SM = pot.Sampled([-2.0, -0.5, 1.0, 2.5], [1.5, -0.5, 2.0, 0.75])
 _MIX = pot.Sum([_G, _PC, _SM, _PT.amplified(0.1)])
 
-#: every family and wrapper; the signed ones give clipped sign_split parts
+#: every family and wrapper
 SCALAR_CASES = {
     "piecewise_constant": _PC,
     "square_well": pot.SquareWell(3.0, 0.0, 2.0),
@@ -65,10 +65,6 @@ SCALAR_CASES = {
     "amplified": _G.amplified(0.6),
     "half_view_plus": _MIX.half_view(+1),
     "half_view_minus": _MIX.half_view(-1),
-    "sign_split_plus": _MIX.sign_split()[0],
-    "sign_split_minus": _MIX.sign_split()[1],
-    "pieces_split_minus": _PC.scaled(1.3).sign_split()[1],
-    "gaussian_split_minus": pot.Gaussian(-1.5, 0.2, 0.8).sign_split()[1],
     "half_line_well": pot.SquareWell(3.0, 0.0, 2.0, domain="half_line"),
 }
 
@@ -85,10 +81,6 @@ SPECIAL_VALUES = {
     "amplified": (math.nan, 0.0, 0.0),
     "half_view_plus": (math.nan, 0.0, None),
     "half_view_minus": (math.nan, 0.0, None),
-    "sign_split_plus": (math.nan, 0.0, 0.0),
-    "sign_split_minus": (math.nan, 0.0, 0.0),
-    "pieces_split_minus": (0.0, 0.0, 0.0),
-    "gaussian_split_minus": (math.nan, 0.0, 0.0),
     "half_line_well": (0.0, 0.0, None),
 }
 
@@ -107,8 +99,8 @@ def _in_domain(V, u):
 
 
 class TestScalarPath:
-    """A float x takes evaluate's scalar path; it must give the bits and
-    the checks of the array path on np.array([x])."""
+    """A float, an np.float64 and a 0-d array take evaluate's one path; each
+    must give the bits and the checks of the array path on np.array([x])."""
 
     @SCALAR_EXAMPLES
     @given(st.sampled_from(sorted(SCALAR_CASES)), st.floats(0.0, 1.0))
@@ -220,48 +212,54 @@ class TestScalingCovariance:
             pytest.approx(alpha ** (2 * p - 1) * V.lp_integral(p), rel=1e-8)
 
 
-class TestSignSplit:
+#: positive on the left, negative on the right
+_SIGNED_SUM = pot.Sum([pot.Gaussian(2.0, -1.0), pot.Gaussian(-1.5, 1.0)])
+
+
+class TestSignMasses:
     def test_nonnegative(self):
         V = pot.PoschlTeller(1.0)
-        plus, minus = V.sign_split()
-        assert plus is V
-        assert minus.integrate() == 0.0
+        assert V.sign_masses() == (V.integrate(), 0.0)
 
     def test_negative_gaussian(self):
-        V = pot.Gaussian(-2.0)
-        plus, minus = V.sign_split()
-        assert plus.integrate() == 0.0
-        assert minus.evaluate(0.0) == pytest.approx(2.0)
+        assert pot.Gaussian(-2.0).sign_masses() == (0.0,
+                                                    2.0 * math.sqrt(math.pi))
 
-    def test_piecewise_pointwise(self):
+    def test_piecewise_widths(self):
         V = pot.PiecewiseConstant([0.0, 1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
-        plus, minus = V.sign_split()
-        assert list(plus.values) == [1.0, 0.0, 3.0]
-        assert list(minus.values) == [0.0, 2.0, 0.0]
+        assert V.sign_masses() == (4.0, 2.0)
+        # the wrappers scale both masses by their factor on integrals
+        assert V.scaled(2.0).sign_masses() == (8.0, 4.0)
+        assert V.amplified(0.5).sign_masses() == (2.0, 1.0)
 
     def test_sampled_clips_the_interpolant(self):
         # the parts clip the interpolant, not the samples: the sign change
         # inside the first segment splits its area
         V = pot.Sampled([0.0, 0.3, 1.0], [-1.0, 0.4, 1.0])
-        plus, minus = V.sign_split()
-        assert plus.integrate() == pytest.approx(0.507142857142857, abs=1e-12)
-        assert minus.integrate() == pytest.approx(0.107142857142857,
-                                                  abs=1e-12)
+        plus, minus = V.sign_masses()
+        assert plus == pytest.approx(0.507142857142857, abs=1e-12)
+        assert minus == pytest.approx(0.107142857142857, abs=1e-12)
         x = np.linspace(0.0, 1.0, 2_000_001)
         y = V.evaluate(x)
-        assert plus.integrate() == pytest.approx(
+        assert plus == pytest.approx(
             np.trapezoid(np.maximum(y, 0.0), x), abs=1e-12)
-        assert minus.integrate() == pytest.approx(
+        assert minus == pytest.approx(
             np.trapezoid(np.maximum(-y, 0.0), x), abs=1e-12)
 
-    def test_reconstruction_random_points(self):
-        rng = splitmix64(123)
-        V = pot.Sum([pot.Gaussian(2.0, -1.0), pot.Gaussian(-1.5, 1.0)])
-        plus, minus = V.sign_split()
-        for _ in range(1000):
-            x = 8.0 * next(rng) - 4.0
-            assert V.evaluate(x) == pytest.approx(
-                plus.evaluate(x) - minus.evaluate(x), abs=1e-12)
+    def test_signed_sum_parts_add_up(self):
+        plus, minus = _SIGNED_SUM.sign_masses()
+        assert minus > 0.5
+        assert plus - minus == pytest.approx(_SIGNED_SUM.integrate(),
+                                             abs=1e-12)
+
+    @pytest.mark.parametrize("side", [+1, -1])
+    def test_half_view_keeps_its_side(self, side):
+        half = _SIGNED_SUM.half_view(side)
+        x = np.linspace(0.0, 12.0, 1_200_001)
+        y = half.evaluate(x)
+        want = (np.trapezoid(np.maximum(y, 0.0), x),
+                np.trapezoid(np.maximum(-y, 0.0), x))
+        assert half.sign_masses() == pytest.approx(want, abs=1e-9)
 
 
 class TestHalfView:
@@ -373,6 +371,11 @@ class TestJumps:
         W = pot.PiecewiseConstant([-1.5, 1.0], [2.0]).scaled(2.0)
         assert W.half_view(-1).jumps() == [(0.75, 8.0)]
 
+    def test_sampled_kinks_are_listed(self):
+        # V is continuous at the interior grid points, but not smooth
+        V = pot.Sampled([-1.0, 0.0, 0.5, 2.0], [0.0, 3.0, 1.0, 0.5])
+        assert V.jumps() == [(-1.0, 0.0), (0.0, 0.0), (0.5, 0.0), (2.0, 0.5)]
+
     def test_sum_adds_sizes_at_a_shared_point(self):
         V = pot.Sum([pot.SquareWell(1.0, 0.0, 1.0),
                      pot.SquareWell(2.0, 1.0, 2.0)])
@@ -415,7 +418,6 @@ class TestPieces:
         pot.Gaussian(1.0).scaled(2.0),
         pot.SquareWell(1.0, -1.0, 1.0).half_view(+1),
         pot.PiecewiseConstant([-2.0, -1.0, 0.5], [1.0, -2.0]).half_view(-1),
-        pot.Sum([pot.Gaussian(1.0), pot.Gaussian(-2.0)]).sign_split()[0],
     ])
     def test_other_potentials_have_none(self, V):
         assert V.pieces() is None

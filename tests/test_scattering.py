@@ -10,7 +10,7 @@ from lt_spectral.cli import random_piecewise
 from lt_spectral.constants import VARSIGMA_3
 from lt_spectral.numerics import InvariantError
 from lt_spectral.potential import (Gaussian, PiecewiseConstant, PoschlTeller,
-                                   Sampled, SquareWell, Zero)
+                                   Sampled, SquareWell, Sum, Zero)
 from lt_spectral.scattering import (K_CHECK, ScatteringData,
                                     ScatteringError, _cells,
                                     _check_against_ode, _halved,
@@ -186,11 +186,11 @@ class TestLogIntegral:
             assert err[0] <= 1e-15
 
     def test_halving_cap_raises(self, monkeypatch):
-        # this well settles after 10 halvings of its 64 starting panels;
-        # with room for 5 the rule gives up, and nothing is memoised
-        monkeypatch.setattr(scattering, "LOG_SPLITS_MAX", 5)
+        # this well settles after 2 halvings of its 72 starting panels;
+        # with room for 1 the rule gives up, and nothing is memoised
+        monkeypatch.setattr(scattering, "LOG_SPLITS_MAX", 1)
         V = SquareWell(2.0, -1.0, 1.0)
-        with pytest.raises(ScatteringError, match="did not settle in 5"):
+        with pytest.raises(ScatteringError, match="did not settle in 1"):
             _log_integral(_Propagator(V))
         assert V not in scattering._LOG_INTEGRALS
 
@@ -208,6 +208,23 @@ class TestLogIntegral:
         with pytest.raises(ScatteringError, match="did not settle"):
             _log_integral(_Propagator(SquareWell(1.0, -5e5, 5e5)))
         assert sizes[0] == scattering.LOG_START_MAX
+
+    def test_graded_start_settles_in_few_rounds(self, monkeypatch):
+        # near k = 0 the integrand behaves like t ln t; from a uniform start
+        # the rule halved the panel at t = 0 once per round, 8 or 9 rounds
+        # in all, and from the graded start it takes 1 or 2
+        rounds, real = [], scattering._gk_panels
+
+        def spy(g, lo, hi):
+            rounds.append(len(lo))
+            return real(g, lo, hi)
+
+        monkeypatch.setattr(scattering, "_gk_panels", spy)
+        for seed in range(1, 21):
+            rounds.clear()
+            scattering._log_integral_uncached(
+                _Propagator(random_piecewise(seed)))
+            assert len(rounds) <= 3, seed
 
     def test_chunked_rounds_give_the_same_integral(self, monkeypatch):
         # one product per LOG_CHUNK panels bounds the memory of a round;
@@ -371,6 +388,15 @@ class TestCellPath:
         # by 2.4e-6 across V's kinks, past the gate at 1e-6
         V = Sampled([-1.0, 0.0, 0.5, 2.0], [0.0, 3.0, 1.0, 0.5])
         _check_against_ode(_Propagator(V), K_CHECK)
+
+    def test_kinks_are_cell_edges(self):
+        # inside a cell a kink costs the Magnus step its order: cut only at
+        # the ends, this Sampled settled on 32,832 cells, and its sum with
+        # a Gaussian (a wider box) not on CELLS_MAX
+        V = Sampled([-2.0, -0.5, 1.0, 2.5], [1.5, -0.5, 2.0, 0.75])
+        assert len(_Propagator(V).steps[0]) <= 2048
+        W = Sum([Gaussian(2.0, 0.7, 1.1), V])
+        assert len(_Propagator(W).steps[0]) <= scattering.CELLS_MAX
 
     def test_unsettled_cells_raise(self, monkeypatch):
         # from 32 cells, the products on 128 and on 256 cells still differ
