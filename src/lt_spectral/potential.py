@@ -93,6 +93,10 @@ class Potential:
 
     __call__ = evaluate
 
+    def _value(self, x: float) -> float:
+        """V(x) at one float x, without evaluate's domain check."""
+        return float(self._values(np.array([x]))[0])
+
     # -- support and integrals -------------------------------------------
 
     def support(self) -> tuple[float, float]:
@@ -120,11 +124,12 @@ class Potential:
 
     def sign_masses(self) -> tuple[float, float]:
         """(int V_plus, int V_minus) over the domain: V = V_plus - V_minus."""
+        if self.is_nonnegative():
+            return self._integral(*self.domain), 0.0
         return self._sign_masses(*self.domain)
 
     def _sign_masses(self, a, b):
-        if self.is_nonnegative():
-            return self._integral(a, b), 0.0
+        # the masses of a V that is_nonnegative() does not vouch for
         return (self._quad(lambda v: max(v, 0.0), a, b),
                 self._quad(lambda v: max(-v, 0.0), a, b))
 
@@ -148,14 +153,15 @@ class Potential:
             return 0.0
 
         def f(x):
-            return g(float(self._values(np.array([x]))[0]))
+            return g(self._value(x))
 
         pts = sorted({x for x, _ in self.jumps() if a < x < b})
         if math.isinf(a) or math.isinf(b):
             val, _ = quad(f, a, b, epsabs=QUAD_ABS_TOL, limit=500)
         else:
-            val, _ = quad(f, a, b, epsabs=QUAD_ABS_TOL, limit=500,
-                          points=pts or None)
+            # quad needs limit >= len(pts) + 2: 500 halvings beyond the hints
+            val, _ = quad(f, a, b, epsabs=QUAD_ABS_TOL,
+                          limit=500 + len(pts), points=pts or None)
         return val
 
     def cell_average(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -336,12 +342,10 @@ class PoschlTeller(Potential):
                     / np.cosh(self.alpha * (x - self.c)) ** 2)
 
     def _antiderivative(self, x):
-        # of nu(nu+1) a^2 sech^2(a(x-c)):  nu(nu+1) a tanh(a(x-c))
-        if math.isinf(x):
-            s = math.copysign(1.0, x)
-        else:
-            s = math.tanh(self.alpha * (x - self.c))
-        return self.nu * (self.nu + 1) * self.alpha * s
+        # of nu(nu+1) a^2 sech^2(a(x-c)):  nu(nu+1) a tanh(a(x-c)), which
+        # math.tanh takes to +-1 at x = +-inf
+        return self.nu * (self.nu + 1) * self.alpha * math.tanh(
+            self.alpha * (x - self.c))
 
     def _integral(self, a, b):
         return self._antiderivative(b) - self._antiderivative(a)
@@ -378,10 +382,10 @@ class Gaussian(Potential):
         return self.amplitude * np.exp(-(((x - self.center) / self.width) ** 2))
 
     def _integral(self, a, b):
+        # math.erf takes the infinite ends to +-1
         w, c = self.width, self.center
-        ea = math.erf((a - c) / w) if not math.isinf(a) else math.copysign(1, a)
-        eb = math.erf((b - c) / w) if not math.isinf(b) else math.copysign(1, b)
-        return self.amplitude * w * math.sqrt(math.pi) / 2 * (eb - ea)
+        return self.amplitude * w * math.sqrt(math.pi) / 2 * (
+            math.erf((b - c) / w) - math.erf((a - c) / w))
 
     def _lp(self, p, a, b):
         if self.amplitude < 0:
@@ -450,21 +454,36 @@ class Sampled(Potential):
         sizes = [abs(float(v[0]))] + [0.0] * (len(g) - 2) + [abs(float(v[-1]))]
         return _on_domain(self.domain, zip(g, sizes))
 
-    def _lp(self, p, a, b):
-        if np.any(self.values < 0):
-            raise ValueError("V^p integral requires V >= 0")
-        a = max(a, self.grid[0])
-        b = min(b, self.grid[-1])
-        if not a < b:
-            return 0.0
+    def _segments(self, a, b):
+        # (h, y1, y2): width and end values of the interpolant's linear
+        # segments on [a, b] cut to the grid
+        a, b = max(a, self.grid[0]), min(b, self.grid[-1])
         xs = np.concatenate(([a],
                              self.grid[(self.grid > a) & (self.grid < b)],
                              [b]))
         ys = np.interp(xs, self.grid, self.values)
+        return np.maximum(np.diff(xs), 0.0), ys[:-1], ys[1:]
+
+    def _sign_masses(self, a, b):
+        # exact: a segment whose ends differ in sign splits at its zero, so
+        # its positive part is h y_+^2 / (2 |y2 - y1|)
+        h, y1, y2 = self._segments(a, b)
+        split = y1 * y2 < 0
+        den = np.where(split, 2.0 * np.abs(y2 - y1), 2.0)
+
+        def mass(u1, u2):
+            u1, u2 = np.maximum(u1, 0.0), np.maximum(u2, 0.0)
+            return float(np.sum(h * np.where(split, u1**2 + u2**2, u1 + u2)
+                                / den))
+
+        return mass(y1, y2), mass(-y1, -y2)
+
+    def _lp(self, p, a, b):
+        if np.any(self.values < 0):
+            raise ValueError("V^p integral requires V >= 0")
+        h, y1, y2 = self._segments(a, b)
         # exact integral of (linear segment)^p:
         # h * (y2^{p+1} - y1^{p+1}) / ((p+1)(y2 - y1)), y1 != y2
-        h = np.diff(xs)
-        y1, y2 = ys[:-1], ys[1:]
         same = np.isclose(y1, y2, rtol=1e-14, atol=0.0)
         seg = np.where(
             same, 0.5 * (y1**p + y2**p) * h,

@@ -177,7 +177,7 @@ def _scatter_box(V: Potential) -> float:
 def _transfer_ode(V: Potential, X: float,
                   k: float) -> tuple[float, float, float, float]:
     def rhs(x, y):
-        q = k * k + float(V._values(np.array([x]))[0])
+        q = k * k + V._value(x)
         return [y[1], -q * y[0], y[3], -q * y[2]]
 
     # 100 times tighter than the cells: across the kinks of a Sampled V,

@@ -246,6 +246,34 @@ class TestSignMasses:
         assert minus == pytest.approx(
             np.trapezoid(np.maximum(-y, 0.0), x), abs=1e-12)
 
+    def test_long_signed_sampled_loads(self):
+        # 2,000 grid points are 1,998 kinks: the masses are exact per
+        # segment, and a sum's quadrature takes every kink as a hint
+        grid = np.linspace(-5.0, 5.0, 2000)
+        doc = {"family": "sampled",
+               "params": {"grid": grid.tolist(),
+                          "values": (np.sin(3.0 * grid) + 0.2).tolist()}}
+        V = pot.from_json_dict(doc)
+        x = np.linspace(-5.0, 5.0, 4_000_001)
+        y = V.evaluate(x)
+        plus, minus = V.sign_masses()
+        assert plus == pytest.approx(
+            np.trapezoid(np.maximum(y, 0.0), x), abs=1e-11)
+        assert minus == pytest.approx(
+            np.trapezoid(np.maximum(-y, 0.0), x), abs=1e-11)
+        assert plus - minus == pytest.approx(V.integrate(), abs=1e-12)
+        step = {"family": "piecewise_constant",
+                "params": {"breakpoints": [0.0, 1.0], "values": [-0.5]}}
+        S = pot.from_json_dict({"family": "sum",
+                                "params": {"terms": [doc, step]}})
+        plus, minus = S.sign_masses()
+        assert plus - minus == pytest.approx(S.integrate(), abs=1e-9)
+
+    def test_signed_sampled_half_views(self):
+        V = pot.Sampled([-1.0, 0.0, 1.0], [-1.0, 2.0, -0.5])
+        assert V.half_view(+1).sign_masses() == pytest.approx((0.8, 0.05))
+        assert V.half_view(-1).sign_masses() == pytest.approx((2 / 3, 1 / 6))
+
     def test_signed_sum_parts_add_up(self):
         plus, minus = _SIGNED_SUM.sign_masses()
         assert minus > 0.5
