@@ -4,12 +4,17 @@ constant-coefficient step propagator (one step or many at once), Gamma.
 All routines are pure functions of their arguments and safe for concurrent
 use.  The double-exponential (tanh-sinh) rule is implemented here because
 several integrands downstream carry endpoint singularities whose exponent
-varies with a parameter; one kernel covers them all.
+varies with a parameter; one kernel covers them all.  What its nodes take
+from t alone is tabulated once per level, on first use, in read-only
+tables, and each call forms its nodes from them.  minimize_1d runs Brent's
+bounded minimisation here, on Python floats; find_root calls scipy's brentq.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from typing import Callable
 
 import numpy as np
@@ -74,11 +79,9 @@ def minimize_1d(f: Callable[[float], float], lo: float,
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
-    res = optimize.minimize_scalar(
-        f, bounds=(lo, hi), method="bounded",
-        options={"xatol": MIN_XATOL, "maxiter": MAX_ITER})
-    x = float(res.x)
-    fx = float(res.fun)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("bounds must be finite")
+    x, fx = _bounded_brent(f, lo, hi)
     if not math.isfinite(fx):
         raise NumericsError("non-finite function value in bracket")
     # polish against the endpoints, bounded search can stall at the rim
@@ -89,50 +92,137 @@ def minimize_1d(f: Callable[[float], float], lo: float,
     return x, fx
 
 
-def _tanhsinh_finite(f, a, b):
-    """tanh-sinh rule on a finite interval, doubling levels until converged."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
+def _bounded_brent(f, a, b):
+    # Brent's bounded minimisation as scipy's minimize_scalar(method=
+    # "bounded") runs it, with xatol MIN_XATOL and maxfun MAX_ITER: the
+    # same iterates, on Python floats and with comparisons for the signs.
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    sqrt_eps = math.sqrt(2.2e-16)
+    fulc = nfc = xf = a + golden_mean * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = f(xf)
+    num = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + MIN_XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(xf - xm) > tol2 - 0.5 * (b - a):
+            break
+        parabolic = False
+        if abs(e) > tol1:  # a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if (abs(p) < abs(0.5 * q * r) and p > q * (a - xf)
+                    and p < q * (b - xf)):
+                parabolic = True
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if not parabolic:  # a golden-section step
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0.0 else -step)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        if num >= MAX_ITER:
+            break
+    return float(xf), float(fx)
 
-    def node(t):
+
+#: the tanh-sinh rule halves its step DE_LEVELS times below h = 1, and its
+#: nodes reach t = DE_T_MAX: a singularity x^{-s} with s near 1 decays at the
+#: nodes like exp(-(1-s)*pi*sinh(t)), so t must reach ~6.  The node tables
+#: below are built on first use, one per level and map, and shared read-only
+DE_LEVELS = 12
+DE_T_MAX = 6.5
+
+
+def _level_ts(level):
+    # the t > 0 a level adds: level 0 every multiple of h = 1, a finer
+    # level the odd multiples of its h (all exact in binary)
+    h = 0.5 ** level
+    return [k * h for k in range(1, int(DE_T_MAX / h) + 1, 2 if level else 1)]
+
+
+@functools.cache
+def _finite_nodes(level):
+    """(1 + e^{2|s|}, cosh t, cosh(s)^2) at the level's t > 0, flattened,
+    with s = (pi/2) sinh t; a node with |s| > 350 reads (inf, 0, inf)."""
+    out = array("d")
+    for t in _level_ts(level):
         s = 0.5 * math.pi * math.sinh(t)
-        if abs(s) > 350.0:
-            return None
-        # distance from the nearer endpoint, computed without cancellation:
-        # 1 - tanh(|s|) = 2 / (1 + exp(2|s|))
-        d = half * 2.0 / (1.0 + math.exp(2.0 * abs(s)))
-        x = (a + d) if t < 0.0 else (b - d) if t > 0.0 else mid
-        w = half * 0.5 * math.pi * math.cosh(t) / math.cosh(s) ** 2
-        return x, w
+        out.extend((math.inf, 0.0, math.inf) if abs(s) > 350.0 else
+                   (1.0 + math.exp(2.0 * abs(s)), math.cosh(t),
+                    math.cosh(s) ** 2))
+    return memoryview(out).toreadonly()
 
-    return _de_levels(f, node, a, b)
+
+@functools.cache
+def _semi_nodes(level):
+    """(e^s, w) at t and at -t for the level's t > 0, flattened, with
+    s = (pi/2) sinh t and w = (pi/2) cosh(t) e^s; a node with s > 700 reads
+    (inf, inf)."""
+    out = array("d")
+    for t in _level_ts(level):
+        for s, c in ((0.5 * math.pi * math.sinh(u), math.cosh(u))
+                     for u in (t, -t)):
+            e = math.exp(s) if s <= 700.0 else math.inf
+            out.extend((e, 0.5 * math.pi * c * e))
+    return memoryview(out).toreadonly()
+
+
+def _tanhsinh_finite(f, a, b):
+    """tanh-sinh rule on a finite interval, doubling levels until converged.
+
+    d, the distance from the nearer endpoint, avoids cancellation:
+    1 - tanh|s| = 2 / (1 + exp(2|s|)).
+    """
+    half = 0.5 * (b - a)
+    h2, hw = half * 2.0, half * 0.5 * math.pi
+
+    def pairs(level):
+        it = iter(_finite_nodes(level))
+        for den, ct, cs2 in zip(it, it, it):
+            d = h2 / den
+            w = hw * ct / cs2
+            yield b - d, w, a + d, w
+
+    return _de_levels(f, a, b, (0.5 * (a + b), hw), pairs)
 
 
 def _tanhsinh_semi(f, a):
     """tanh-sinh rule on [a, inf) via x = a + exp(pi/2 sinh t)."""
 
-    def node(t):
-        s = 0.5 * math.pi * math.sinh(t)
-        if s > 700.0:
-            return None
-        e = math.exp(s)
-        x = a + e
-        w = 0.5 * math.pi * math.cosh(t) * e
-        return x, w
+    def pairs(level):
+        it = iter(_semi_nodes(level))
+        for ep, wp, en, wn in zip(it, it, it, it):
+            yield a + ep, wp, a + en, wn
 
-    return _de_levels(f, node, a, math.inf)
+    return _de_levels(f, a, math.inf, (a + 1.0, 0.5 * math.pi), pairs)
 
 
-def _de_levels(f, node, a, b):
-    # Endpoint singularities x^{-s} with s near 1 need deep tails: the node
-    # contribution decays like exp(-(1-s)*pi*sinh(t)), so t must reach ~6.
-    t_max = 6.5
+def _de_levels(f, a, b, center, pairs):
+    # center is the node (x, w) at t = 0; pairs(level) yields the nodes at
+    # t and -t as (x, w, x, w)
 
-    def eval_at(t):
-        nw = node(t)
-        if nw is None:
-            return 0.0
-        x, w = nw
+    def term(x, w):
         if not (a < x < b) or w == 0.0 or not math.isfinite(w):
             return 0.0
         fx = f(x)
@@ -141,20 +231,16 @@ def _de_levels(f, node, a, b):
         return w * fx
 
     h = 1.0
-    total = eval_at(0.0)
-    k = 1
-    while k * h <= t_max:
-        total += eval_at(k * h) + eval_at(-k * h)
-        k += 1
+    total = term(*center)
+    for xp, wp, xn, wn in pairs(0):
+        total += term(xp, wp) + term(xn, wn)
     value = h * total
     prev = math.inf
-    for _level in range(12):
+    for level in range(1, DE_LEVELS + 1):
         h *= 0.5
         add = 0.0
-        t = h
-        while t <= t_max:
-            add += eval_at(t) + eval_at(-t)
-            t += 2.0 * h
+        for xp, wp, xn, wn in pairs(level):
+            add += term(xp, wp) + term(xn, wn)
         total += add
         new_value = h * total
         err = abs(new_value - value)

@@ -146,7 +146,8 @@ class Potential:
 
     def _quad(self, g, a, b):
         """int g(V(x)) dx over [a, b] cut to support(), with the points of
-        jumps() as hints."""
+        jumps() as hints.  quad takes hints only on a finite interval, so an
+        infinite end is cut off at the outermost jump and integrated alone."""
         lo, hi = self.support()
         a, b = max(a, lo), min(b, hi)
         if not a < b:
@@ -156,12 +157,15 @@ class Potential:
             return g(self._value(x))
 
         pts = sorted({x for x, _ in self.jumps() if a < x < b})
-        if math.isinf(a) or math.isinf(b):
-            val, _ = quad(f, a, b, epsabs=QUAD_ABS_TOL, limit=500)
-        else:
-            # quad needs limit >= len(pts) + 2: 500 halvings beyond the hints
-            val, _ = quad(f, a, b, epsabs=QUAD_ABS_TOL,
-                          limit=500 + len(pts), points=pts or None)
+        c = pts[0] if pts and math.isinf(a) else a
+        d = pts[-1] if pts and math.isinf(b) else b
+        inner = [x for x in pts if c < x < d]
+        # quad needs limit >= len(points) + 2: 500 halvings beyond the hints
+        val = quad(f, c, d, epsabs=QUAD_ABS_TOL, limit=500 + len(inner),
+                   points=inner or None)[0] if c < d else 0.0
+        for u, v in ((a, c), (d, b)):
+            if u < v:
+                val += quad(f, u, v, epsabs=QUAD_ABS_TOL, limit=500)[0]
         return val
 
     def cell_average(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -482,14 +486,16 @@ class Sampled(Potential):
         if np.any(self.values < 0):
             raise ValueError("V^p integral requires V >= 0")
         h, y1, y2 = self._segments(a, b)
-        # exact integral of (linear segment)^p:
-        # h * (y2^{p+1} - y1^{p+1}) / ((p+1)(y2 - y1)), y1 != y2
-        same = np.isclose(y1, y2, rtol=1e-14, atol=0.0)
-        seg = np.where(
-            same, 0.5 * (y1**p + y2**p) * h,
-            h * (y2 ** (p + 1) - y1 ** (p + 1))
-            / ((p + 1) * np.where(same, 1.0, y2 - y1)))
-        return float(np.sum(seg))
+        # exact integral of (linear segment)^p,
+        # h (y2^{p+1} - y1^{p+1}) / ((p+1)(y2 - y1)), written about the
+        # larger end m as h m^p expm1((p+1) log1p(r)) / ((p+1) r) with
+        # r = (min - m)/m in [-1, 0], so that close ends do not cancel; at
+        # r = 0 the mean is m^p
+        m = np.maximum(y1, y2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = (np.minimum(y1, y2) - m) / m
+            mean = np.expm1((p + 1) * np.log1p(r)) / ((p + 1) * r)
+        return float(np.sum(h * m**p * np.where(r < 0.0, mean, 1.0)))
 
     def is_nonnegative(self):
         return bool(np.all(self.values >= 0))

@@ -4,6 +4,9 @@ Nothing here shares code paths with the library: eigenvalues come from
 Prüfer-angle shooting or transcendental closed forms, reflection amplitudes
 from textbook closed forms or a linear solve of the plane-wave matching,
 and transfer matrices of piece lists from one scalar step at a time.
+The tanh-sinh rule with every node computed in place and scipy's bounded
+minimiser are the references the library's node tables and in-module
+Brent loop must match bit for bit.
 Agreement between these and the library is the point of the comparisons.
 The count and ground-state bounds, the Sobolev check, the raw moment
 constant and the index multiplicities at the end are textbook inequalities
@@ -15,9 +18,11 @@ import math
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from lt_spectral.constants import VARSIGMA_3
+from lt_spectral.numerics import (DE_ABS, DE_REL, MAX_ITER, MIN_XATOL,
+                                  DivergenceError, NumericsError)
 
 
 def prufer_angle(V, a, b, E, bc_left="neumann"):
@@ -298,3 +303,101 @@ def multiplicity_bounds(seqs) -> tuple[int, int]:
     seqs.l_index."""
     return tuple(max((idx.count(i) for i in set(idx)), default=0)
                  for idx in (seqs.s_index, seqs.l_index))
+
+
+def minimize_1d_scipy(f, lo, hi):
+    """numerics.minimize_1d on scipy's minimize_scalar(method="bounded"),
+    with the same tolerance, budget, finite check and endpoint polish."""
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                          options={"xatol": MIN_XATOL, "maxiter": MAX_ITER})
+    x, fx = float(res.x), float(res.fun)
+    if not math.isfinite(fx):
+        raise NumericsError("non-finite function value in bracket")
+    for xe in (lo, hi):
+        fe = f(xe)
+        if fe < fx:
+            x, fx = xe, fe
+    return x, fx
+
+
+def integrate_de_per_node(f, a, b):
+    """numerics.integrate_de with every tanh-sinh node computed where it is
+    used: the same map, levels, accumulation and stop rule."""
+    if a == b:
+        return 0.0
+    if a > b:
+        return -integrate_de_per_node(f, b, a)
+    if math.isinf(a) and math.isinf(b):
+        return (_semi_per_node(lambda x: f(-x), 0.0)
+                + _semi_per_node(f, 0.0))
+    if math.isinf(b):
+        return _semi_per_node(f, a)
+    if math.isinf(a):
+        return _semi_per_node(lambda x: f(-x), -b)
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+
+    def node(t):
+        s = 0.5 * math.pi * math.sinh(t)
+        if abs(s) > 350.0:
+            return None
+        d = half * 2.0 / (1.0 + math.exp(2.0 * abs(s)))
+        x = (a + d) if t < 0.0 else (b - d) if t > 0.0 else mid
+        w = half * 0.5 * math.pi * math.cosh(t) / math.cosh(s) ** 2
+        return x, w
+
+    return _levels_per_node(f, node, a, b)
+
+
+def _semi_per_node(f, a):
+    def node(t):
+        s = 0.5 * math.pi * math.sinh(t)
+        if s > 700.0:
+            return None
+        e = math.exp(s)
+        return a + e, 0.5 * math.pi * math.cosh(t) * e
+
+    return _levels_per_node(f, node, a, math.inf)
+
+
+def _levels_per_node(f, node, a, b):
+    t_max = 6.5
+
+    def eval_at(t):
+        nw = node(t)
+        if nw is None:
+            return 0.0
+        x, w = nw
+        if not (a < x < b) or w == 0.0 or not math.isfinite(w):
+            return 0.0
+        fx = f(x)
+        return w * fx if math.isfinite(fx) else 0.0
+
+    h = 1.0
+    total = eval_at(0.0)
+    k = 1
+    while k * h <= t_max:
+        total += eval_at(k * h) + eval_at(-k * h)
+        k += 1
+    value = h * total
+    prev = math.inf
+    for _level in range(12):
+        h *= 0.5
+        add = 0.0
+        t = h
+        while t <= t_max:
+            add += eval_at(t) + eval_at(-t)
+            t += 2.0 * h
+        total += add
+        new_value = h * total
+        err = abs(new_value - value)
+        if err <= DE_ABS + DE_REL * abs(new_value):
+            return new_value
+        if abs(new_value) > 1e12 and abs(new_value) > 10.0 * abs(prev):
+            raise DivergenceError("integral appears to diverge")
+        prev = value
+        value = new_value
+    if err > 1e-6 * (1.0 + abs(value)):
+        raise DivergenceError("integral appears to diverge")
+    return value

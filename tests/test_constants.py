@@ -273,6 +273,45 @@ class TestRowsAndCsv:
             constants_row(0.4)
 
 
+@pytest.fixture(scope="module")
+def grid_rows():
+    """The rows of `lt-spectral constants --gamma-grid 0.5:1.5:1001`."""
+    return [constants_row(0.5 + (1.5 - 0.5) * i / 1000) for i in range(1001)]
+
+
+class TestGridSweep:
+    def test_upper_bounds_above_lower_bounds(self, grid_rows):
+        for r in grid_rows:
+            lower = max(r.L_cl, r.L_one)
+            for upper in (r.L_LT, r.L_GGM, r.L_star, r.L_char, r.L_dstar,
+                          r.L_best):
+                assert upper is None or upper >= lower, r.gamma
+
+    def test_none_exactly_at_the_endpoints(self, grid_rows):
+        for r in grid_rows:
+            end = r.gamma in (0.5, 1.5)
+            assert (r.L_char is None) == end and (r.L_dstar is None) == end
+            assert (r.L_LT is None) == (r.L_GGM is None) == (r.gamma == 0.5)
+
+    def test_best_is_the_smaller_upper_bound(self, grid_rows):
+        for r in grid_rows:
+            assert r.L_best == min(v for v in (r.L_star, r.L_dstar)
+                                   if v is not None)
+
+    def test_star_at_one_half(self, grid_rows):
+        assert grid_rows[0].L_star == pytest.approx(VARSIGMA_3 / 3.0,
+                                                    rel=1e-15)
+
+    def test_one_sign_change_at_crossover(self, grid_rows):
+        inner = grid_rows[1:-1]
+        diff = [r.L_dstar - r.L_star for r in inner]
+        flips = [i for i in range(len(diff) - 1)
+                 if (diff[i] > 0.0) != (diff[i + 1] > 0.0)]
+        assert len(flips) == 1
+        i = flips[0]
+        assert inner[i].gamma < crossover() < inner[i + 1].gamma
+
+
 class TestCFactor:
     def test_positive_and_finite(self):
         for eta in (0.2, 0.5, 0.8):

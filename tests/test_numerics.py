@@ -1,11 +1,16 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from lt_spectral.numerics import (BracketError, DivergenceError, find_root,
-                                  gamma_fn, integrate_de, minimize_1d,
-                                  piece_step, piece_step_array)
+from lt_spectral import constants
+from lt_spectral.numerics import (BracketError, DivergenceError,
+                                  NumericsError, find_root, gamma_fn,
+                                  integrate_de, minimize_1d, piece_step,
+                                  piece_step_array)
+
+from oracles import integrate_de_per_node, minimize_1d_scipy
 
 
 class TestFindRoot:
@@ -57,6 +62,11 @@ class TestMinimize1d:
             minimize_1d(lambda x: float("nan"), 0.0, 1.0)
 
 
+def _brute_force_integrand(v):
+    u = 1.0 - v
+    return u * (2.0 + u) * v ** -0.75 * (1.0 + u) ** -1.25
+
+
 class TestIntegrateDE:
     def test_inverse_sqrt(self):
         # endpoint singularity
@@ -83,12 +93,7 @@ class TestIntegrateDE:
         # generic v^(-3/4)-singular integrand, singularity placed at 0 as
         # the docstring asks, against a midpoint oracle after v = t^4
         u0 = math.sqrt(2.0 / (2.0 + math.sqrt(3.0)))
-
-        def f(v):
-            u = 1.0 - v
-            return u * (2.0 + u) * v ** -0.75 * (1.0 + u) ** -1.25
-
-        val = integrate_de(f, 0.0, 1.0 - u0)
+        val = integrate_de(_brute_force_integrand, 0.0, 1.0 - u0)
         # substitution v = t^4 absorbs the singularity:
         # f dv = 4 u (2 + u) (1 + u)^(-5/4) dt with u = 1 - t^4
         t_hi = (1.0 - u0) ** 0.25
@@ -103,6 +108,110 @@ class TestIntegrateDE:
     def test_divergent(self):
         with pytest.raises(DivergenceError):
             integrate_de(lambda x: 1.0 / x, 0.0, 1.0)
+
+
+#: (f, a, b): TestIntegrateDE's convergent cases, a left half line and a
+#: reversed interval
+DE_CASES = [
+    (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0),
+    (lambda x: math.exp(-x), 0.0, math.inf),
+    (lambda x: math.exp(-x * x), -math.inf, math.inf),
+    (lambda x: x ** -0.75, 0.0, 1.0),
+    (math.log, 0.0, 1.0),
+    (_brute_force_integrand, 0.0, 1.0 - constants.U0),
+    (lambda x: math.exp(x), -math.inf, 0.3),
+    (lambda x: 1.0 / (1.0 + x * x), 2.0, -1.0),
+]
+
+
+class TestBitForBit:
+    """The node tables and the in-module Brent loop give exactly what the
+    per-node rule and scipy's bounded minimiser give."""
+
+    @pytest.mark.parametrize("case", range(len(DE_CASES)))
+    def test_integrate_de(self, case):
+        f, a, b = DE_CASES[case]
+        assert integrate_de(f, a, b).hex() == \
+            integrate_de_per_node(f, a, b).hex()
+
+    def test_integrate_de_seeded_family(self):
+        # endpoint-singular oscillating integrands and slowly decaying half
+        # lines, whose nodes weigh alike at level 0, so a change in the
+        # order of accumulation shows
+        rng = random.Random(5)
+
+        def outcome(rule, f, a, b):
+            try:
+                return rule(f, a, b).hex()
+            except DivergenceError:
+                return "diverges"
+
+        for _ in range(40):
+            s, c = rng.uniform(0.0, 0.9), rng.uniform(0.1, 5.0)
+            a = rng.uniform(-2.0, 1.0)
+            b = a + rng.uniform(0.1, 4.0)
+            for f, hi in ((lambda x: (x - a) ** -s * math.cos(c * x), b),
+                          (lambda x: math.exp(-c * x) * (1.0 + x - a) ** s,
+                           math.inf)):
+                assert outcome(integrate_de, f, a, hi) == \
+                    outcome(integrate_de_per_node, f, a, hi)
+
+    @pytest.mark.parametrize("eta, mode", [
+        (0.01, "closed"), (0.5, "closed"), (0.99, "closed"),
+        (0.5, "numeric")])
+    def test_theta_integrands(self, eta, mode, monkeypatch):
+        # the closed route's one integral; the numeric route's half lines
+        # and finite pieces
+        calls = []
+
+        def both(f, a, b):
+            calls.append((integrate_de(f, a, b),
+                          integrate_de_per_node(f, a, b)))
+            return calls[-1][0]
+
+        monkeypatch.setattr(constants, "integrate_de", both)
+        constants.theta_weight(constants.ThetaParams(eta, 0.5, 1.5), mode)
+        assert len(calls) == 1 if mode == "closed" else len(calls) >= 3
+        assert [x.hex() for x, _ in calls] == [y.hex() for _, y in calls]
+
+    def test_divergent_raises_on_both(self):
+        for rule in (integrate_de, integrate_de_per_node):
+            with pytest.raises(DivergenceError):
+                rule(lambda x: 1.0 / x, 0.0, 1.0)
+
+    def test_minimize_ggm_integrand(self):
+        grid = [0.5 + i / 1000 for i in range(1, 1001)]
+        for gamma in random.Random(23).sample(grid, 50):
+            hi = min(1.5, gamma + 0.5)
+
+            def f(m):
+                return constants._ggm_integrand(m, gamma)
+
+            got = minimize_1d(f, 1.0 + 1e-6, hi - 1e-6)
+            want = minimize_1d_scipy(f, 1.0 + 1e-6, hi - 1e-6)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("f", [lambda x: (x - 0.3) ** 2,
+                                   lambda x: 4.2, lambda x: x,
+                                   lambda x: math.exp(-3.0 * x)])
+    def test_minimize_plain_functions(self, f):
+        got, want = minimize_1d(f, 0.0, 1.0), minimize_1d_scipy(f, 0.0, 1.0)
+        assert [float(v).hex() for v in got] == \
+            [float(v).hex() for v in want]
+
+    @pytest.mark.parametrize("f, error", [
+        (lambda x: 1.0 / x, ZeroDivisionError),  # at the polish of lo = 0
+        (lambda x: float("nan"), NumericsError)])
+    def test_minimize_raises_on_both(self, f, error):
+        for rule in (minimize_1d, minimize_1d_scipy):
+            with pytest.raises(error):
+                rule(f, 0.0, 1.0)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (1.0, 0.0)])
+    def test_bad_bounds_raise_on_both(self, lo, hi):
+        for rule in (minimize_1d, minimize_1d_scipy):
+            with pytest.raises(ValueError):
+                rule(lambda x: x * x, lo, hi)
 
 
 class TestGamma:

@@ -196,6 +196,21 @@ class TestLpIntegral:
         # int_0^1 (2x)^2 dx + int_1^2 (2(2-x))^2 dx = 8/3
         assert V.lp_integral(2.0) == pytest.approx(8.0 / 3.0, rel=1e-12)
 
+    @pytest.mark.parametrize("gap, p, value", [
+        (3e-14, 1.5, 1.0000000000000225), (1e-9, 1.0, 1.0000000005)])
+    def test_sampled_close_ends_do_not_cancel(self, gap, p, value):
+        # (y2^{p+1} - y1^{p+1}) / ((p+1)(y2 - y1)) cancels when y2 - y1 is
+        # a few ulps of y1
+        mpmath = pytest.importorskip("mpmath")
+        y1, y2 = 1.0, 1.0 + gap
+        with mpmath.workdps(50):
+            m1, m2 = mpmath.mpf(y1), mpmath.mpf(y2)
+            exact = float((m2 ** (p + 1) - m1 ** (p + 1))
+                          / ((p + 1) * (m2 - m1)))
+        got = pot.Sampled([0.0, 1.0], [y1, y2]).lp_integral(p)
+        assert got == pytest.approx(exact, rel=1e-15, abs=0.0)
+        assert got == pytest.approx(value, rel=1e-15, abs=0.0)
+
 
 class TestScalingCovariance:
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 5.0])
@@ -273,6 +288,21 @@ class TestSignMasses:
         V = pot.Sampled([-1.0, 0.0, 1.0], [-1.0, 2.0, -0.5])
         assert V.half_view(+1).sign_masses() == pytest.approx((0.8, 0.05))
         assert V.half_view(-1).sign_masses() == pytest.approx((2 / 3, 1 / 6))
+
+    def test_whole_line_sum_splits_at_its_jumps(self):
+        # V = 2 e^{-x^2} - 1 on [0, 1] is negative on (sqrt(ln 2), 1]; quad
+        # on the whole line, which takes no hints, missed that part
+        V = pot.from_json_dict({"family": "sum", "params": {"terms": [
+            {"family": "gaussian", "params": {"amplitude": 2}},
+            {"family": "piecewise_constant",
+             "params": {"breakpoints": [0, 1], "values": [-1]}}]}})
+        plus, minus = V.sign_masses()
+        r = math.sqrt(math.log(2.0))
+        exact = (1.0 - r) - math.sqrt(math.pi) * (math.erf(1.0)
+                                                   - math.erf(r))
+        assert minus == pytest.approx(exact, abs=1e-9)
+        assert minus == pytest.approx(0.0225779776, abs=1e-9)
+        assert plus - minus == pytest.approx(V.integrate(), abs=1e-9)
 
     def test_signed_sum_parts_add_up(self):
         plus, minus = _SIGNED_SUM.sign_masses()
