@@ -6,19 +6,20 @@ use.  The double-exponential (tanh-sinh) rule is implemented here because
 several integrands downstream carry endpoint singularities whose exponent
 varies with a parameter; one kernel covers them all.  What its nodes take
 from t alone is tabulated once per level, on first use, in read-only
-tables, and each call forms its nodes from them.  minimize_1d runs Brent's
-bounded minimisation here, on Python floats; find_root calls scipy's brentq.
+tables, and each call forms its nodes from them.  find_root and minimize_1d
+run scipy's brentq and bounded minimize_scalar loops on Python floats, and a
+Deferred imports a scipy routine on its first call, so importing loads none.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 from array import array
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 
 class NumericsError(Exception):
@@ -53,21 +54,72 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
               xtol: float, rtol: float) -> float:
     """Root of f on [lo, hi]; f(lo) and f(hi) must not have the same sign.
 
-    Brent's method with a guaranteed bisection fallback (scipy brentq),
-    stopped at xtol + rtol * |root|.  The result always lies inside the
-    initial bracket.
+    Brent's method with a guaranteed bisection fallback, scipy's brentq loop,
+    stopped at xtol + rtol * |root| inside the initial bracket.  A NaN value
+    of f raises ValueError, no convergence in MAX_ITER steps RuntimeError.
     """
-    flo, fhi = f(lo), f(hi)
+    lo, hi = float(lo), float(hi)
+    flo, fhi = float(f(lo)), float(f(hi))
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    if math.isnan(flo) or math.isnan(fhi):
+        raise ValueError(f"f is NaN at an end of [{lo}, {hi}]")
+    if (flo < 0.0) == (fhi < 0.0):  # flo * fhi would underflow
         raise BracketError(f"no sign change on [{lo}, {hi}]: f={flo}, {fhi}")
     # brentq refuses rtol below 4 ulp(1)
-    rtol = max(rtol, 4 * math.ulp(1.0))
-    return float(optimize.brentq(f, lo, hi, xtol=xtol, rtol=rtol,
-                                 maxiter=MAX_ITER))
+    return _brentq(f, lo, hi, flo, fhi, xtol, max(rtol, 4 * math.ulp(1.0)))
+
+
+def _brentq(f, xpre, xcur, fpre, fcur, xtol, rtol):
+    # scipy's brentq.c with maxiter MAX_ITER: the same iterates, in the same
+    # operation order, from f(xpre) and f(xcur) nonzero and of opposite signs
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(MAX_ITER):
+        if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # a bisection
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass  # C's inf or nan, which bisects
+        short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ValueError(f"f is NaN at x={xcur}")
+    raise RuntimeError(f"Failed to converge after {MAX_ITER} iterations.")
+
+
+class Deferred:
+    """The routine module.name, imported on its first call.  Not a function:
+    the benchmark's tracer times it as that routine, not as its binder's."""
+
+    def __init__(self, module: str, name: str):
+        self.module, self.__name__, self._fn = module, name, None
+
+    def __call__(self, *args, **kwargs):
+        if self._fn is None:
+            self._fn = getattr(importlib.import_module(self.module),
+                               self.__name__)
+        return self._fn(*args, **kwargs)
 
 
 def minimize_1d(f: Callable[[float], float], lo: float,
@@ -85,7 +137,7 @@ def minimize_1d(f: Callable[[float], float], lo: float,
     if not math.isfinite(fx):
         raise NumericsError("non-finite function value in bracket")
     # polish against the endpoints, bounded search can stall at the rim
-    for xe in (lo, hi):
+    for xe in (float(lo), float(hi)):
         fe = f(xe)
         if fe < fx:
             x, fx = xe, fe

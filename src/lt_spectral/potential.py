@@ -43,9 +43,12 @@ import sys
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
+
+from .numerics import Deferred
 
 QUAD_ABS_TOL = 1e-10
+
+quad = Deferred("scipy.integrate", "quad")
 
 FULL_LINE = (-math.inf, math.inf)
 HALF_LINE = (0.0, math.inf)

@@ -45,10 +45,9 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad, solve_ivp
 
 from .constants import VARSIGMA_3
-from .numerics import InvariantError, NumericsError, piece_step_array
+from .numerics import Deferred, InvariantError, NumericsError, piece_step_array
 from .potential import FULL_LINE, Potential, piece_steps, truncation_point
 from .sturm import SOLVER_TOL, RieszMean, riesz_mean, solve_line
 
@@ -58,6 +57,9 @@ SCATTER_TOL = 1e-8
 
 #: default k-grid limits (geometric) for sampled reflection data
 K_MIN, K_MAX, K_COUNT = 0.01, 100.0, 400
+
+quad = Deferred("scipy.integrate", "quad")
+solve_ivp = Deferred("scipy.integrate", "solve_ivp")
 
 #: tail mass at which non-compact potentials are truncated
 TRUNCATION_TAIL = 1e-10
@@ -437,6 +439,7 @@ def _log_integral_uncached(prop: _Propagator) -> float:
             if np.all(np.abs(log_t2([kc, 1.37 * kc])) < 1e-14):
                 k_cut = 1.37 * kc
                 break
+        from scipy.integrate import IntegrationWarning
         with warnings.catch_warnings():
             # near-total reflection at k -> 0 makes the integrand
             # log-singular; quad flags roundoff there although the value

@@ -43,9 +43,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .numerics import InvariantError, NumericsError, find_root, piece_step
+from .numerics import (Deferred, InvariantError, NumericsError, find_root,
+                       piece_step)
 from .potential import HALF_LINE, Potential, piece_steps, truncation_point
 
 #: default certification target for eigenvalue radii, absolute; 1e-10 is
@@ -53,6 +53,8 @@ from .potential import HALF_LINE, Potential, piece_steps, truncation_point
 SOLVER_TOL = 1e-6
 #: the least FD tolerance across a jump, whatever tolerance is stated
 JUMP_TOL = 1e-3
+
+eigh_tridiagonal = Deferred("scipy.linalg", "eigh_tridiagonal")
 
 #: grid ladder: the coarsest and finest grids have 2^level + 1 nodes
 LEVEL_MIN, LEVEL_MAX = 8, 16

@@ -4,9 +4,9 @@ Nothing here shares code paths with the library: eigenvalues come from
 Prüfer-angle shooting or transcendental closed forms, reflection amplitudes
 from textbook closed forms or a linear solve of the plane-wave matching,
 and transfer matrices of piece lists from one scalar step at a time.
-The tanh-sinh rule with every node computed in place and scipy's bounded
-minimiser are the references the library's node tables and in-module
-Brent loop must match bit for bit.
+The tanh-sinh rule with every node computed in place, scipy's bounded
+minimiser and scipy's brentq are the references the library's node tables
+and in-module Brent loops must match bit for bit.
 Agreement between these and the library is the point of the comparisons.
 The count and ground-state bounds, the Sobolev check, the raw moment
 constant and the index multiplicities at the end are textbook inequalities
@@ -320,6 +320,13 @@ def minimize_1d_scipy(f, lo, hi):
         if fe < fx:
             x, fx = xe, fe
     return x, fx
+
+
+def find_root_scipy(f, lo, hi, xtol, rtol):
+    """numerics.find_root on scipy's brentq, with the same rtol floor and
+    iteration budget; brentq itself handles a zero at an end."""
+    rtol = max(rtol, 4 * math.ulp(1.0))
+    return float(brentq(f, lo, hi, xtol=xtol, rtol=rtol, maxiter=MAX_ITER))
 
 
 def integrate_de_per_node(f, a, b):

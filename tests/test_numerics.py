@@ -4,13 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from lt_spectral import constants
+from lt_spectral import bracketing, cli, constants, sturm
 from lt_spectral.numerics import (BracketError, DivergenceError,
                                   NumericsError, find_root, gamma_fn,
                                   integrate_de, minimize_1d, piece_step,
                                   piece_step_array)
 
-from oracles import integrate_de_per_node, minimize_1d_scipy
+from oracles import find_root_scipy, integrate_de_per_node, minimize_1d_scipy
 
 
 class TestFindRoot:
@@ -41,6 +41,12 @@ class TestFindRoot:
         with pytest.raises(BracketError):
             find_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-12)
 
+    @pytest.mark.parametrize("value", [1e-200, -1e-200])
+    def test_no_sign_change_in_tiny_values(self, value):
+        # the product of the end values underflows to 0
+        with pytest.raises(BracketError):
+            find_root(lambda x: value, 0.0, 1.0, 1e-12, 1e-12)
+
 
 class TestMinimize1d:
     def test_parabola(self):
@@ -56,6 +62,12 @@ class TestMinimize1d:
     def test_boundary_minimum(self):
         xmin, fmin = minimize_1d(lambda x: x, 0.0, 1.0)
         assert fmin == pytest.approx(0.0, abs=1e-6)
+
+    def test_int_bounds_give_floats(self):
+        # the endpoint polish runs on float(lo) and float(hi)
+        got = minimize_1d(lambda x: x, 0, 1)
+        assert got == (0.0, 0.0)
+        assert [type(v) for v in got] == [float, float]
 
     def test_non_finite(self):
         with pytest.raises(Exception):
@@ -241,3 +253,102 @@ class TestPieceStepArray:
         for i in range(300):
             assert m[i].ravel() == pytest.approx(piece_step(d[i], q[i]),
                                                  rel=1e-13, abs=1e-15)
+
+
+#: (f, lo, hi): smooth, steep and flat functions, tiny values whose
+#: extrapolation denominators underflow, a jump and a pole
+ROOT_CASES = [
+    (lambda x: x * x - 2.0, 0.0, 2.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.exp(x) - 1e4, 0.0, 20.0),
+    (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 1.0),
+    (lambda x: math.atan(1e6 * (x - 0.1234)), -1.0, 1.0),
+    (lambda x: (x - 0.7) ** 9, 0.0, 1.0),
+    (lambda x: x ** 5 - 1e-10, -0.5, 1.0),
+    (lambda x: math.exp(-1.0 / (x * x)) - 1e-3 if x else -1e-3, 0.0, 2.0),
+    (lambda x: 1e-200 * (x ** 3 - 0.2), 0.0, 1.0),
+    (lambda x: 1e-300 * (math.exp(x) - 2.0), -1.0, 3.0),
+    (lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1.0),
+    (lambda x: 1.0 / (x - 0.3) if x != 0.3 else math.inf, 0.0, 1.0),
+    (lambda x: x - 0.5, 0.5, 1.0),
+]
+ROOT_TOLS = [(1e-12, 1e-12), (1e-15, 1e-14), (1e-13, 1e-13), (1e-6, 1e-6),
+             (1e-3, 0.0)]
+
+
+class TestFindRootBitForBit:
+    """The in-module Brent loop gives exactly what scipy's brentq gives."""
+
+    @pytest.mark.parametrize("case", range(len(ROOT_CASES)))
+    @pytest.mark.parametrize("tols", ROOT_TOLS, ids=str)
+    def test_functions(self, case, tols):
+        f, lo, hi = ROOT_CASES[case]
+        for a, b in ((lo, hi), (hi, lo)):
+            assert find_root(f, a, b, *tols).hex() == \
+                find_root_scipy(f, a, b, *tols).hex()
+
+    @staticmethod
+    def record(monkeypatch, module):
+        """find_root in module, run on both rules; the pairs of roots."""
+        pairs = []
+
+        def both(f, lo, hi, xtol, rtol):
+            got = find_root(f, lo, hi, xtol, rtol)
+            pairs.append((got.hex(),
+                          find_root_scipy(f, lo, hi, xtol, rtol).hex()))
+            return got
+
+        monkeypatch.setattr(module, "find_root", both)
+        return pairs
+
+    def test_varsigma(self, monkeypatch):
+        pairs = self.record(monkeypatch, constants)
+        for y in (1e-8, 0.1, 1.0, 3.0, 10.0, 1e3):
+            constants.varsigma(y)
+        assert len(pairs) == 6
+        assert all(got == want for got, want in pairs)
+
+    def test_crossover(self, monkeypatch):
+        pairs = self.record(monkeypatch, constants)
+        constants.crossover()
+        assert len(pairs) == 1 and pairs[0][0] == pairs[0][1]
+
+    def test_slope_sign(self, monkeypatch):
+        pairs = self.record(monkeypatch, constants)
+        for eta in (0.01, 0.25, 0.5, 0.75, 0.99):
+            for p0, p1 in ((1.0, 2.0), (0.5, 1.5), (2.0, 0.5), (3.0, 1.5)):
+                constants.theta_weight(constants.ThetaParams(eta, p0, p1),
+                                       "numeric")
+        assert len(pairs) > 20
+        assert all(got == want for got, want in pairs)
+
+    def test_partition_breakpoints(self, monkeypatch):
+        pairs = self.record(monkeypatch, bracketing)
+        for seed in range(1, 21):
+            bracketing.build_partition(
+                cli.random_piecewise(seed, domain="half_line"))
+        assert len(pairs) > 20
+        assert all(got == want for got, want in pairs)
+
+    def test_exact_shooting(self, monkeypatch):
+        pairs = self.record(monkeypatch, sturm)
+        for seed in range(1, 21):
+            sturm.solve_line(cli.random_piecewise(seed))
+        assert len(pairs) >= 20
+        assert all(got == want for got, want in pairs)
+
+    def test_nan_raises_on_both(self):
+        for f in (lambda x: math.nan,  # at an end
+                  lambda x: math.nan if 0.1 < x < 0.9 else x - 0.5):
+            for rule in (find_root, find_root_scipy):
+                with pytest.raises(ValueError):
+                    rule(f, 0.0, 1.0, 1e-12, 1e-12)
+
+    def test_no_convergence_raises_on_both(self):
+        # a jump at 0 that xtol asks to locate to 1e-300: bisection needs
+        # about 1,000 steps, past MAX_ITER
+        for rule in (find_root, find_root_scipy):
+            with pytest.raises(RuntimeError):
+                rule(lambda x: 1.0 if x > 0.0 else -1.0, -1.0, 2.0,
+                     1e-300, 1e-15)
