@@ -26,7 +26,8 @@ import io
 import math
 from dataclasses import dataclass
 
-from .numerics import find_root, gamma_fn, integrate_de, minimize_1d
+from .numerics import (NumericsError, find_root, gamma_fn, integrate_de,
+                       minimize_1d)
 
 #: lower limit of u in the closed-form Theta(eta, 1/2, 3/2) integrals
 U0 = math.sqrt(2.0 / (2.0 + math.sqrt(3.0)))
@@ -136,6 +137,8 @@ class ThetaParams:
 
 #: crossover abscissa where the inner infimum leaves the diagonal branch
 T_STAR = 2.0 / 3.0 * math.sqrt(1.0 + 2.0 / math.sqrt(3.0))
+#: cap on the terms of the closed Theta(eta, 1/2, 3/2) series; about 20 do
+_THETA_TERMS = 40
 
 
 def _theta_half_threehalf_closed(eta: float) -> float:
@@ -145,21 +148,34 @@ def _theta_half_threehalf_closed(eta: float) -> float:
     # u = 1 - 2y reduces the outer integral to a single u-integral:
     #   (sqrt(2)/3) (3/2)^eta int_{u0}^1 u (2+u) (1-u)^{(eta-2)/2}
     #                                 (1+u)^{(eta-3)/2} du.
-    # (This is a corrected coefficient pattern; it reproduces the defining
-    # integral to quadrature accuracy for all eta in (0, 1).)
-    # In v = 1 - u the integrand is v^{s-1} g(v) with s = eta/2; the
-    # endpoint singularity is integrated exactly,
-    #   int_0^c v^{s-1} g = g(0) c^s / s + int_0^c v^{s-1} (g(v) - g(0)) dv,
-    # which leaves quadrature a v^s-regular integrand however small eta is.
+    # (This is a corrected coefficient pattern; the numeric route's
+    # quadrature of the defining integral agrees with it for all eta.)
+    # In v = 1 - u the integrand is v^{s-1} g(v) with s = eta/2, c = 1 - u0
+    # and g(v) = (1-v)(3-v)(2-v)^p, p = (eta-3)/2.  The binomial series
+    # (2-v)^p = 2^p sum t_m v^m, t_m = t_{m-1} (m-1-p)/(2m), gives
+    # g = 2^p sum a_m v^m with a_m = 3 t_m - 4 t_{m-1} + t_{m-2}, so, with
+    # the prefactor folded in as (sqrt(2)/3) (3/2)^eta 2^p c^s = (9c/2)^s/6,
+    #   second = (9c/2)^s / 6 * (3/s + sum_{m>=1} a_m c^m / (s+m)),
+    # the endpoint singularity integrated exactly however small eta is.
+    # As t_{m+1}/t_m = (m-p)/(2m+2) <= 5/8 for m >= 1, from m = 3 on the
+    # bound (3 t_m + 4 t_{m-1} + t_{m-2}) c^m/(s+m) on the m-th term falls
+    # by 5c/8 ~ 0.17 a term, which bounds the tail by a geometric series.
     first = T_STAR ** (1.0 - eta) / (1.0 - eta)
-    s, c = 0.5 * eta, 1.0 - U0
-
-    def g(v):
-        return (1.0 - v) * (3.0 - v) * (2.0 - v) ** ((eta - 3.0) / 2.0)
-
-    g0 = g(0.0)
-    rest = integrate_de(lambda v: v ** (s - 1.0) * (g(v) - g0), 0.0, c)
-    second = math.sqrt(2.0) / 3.0 * 1.5 ** eta * (g0 * c**s / s + rest)
+    s, c, p = 0.5 * eta, 1.0 - U0, 0.5 * (eta - 3.0)
+    ratio = 0.625 * c
+    t2 = t1 = total = 0.0
+    t = cm = 1.0
+    for m in range(1, _THETA_TERMS + 1):
+        t2, t1, t = t1, t, t * (m - 1 - p) / (2 * m)
+        cm *= c
+        total += (3.0 * t - 4.0 * t1 + t2) * cm / (s + m)
+        tail = (3.0 * t + 4.0 * t1 + t2) * cm / (s + m) * ratio / (1 - ratio)
+        if m >= 3 and tail <= 2.0 ** -53 * abs(total):
+            break
+    else:
+        raise NumericsError(f"Theta series at eta={eta} needs more than "
+                            f"{_THETA_TERMS} terms")
+    second = (4.5 * c) ** s / 6.0 * (3.0 / s + total)
     return first + second
 
 
@@ -317,7 +333,8 @@ def crossover() -> float:
     """gamma in (1.0, 1.3) where the doublestar and star bounds cross."""
     def diff(g):
         return doublestar_constant(g) - star_constant(g)
-    return find_root(diff, 1.0, 1.3, 1e-6, 1e-6)
+    # to the last digits printed: rtol at find_root's floor, 4 ulp(1)
+    return find_root(diff, 1.0, 1.3, 1e-15, 4 * math.ulp(1.0))
 
 
 def density_constants(L_half: float | None = None,

@@ -2,13 +2,14 @@
 constant-coefficient step propagator (one step or many at once), Gamma.
 
 All routines are pure functions of their arguments and safe for concurrent
-use.  The double-exponential (tanh-sinh) rule is implemented here because
-several integrands downstream carry endpoint singularities whose exponent
-varies with a parameter; one kernel covers them all.  What its nodes take
-from t alone is tabulated once per level, on first use, in read-only
-tables, and each call forms its nodes from them.  find_root and minimize_1d
-run scipy's brentq and bounded minimize_scalar loops on Python floats, and a
-Deferred imports a scipy routine on its first call, so importing loads none.
+use.  The double-exponential (tanh-sinh) rule serves the numeric route to
+the K-functional weight Theta, whose half lines and pieces carry endpoint
+behaviour that varies with eta; the closed route sums a series and shares
+no rule with it.  What its nodes take from t alone is tabulated once per
+level, on first use, in read-only tables, and each call forms its nodes
+from them.  find_root and minimize_1d run scipy's brentq and bounded
+minimize_scalar loops on Python floats, and a Deferred imports a scipy
+routine on its first call, so importing loads none.
 """
 
 from __future__ import annotations

@@ -7,6 +7,10 @@ and transfer matrices of piece lists from one scalar step at a time.
 The tanh-sinh rule with every node computed in place, scipy's bounded
 minimiser and scipy's brentq are the references the library's node tables
 and in-module Brent loops must match bit for bit.
+The constants table is held to mpmath at 30 digits: the closed
+Theta(eta, 1/2, 3/2) by hypergeometric functions and by quadrature,
+varsigma(3), the real-interpolation bound and its crossover with the
+monotonicity bound.
 Agreement between these and the library is the point of the comparisons.
 The count and ground-state bounds, the Sobolev check, the raw moment
 constant and the index multiplicities at the end are textbook inequalities
@@ -248,6 +252,104 @@ def theta_inner_inf(s, p0, p1, dps=20):
                     fd = g(d)
             best = min(best, fc, fd)
         return +best
+
+
+#: digits of the mpmath references for the constants table
+TABLE_DPS = 30
+
+
+def _mp_table_constants():
+    import mpmath as mp
+
+    u0 = mp.sqrt(2 / (2 + mp.sqrt(3)))
+    t_star = mp.mpf(2) / 3 * mp.sqrt(1 + 2 / mp.sqrt(3))
+    return mp, u0, t_star
+
+
+def theta_half_threehalf_mp(eta, dps=TABLE_DPS):
+    """Closed Theta(eta, 1/2, 3/2) at dps digits, as an mpf.
+
+    T*^(1-eta)/(1-eta) + (sqrt(2)/3) (3/2)^eta int_0^c v^(s-1) g(v) dv with
+    g(v) = (1-v)(3-v)(2-v)^p, c = 1 - u0, s = eta/2 and p = (eta-3)/2.
+    Expanding (1-v)(3-v) = 3 - 4v + v^2 makes each piece an incomplete beta
+    function, int_0^c v^(a-1) (2-v)^p dv = 2^p c^a/a 2F1(-p, a; a+1; c/2),
+    which mpmath's hyp2f1 evaluates; the library sums a binomial series.
+    """
+    mp, u0, t_star = _mp_table_constants()
+    with mp.workdps(dps):
+        eta = mp.mpf(eta)
+        s, p, c = eta / 2, (eta - 3) / 2, 1 - u0
+        v_part = sum(k * c ** (s + j) / (s + j)
+                     * mp.hyp2f1(-p, s + j, s + j + 1, c / 2)
+                     for j, k in enumerate((3, -4, 1)))
+        return +(t_star ** (1 - eta) / (1 - eta)
+                 + mp.sqrt(2) / 3 * mp.mpf(1.5) ** eta * 2 ** p * v_part)
+
+
+def theta_half_threehalf_quad_mp(eta, dps=TABLE_DPS):
+    """theta_half_threehalf_mp by mpmath quadrature of the u-integral
+    (sqrt(2)/3) (3/2)^eta int_u0^1 u (2+u) (1-u)^((eta-2)/2)
+    (1+u)^((eta-3)/2) du, the form the closed route is derived from, taken
+    in w = (1-u)^(eta/2), where the endpoint singularity becomes 2/eta dw."""
+    mp, u0, t_star = _mp_table_constants()
+    with mp.workdps(dps):
+        eta = mp.mpf(eta)
+        s = eta / 2
+
+        def f(w):
+            u = 1 - w ** (1 / s)
+            return u * (2 + u) * (1 + u) ** ((eta - 3) / 2) / s
+
+        val = mp.quad(f, [0, (1 - u0) ** s])
+        return +(t_star ** (1 - eta) / (1 - eta)
+                 + mp.sqrt(2) / 3 * mp.mpf(1.5) ** eta * val)
+
+
+def varsigma_3_mp(dps=TABLE_DPS):
+    """The x > 0 with x tanh(x) = 3, at dps digits."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        return mp.findroot(lambda x: x * mp.tanh(x) - 3, 3)
+
+
+def star_mp(gamma, dps=TABLE_DPS):
+    """4 varsigma(3)/3 Gamma(gamma+1) / (2 sqrt(pi) Gamma(gamma+3/2))."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        gamma = mp.mpf(gamma)
+        return (4 * varsigma_3_mp(dps) / 3 * mp.gamma(gamma + 1)
+                / (2 * mp.sqrt(mp.pi) * mp.gamma(gamma + 1.5)))
+
+
+def doublestar_mp(gamma, dps=TABLE_DPS):
+    """C(eta) (varsigma(3)/3)^(1-eta) (3/16)^eta, eta = gamma - 1/2, with
+    C = Theta(eta,1,2)/Theta(eta,1/2,3/2) M(eta) / sqrt(eta^eta
+    (1-eta)^(1-eta)).  M(eta) is the least (1+N)^(1-eta) (1+1/N)^eta over
+    every N = k and 1/k with k up to one past the largest of eta/(1-eta)
+    and its inverse."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        eta = mp.mpf(gamma) - mp.mpf(0.5)
+        th12 = 2**eta / (eta * (1 - eta) * (1 + eta))
+        k_max = int(mp.ceil(max(eta / (1 - eta), (1 - eta) / eta))) + 1
+        m = min((1 + n) ** (1 - eta) * (1 + 1 / n) ** eta
+                for k in range(1, k_max + 1) for n in (mp.mpf(k), 1 / mp.mpf(k)))
+        c = (th12 / theta_half_threehalf_mp(eta, dps) * m
+             / mp.sqrt(eta**eta * (1 - eta) ** (1 - eta)))
+        return (c * (varsigma_3_mp(dps) / 3) ** (1 - eta)
+                * (mp.mpf(3) / 16) ** eta)
+
+
+def crossover_mp(dps=TABLE_DPS):
+    """The gamma in (1.1, 1.2) where doublestar_mp and star_mp cross."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        return mp.findroot(lambda g: doublestar_mp(g, dps) - star_mp(g, dps),
+                           (mp.mpf("1.1"), mp.mpf("1.2")), solver="anderson")
 
 
 def raw_moment_constant(gamma: float) -> float:

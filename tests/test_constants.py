@@ -14,7 +14,11 @@ from lt_spectral.constants import (CSV_HEADER, U0, VARSIGMA_3, ThetaParams,
                                    rows_to_csv, star_constant, theta_fn,
                                    theta_weight, varsigma)
 
-from oracles import theta_inner_inf
+from lt_spectral import constants
+from lt_spectral.numerics import NumericsError
+from oracles import (crossover_mp, doublestar_mp, star_mp,
+                     theta_half_threehalf_mp, theta_half_threehalf_quad_mp,
+                     theta_inner_inf, varsigma_3_mp)
 
 
 class TestVarsigma:
@@ -221,6 +225,13 @@ class TestCrossover:
         above = doublestar_constant(g + 0.02) - star_constant(g + 0.02)
         assert below > 0.0 > above
 
+    def test_sign_change_in_the_last_digits(self):
+        # crossover() is solved to the 15 digits the CLI prints
+        g = crossover()
+        below, above = g * (1.0 - 1e-14), g * (1.0 + 1e-14)
+        assert doublestar_constant(below) - star_constant(below) > 0.0
+        assert doublestar_constant(above) - star_constant(above) < 0.0
+
 
 class TestDensityConstants:
     def test_defaults(self):
@@ -324,3 +335,65 @@ class TestCFactor:
         expect = (c_factor(eta) * (VARSIGMA_3 / 3.0) ** (1.0 - eta)
                   * (3.0 / 16.0) ** eta)
         assert doublestar_constant(gamma) == pytest.approx(expect, rel=1e-12)
+
+
+#: eta at which the closed Theta(eta, 1/2, 3/2) is held to mpmath: both
+#: ends of (0, 1) and the middle, the spread between, and the largest
+#: errors, 2.4 ulp at the grid's 0.692 - 0.5 and 2.2 ulp at 0.017
+ORACLE_ETAS = [1e-6, 1e-3, 0.017, 0.05, 0.1, 0.15, 0.692 - 0.5, 0.2, 0.25,
+               0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 0.999,
+               1.0 - 1e-6]
+#: grid rows (index into grid_rows) whose L_dstar and L_star are held to
+#: mpmath; rows 1, 37, 46 and 352 have the largest L_dstar errors and
+#: row 665 sits next to the crossover
+ORACLE_ROWS = [1, 2, 37, 46, 50, 100, 150, 200, 250, 300, 352, 400, 450, 500,
+               600, 665, 700, 800, 900, 998, 999]
+
+
+class TestTableOracles:
+    """The constants table against mpmath at 30 digits (oracles.py)."""
+
+    @pytest.fixture(autouse=True)
+    def _mpmath(self):
+        pytest.importorskip("mpmath")
+
+    @pytest.mark.parametrize("eta", [1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-6])
+    def test_reference_is_the_defining_integral(self, eta):
+        a = theta_half_threehalf_mp(eta)
+        b = theta_half_threehalf_quad_mp(eta)
+        assert abs(a - b) <= 1e-28 * a
+
+    @pytest.mark.parametrize("eta", ORACLE_ETAS)
+    def test_closed_theta_within_4_ulp(self, eta):
+        exact = theta_half_threehalf_mp(eta)
+        got = theta_weight(ThetaParams(eta, 0.5, 1.5), "closed")
+        assert abs(got - exact) <= 4 * math.ulp(float(exact))
+
+    def test_series_needs_at_most_25_terms(self, monkeypatch):
+        monkeypatch.setattr(constants, "_THETA_TERMS", 25)
+        for eta in [i / 1000 for i in range(1, 1000)] + [1e-300, 1e-12,
+                                                         1.0 - 1e-12]:
+            constants._theta_half_threehalf_closed(eta)
+
+    def test_series_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(constants, "_THETA_TERMS", 5)
+        with pytest.raises(NumericsError):
+            constants._theta_half_threehalf_closed(0.5)
+
+    def test_varsigma_3(self):
+        exact = varsigma_3_mp()
+        assert abs(VARSIGMA_3 - exact) <= 1e-15 * exact
+
+    def test_dstar_and_star_columns(self, grid_rows):
+        # both are products of rounded factors; the largest errors over the
+        # whole grid are 1.1e-15 (L_dstar) and 1.7e-15 (L_star) relative
+        for i in ORACLE_ROWS:
+            r = grid_rows[i]
+            assert abs(r.L_dstar - doublestar_mp(r.gamma)) <= \
+                2e-15 * r.L_dstar, r.gamma
+            assert abs(r.L_star - star_mp(r.gamma)) <= \
+                3e-15 * r.L_star, r.gamma
+
+    def test_crossover(self):
+        # the solver stops within xtol + rtol * gamma ~ 2e-15 of the root
+        assert abs(crossover() - crossover_mp()) <= 3e-15

@@ -168,12 +168,10 @@ class TestBitForBit:
                 assert outcome(integrate_de, f, a, hi) == \
                     outcome(integrate_de_per_node, f, a, hi)
 
-    @pytest.mark.parametrize("eta, mode", [
-        (0.01, "closed"), (0.5, "closed"), (0.99, "closed"),
-        (0.5, "numeric")])
+    @pytest.mark.parametrize("eta, mode", [(0.5, "numeric")])
     def test_theta_integrands(self, eta, mode, monkeypatch):
-        # the closed route's one integral; the numeric route's half lines
-        # and finite pieces
+        # the numeric route's half lines and finite pieces; the closed route
+        # sums a series (TestTableOracles holds it to mpmath)
         calls = []
 
         def both(f, a, b):
@@ -183,7 +181,7 @@ class TestBitForBit:
 
         monkeypatch.setattr(constants, "integrate_de", both)
         constants.theta_weight(constants.ThetaParams(eta, 0.5, 1.5), mode)
-        assert len(calls) == 1 if mode == "closed" else len(calls) >= 3
+        assert len(calls) >= 3
         assert [x.hex() for x, _ in calls] == [y.hex() for _, y in calls]
 
     def test_divergent_raises_on_both(self):
