@@ -80,14 +80,18 @@ def _ggm_integrand(m: float, gamma: float) -> float:
 
 
 def ggm_constant(gamma: float) -> float:
-    """Glaser-Grosse-Martin bound: minimum over m in (1, min(3/2, g+1/2))."""
+    """Glaser-Grosse-Martin bound: minimum over m in (1, min(3/2, g+1/2)).
+
+    As m -> 1+ the integrand tends to L_LT, a limit of feasible values and
+    so a bound too.  Near gamma = 1/2 the minimum lies within the margin
+    of m = 1, and L_LT undercuts what the minimiser finds."""
     hi = min(1.5, gamma + 0.5)
     if hi <= 1.0:
         raise ValueError("feasible m-range is empty for gamma <= 1/2")
     margin = 1e-6  # stay clear of the Gamma pole at m = gamma + 1/2
     _, val = minimize_1d(lambda m: _ggm_integrand(m, gamma),
                          1.0 + margin, hi - margin)
-    return val
+    return min(val, lt_constant(gamma))
 
 
 def one_state_constant(gamma: float) -> float:

@@ -5,19 +5,16 @@ All routines are pure functions of their arguments and safe for concurrent
 use.  The double-exponential (tanh-sinh) rule serves the numeric route to
 the K-functional weight Theta, whose half lines and pieces carry endpoint
 behaviour that varies with eta; the closed route sums a series and shares
-no rule with it.  What its nodes take from t alone is tabulated once per
-level, on first use, in read-only tables, and each call forms its nodes
-from them.  find_root and minimize_1d run scipy's brentq and bounded
-minimize_scalar loops on Python floats, and a Deferred imports a scipy
-routine on its first call, so importing loads none.
+no rule with it; each of its nodes is computed where the rule uses it.
+find_root and minimize_1d run scipy's brentq and bounded minimize_scalar
+loops on Python floats, and a Deferred imports a scipy routine on its first
+call, so importing loads none.
 """
 
 from __future__ import annotations
 
-import functools
 import importlib
 import math
-from array import array
 from typing import Callable
 
 import numpy as np
@@ -201,81 +198,25 @@ def _bounded_brent(f, a, b):
 
 #: the tanh-sinh rule halves its step DE_LEVELS times below h = 1, and its
 #: nodes reach t = DE_T_MAX: a singularity x^{-s} with s near 1 decays at the
-#: nodes like exp(-(1-s)*pi*sinh(t)), so t must reach ~6.  The node tables
-#: below are built on first use, one per level and map, and shared read-only
+#: nodes like exp(-(1-s)*pi*sinh(t)), so t must reach ~6
 DE_LEVELS = 12
 DE_T_MAX = 6.5
 
 
-def _level_ts(level):
-    # the t > 0 a level adds: level 0 every multiple of h = 1, a finer
-    # level the odd multiples of its h (all exact in binary)
-    h = 0.5 ** level
-    return [k * h for k in range(1, int(DE_T_MAX / h) + 1, 2 if level else 1)]
-
-
-@functools.cache
-def _finite_nodes(level):
-    """(1 + e^{2|s|}, cosh t, cosh(s)^2) at the level's t > 0, flattened,
-    with s = (pi/2) sinh t; a node with |s| > 350 reads (inf, 0, inf)."""
-    out = array("d")
-    for t in _level_ts(level):
+def _half_line(a):
+    # the node (x, w) at t of the map x = a + exp(pi/2 sinh t) onto (a, inf)
+    def node(t):
         s = 0.5 * math.pi * math.sinh(t)
-        out.extend((math.inf, 0.0, math.inf) if abs(s) > 350.0 else
-                   (1.0 + math.exp(2.0 * abs(s)), math.cosh(t),
-                    math.cosh(s) ** 2))
-    return memoryview(out).toreadonly()
+        e = math.exp(s) if s <= 700.0 else math.inf  # x = inf is skipped
+        return a + e, 0.5 * math.pi * math.cosh(t) * e
+
+    return node
 
 
-@functools.cache
-def _semi_nodes(level):
-    """(e^s, w) at t and at -t for the level's t > 0, flattened, with
-    s = (pi/2) sinh t and w = (pi/2) cosh(t) e^s; a node with s > 700 reads
-    (inf, inf)."""
-    out = array("d")
-    for t in _level_ts(level):
-        for s, c in ((0.5 * math.pi * math.sinh(u), math.cosh(u))
-                     for u in (t, -t)):
-            e = math.exp(s) if s <= 700.0 else math.inf
-            out.extend((e, 0.5 * math.pi * c * e))
-    return memoryview(out).toreadonly()
-
-
-def _tanhsinh_finite(f, a, b):
-    """tanh-sinh rule on a finite interval, doubling levels until converged.
-
-    d, the distance from the nearer endpoint, avoids cancellation:
-    1 - tanh|s| = 2 / (1 + exp(2|s|)).
-    """
-    half = 0.5 * (b - a)
-    h2, hw = half * 2.0, half * 0.5 * math.pi
-
-    def pairs(level):
-        it = iter(_finite_nodes(level))
-        for den, ct, cs2 in zip(it, it, it):
-            d = h2 / den
-            w = hw * ct / cs2
-            yield b - d, w, a + d, w
-
-    return _de_levels(f, a, b, (0.5 * (a + b), hw), pairs)
-
-
-def _tanhsinh_semi(f, a):
-    """tanh-sinh rule on [a, inf) via x = a + exp(pi/2 sinh t)."""
-
-    def pairs(level):
-        it = iter(_semi_nodes(level))
-        for ep, wp, en, wn in zip(it, it, it, it):
-            yield a + ep, wp, a + en, wn
-
-    return _de_levels(f, a, math.inf, (a + 1.0, 0.5 * math.pi), pairs)
-
-
-def _de_levels(f, a, b, center, pairs):
-    # center is the node (x, w) at t = 0; pairs(level) yields the nodes at
-    # t and -t as (x, w, x, w)
-
-    def term(x, w):
+def _de_levels(f, node, a, b):
+    # the tanh-sinh sums over the nodes (x, w) = node(t), level by level
+    def term(t):
+        x, w = node(t)
         if not (a < x < b) or w == 0.0 or not math.isfinite(w):
             return 0.0
         fx = f(x)
@@ -284,16 +225,16 @@ def _de_levels(f, a, b, center, pairs):
         return w * fx
 
     h = 1.0
-    total = term(*center)
-    for xp, wp, xn, wn in pairs(0):
-        total += term(xp, wp) + term(xn, wn)
+    total = term(0.0)
+    for k in range(1, int(DE_T_MAX) + 1):
+        total += term(k * h) + term(-k * h)
     value = h * total
     prev = math.inf
     for level in range(1, DE_LEVELS + 1):
         h *= 0.5
         add = 0.0
-        for xp, wp, xn, wn in pairs(level):
-            add += term(xp, wp) + term(xn, wn)
+        for k in range(1, int(DE_T_MAX / h) + 1, 2):  # the odd multiples
+            add += term(k * h) + term(-k * h)
         total += add
         new_value = h * total
         err = abs(new_value - value)
@@ -315,8 +256,9 @@ def integrate_de(f: Callable[[float], float], a: float, b: float) -> float:
 
     Endpoints may be infinite (the whole line is split at 0 into two half
     lines); integrable endpoint singularities are handled by the node
-    clustering of the tanh-sinh map.  Raises DivergenceError when the value
-    keeps growing across refinement levels.
+    clustering of the tanh-sinh map.  A NaN bound raises ValueError.
+    Raises DivergenceError when the value keeps growing across refinement
+    levels.
 
     Singular endpoints should be placed at 0 (substitute if needed): nodes
     carry the exact distance to a zero endpoint, while near a nonzero
@@ -324,17 +266,33 @@ def integrate_de(f: Callable[[float], float], a: float, b: float) -> float:
     accuracy for singular integrands at roughly eps^(1-s) for an x^(-s)
     blow-up.
     """
+    if math.isnan(a) or math.isnan(b):
+        raise ValueError(f"integrate_de bound is NaN: ({a}, {b})")
     if a == b:
         return 0.0
     if a > b:
         return -integrate_de(f, b, a)
     if math.isinf(a) and math.isinf(b):
-        return _tanhsinh_semi(lambda x: f(-x), 0.0) + _tanhsinh_semi(f, 0.0)
-    if math.isinf(b):
-        return _tanhsinh_semi(f, a)
+        return (_de_levels(lambda x: f(-x), _half_line(0.0), 0.0, b)
+                + _de_levels(f, _half_line(0.0), 0.0, b))
     if math.isinf(a):
-        return _tanhsinh_semi(lambda x: f(-x), -b)
-    return _tanhsinh_finite(f, a, b)
+        return _de_levels(lambda x: f(-x), _half_line(-b), -b, math.inf)
+    if math.isinf(b):
+        return _de_levels(f, _half_line(a), a, b)
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    h2, hw = half * 2.0, half * 0.5 * math.pi
+
+    def node(t):
+        # d, the distance from the nearer end, avoids cancellation:
+        # 1 - tanh|s| = 2 / (1 + exp(2|s|)); past |s| = 350 the weight is 0
+        s = 0.5 * math.pi * math.sinh(t)
+        if abs(s) > 350.0:
+            return mid, 0.0
+        d = h2 / (1.0 + math.exp(2.0 * abs(s)))
+        x = (a + d) if t < 0.0 else (b - d) if t > 0.0 else mid
+        return x, hw * math.cosh(t) / math.cosh(s) ** 2
+
+    return _de_levels(f, node, a, b)
 
 
 def piece_step(d: float, q: float) -> tuple[float, float, float, float]:

@@ -5,12 +5,12 @@ Prüfer-angle shooting or transcendental closed forms, reflection amplitudes
 from textbook closed forms or a linear solve of the plane-wave matching,
 and transfer matrices of piece lists from one scalar step at a time.
 The tanh-sinh rule with every node computed in place, scipy's bounded
-minimiser and scipy's brentq are the references the library's node tables
+minimiser and scipy's brentq are the references the library's quadrature
 and in-module Brent loops must match bit for bit.
 The constants table is held to mpmath at 30 digits: the closed
 Theta(eta, 1/2, 3/2) by hypergeometric functions and by quadrature,
 varsigma(3), the real-interpolation bound and its crossover with the
-monotonicity bound.
+monotonicity bound, and the Glaser-Grosse-Martin minimum.
 Agreement between these and the library is the point of the comparisons.
 The count and ground-state bounds, the Sobolev check, the raw moment
 constant and the index multiplicities at the end are textbook inequalities
@@ -350,6 +350,47 @@ def crossover_mp(dps=TABLE_DPS):
     with mp.workdps(dps):
         return mp.findroot(lambda g: doublestar_mp(g, dps) - star_mp(g, dps),
                            (mp.mpf("1.1"), mp.mpf("1.2")), solver="anderson")
+
+
+def ggm_min_mp(gamma, dps=TABLE_DPS):
+    """(argmin, min) of the Glaser-Grosse-Martin integrand over m in
+    [1, min(3/2, gamma+1/2)) at dps digits, as mpfs.
+
+    The integrand is (m-1)^(m-1) Gamma(m+1/2) gamma^(gamma+1)
+    Gamma(gamma+1/2-m) / (sqrt(pi) m^(m-1) Gamma(gamma+3/2)
+    (m-1/2)^(m-1/2) (gamma+1/2-m)^(gamma+1/2-m)), the library's form with
+    Gamma(2m) / (2^(2m-1) Gamma(m)) taken by the duplication formula.  A
+    golden-section search narrows the argmin to 10^(-dps/2); the m = 1 end,
+    where 0^0 = 1 makes the integrand L_LT, wins when it is no larger.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        g = mp.mpf(gamma)
+
+        def f(m):
+            r = g + mp.mpf(0.5) - m
+            return ((m - 1) ** (m - 1) * mp.gamma(m + mp.mpf(0.5))
+                    * g ** (g + 1) * mp.gamma(r)
+                    / (mp.sqrt(mp.pi) * m ** (m - 1) * mp.gamma(g + 1.5)
+                       * (m - mp.mpf(0.5)) ** (m - mp.mpf(0.5)) * r ** r))
+
+        lo, hi = mp.mpf(1), min(mp.mpf(1.5), g + mp.mpf(0.5))
+        ratio = (mp.sqrt(5) - 1) / 2
+        x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        f1, f2 = f(x1), f(x2)
+        while hi - lo > mp.mpf(10) ** (-(dps // 2)):
+            if f1 < f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - ratio * (hi - lo)
+                f1 = f(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + ratio * (hi - lo)
+                f2 = f(x2)
+        m, val = (x1, f1) if f1 < f2 else (x2, f2)
+        end = f(mp.mpf(1))
+        return (mp.mpf(1), end) if end <= val else (m, val)
 
 
 def raw_moment_constant(gamma: float) -> float:

@@ -16,7 +16,7 @@ from lt_spectral.constants import (CSV_HEADER, U0, VARSIGMA_3, ThetaParams,
 
 from lt_spectral import constants
 from lt_spectral.numerics import NumericsError
-from oracles import (crossover_mp, doublestar_mp, star_mp,
+from oracles import (crossover_mp, doublestar_mp, ggm_min_mp, star_mp,
                      theta_half_threehalf_mp, theta_half_threehalf_quad_mp,
                      theta_inner_inf, varsigma_3_mp)
 
@@ -298,6 +298,11 @@ class TestGridSweep:
                           r.L_best):
                 assert upper is None or upper >= lower, r.gamma
 
+    def test_ggm_at_most_lt(self, grid_rows):
+        # the m -> 1 end of the GGM minimisation is L_LT
+        for r in grid_rows[1:]:
+            assert r.L_GGM <= r.L_LT, r.gamma
+
     def test_none_exactly_at_the_endpoints(self, grid_rows):
         for r in grid_rows:
             end = r.gamma in (0.5, 1.5)
@@ -348,6 +353,8 @@ ORACLE_ETAS = [1e-6, 1e-3, 0.017, 0.05, 0.1, 0.15, 0.692 - 0.5, 0.2, 0.25,
 #: row 665 sits next to the crossover
 ORACLE_ROWS = [1, 2, 37, 46, 50, 100, 150, 200, 250, 300, 352, 400, 450, 500,
                600, 665, 700, 800, 900, 998, 999]
+#: grid rows whose L_GGM is held to mpmath, gamma from 0.6 to 1.5
+GGM_ORACLE_ROWS = [100, 110, 150, 200, 250, 300, 500, 700, 900, 1000]
 
 
 class TestTableOracles:
@@ -397,3 +404,23 @@ class TestTableOracles:
     def test_crossover(self):
         # the solver stops within xtol + rtol * gamma ~ 2e-15 of the root
         assert abs(crossover() - crossover_mp()) <= 3e-15
+
+    @pytest.mark.parametrize("i", GGM_ORACLE_ROWS)
+    def test_ggm_column(self, grid_rows, i):
+        # minimize_1d's xatol bounds the error where the argmin sits close
+        # to m = 1: 3.1e-13 relative at row 100 (m - 1 = 5.2e-5), at most
+        # 2.8e-15 from row 110 up
+        r = grid_rows[i]
+        _, exact = ggm_min_mp(r.gamma)
+        tol = 5e-13 if i < 110 else 1e-14
+        assert abs(r.L_GGM - exact) <= tol * exact, r.gamma
+
+    @pytest.mark.parametrize("i", [1, 10, 20])
+    def test_ggm_minimum_at_m_one(self, grid_rows, i):
+        # near gamma = 1/2 the minimum lies within 30 digits of the m = 1
+        # end, whose value is L_LT; the largest error is 7.1e-16 at row 1
+        r = grid_rows[i]
+        m, exact = ggm_min_mp(r.gamma)
+        assert m == 1
+        assert r.L_GGM == r.L_LT
+        assert abs(r.L_LT - exact) <= 1e-15 * exact, r.gamma

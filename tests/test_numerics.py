@@ -80,6 +80,13 @@ def _brute_force_integrand(v):
 
 
 class TestIntegrateDE:
+    @pytest.mark.parametrize("a, b", [(0.0, math.nan), (math.nan, 1.0),
+                                      (math.nan, math.inf),
+                                      (math.nan, math.nan)])
+    def test_nan_bound_raises(self, a, b):
+        with pytest.raises(ValueError):
+            integrate_de(lambda x: 1.0, a, b)
+
     def test_inverse_sqrt(self):
         # endpoint singularity
         val = integrate_de(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0)
@@ -137,8 +144,8 @@ DE_CASES = [
 
 
 class TestBitForBit:
-    """The node tables and the in-module Brent loop give exactly what the
-    per-node rule and scipy's bounded minimiser give."""
+    """integrate_de and the in-module Brent loop give exactly what the
+    per-node oracle rule and scipy's bounded minimiser give."""
 
     @pytest.mark.parametrize("case", range(len(DE_CASES)))
     def test_integrate_de(self, case):
