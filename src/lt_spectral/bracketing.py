@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from .constants import VARSIGMA_3
-from .numerics import InvariantError, NumericsError, find_root
+from .numerics import BracketError, InvariantError, NumericsError, find_root
 from .potential import FULL_LINE, HALF_LINE, Potential
 from .sturm import (SOLVER_TOL, RieszMean, Spectrum, riesz_mean,
                     solve_interval, solve_line)
@@ -144,7 +144,13 @@ def build_partition(V: Potential) -> Partition:
             hi = lk + 2.0 * (hi - lk)
         # breakpoints are cheap to locate precisely; the product invariant
         # (1e-8 relative) needs far better than the eigenvalue tolerance
-        lnext = find_root(g, min(lo, hi), hi, 1e-13, 1e-13)
+        try:
+            lnext = find_root(g, min(lo, hi), hi, 1e-13, 1e-13)
+        except BracketError:
+            # g(hi) > 0, so g(lo) > 0 too: the tail lies within 3/int V of
+            # l_k, where g(lo) is 0 up to rounding, so lo closes the
+            # interval; the product check below still guards it
+            lnext = lo
         mass = V.integrate(lk, lnext)
         if abs((lnext - lk) * mass - 3.0) > PARTITION_RTOL * 3.0:
             # within half the slack of the invariant, as a margin
@@ -256,7 +262,11 @@ def _bracket_side(V: Potential, tol) -> tuple[Partition, float, float]:
             # exactly one negative eigenvalue per proper interval; it may
             # be too close to zero to resolve, in which case it shows up
             # as a near-threshold candidate that riesz_mean budgets
-            if len(spec) > 1 or len(spec) + spec.near_threshold < 1:
+            if len(spec) + spec.near_threshold < 1:
+                # too shallow even to be a candidate: count it with the
+                # partition's bound sqrt|E_1| <= UPPER_FACTOR * mass
+                spec = Spectrum((), (), 1, (UPPER_FACTOR * part.masses[k])**2)
+            if len(spec) > 1:
                 raise BracketingError(
                     f"interval [{a}, {b}]: expected one negative "
                     f"eigenvalue, found {len(spec)} with "

@@ -1,16 +1,16 @@
 """Command-line front end.
 
-    lt-spectral <certify|constants|partition|scatter|sumrule|kyfan>
+    lt-spectral <certify|constants|partition|scatter|sumrule>
                 [--potential FILE] [--gamma X | --gamma-grid LO:HI:N]
                 [--tol X] [--seed N] [--out FILE]
 
 Commands that need a potential read the JSON format of the potential module;
 without --potential they fall back to a seeded random piecewise-constant
 well, so every command is runnable (and reproducible) out of the box.
---tol, the eigenvalue solver's absolute tolerance, is taken by certify,
-sumrule and kyfan only; the wave pipeline runs at fixed tolerances.  A
-command refuses any option it does not read, and --seed next to
---potential (exit 64).
+--tol, the eigenvalue solver's absolute tolerance, is taken by certify and
+sumrule only; the wave pipeline runs at fixed tolerances.  A command
+refuses any option it does not read, and --seed next to --potential
+(exit 64).
 
 Exit codes: 0 pass, 1 a certified inequality failed, 2 numerical failure,
 64 usage error.
@@ -23,7 +23,7 @@ import json
 import math
 import sys
 
-from . import bracketing, constants, kyfan, potential, scattering, sturm
+from . import bracketing, constants, potential, scattering, sturm
 from .numerics import NumericsError
 
 EXIT_PASS = 0
@@ -186,40 +186,20 @@ def cmd_sumrule(args) -> int:
     return EXIT_PASS if doc["pass"] else EXIT_INEQUALITY
 
 
-def cmd_kyfan(args) -> int:
-    V = _load_potential(args)
-    if not V.is_nonnegative():
-        raise UsageError("kyfan requires V >= 0")
-    half = V.amplified(0.5)
-    split = kyfan.Splitting(theta=0.5, V0=half, V1=half, N=1)
-    report = kyfan.verify_splitting(V, split, k_max=6, tol=_tol(args))
-    doc = {
-        "ok": report["ok"],
-        "margins": list(report["margins"]),
-        "a": list(report["sequences"].a),
-        "b": list(report["sequences"].b),
-        "factor0": report["factor0"],
-        "factor1": report["factor1"],
-    }
-    _emit(json.dumps(_round15(doc), indent=2) + "\n", args.out)
-    return EXIT_PASS if report["ok"] else EXIT_INEQUALITY
-
-
 _COMMANDS = {
     "certify": cmd_certify,
     "constants": cmd_constants,
     "partition": cmd_partition,
     "scatter": cmd_scatter,
     "sumrule": cmd_sumrule,
-    "kyfan": cmd_kyfan,
 }
 
-_POTENTIAL_COMMANDS = ("certify", "kyfan", "partition", "scatter", "sumrule")
+_POTENTIAL_COMMANDS = ("certify", "partition", "scatter", "sumrule")
 
 #: option -> the commands whose handlers read it; a stated option that the
 #: command does not read is a usage error
 _READERS = {
-    "tol": ("certify", "kyfan", "sumrule"),
+    "tol": ("certify", "sumrule"),
     "potential": _POTENTIAL_COMMANDS,
     "seed": _POTENTIAL_COMMANDS,
     "gamma": ("constants",),

@@ -10,17 +10,19 @@ which satisfy s(k) + l(k) - 1 = k, interleaves the two spectra into
 sequences a_k = E_s(H0), b_k = E_l(H1) with E_k(H) <= a_k + b_k, each source
 index reused at most N+1 (resp. 1 + 1/N) times.  That multiplicity control
 is what turns the two one-sided moment bounds into a bound on the moment sum
-of H itself.
+of H itself; constants.m_factor minimizes it in closed form.
+
+No command reads this module.  It stays in the package because the
+benchmark's piecewise workload runs verify_splitting; once the benchmark
+drops that operation (ROADMAP item 1) it can move to the tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .constants import constants_row
 from .potential import Potential
-from .sturm import SOLVER_TOL, Spectrum, riesz_mean, solve_line
+from .sturm import SOLVER_TOL, Spectrum, solve_line
 
 
 def split_indices(k: int, N: int) -> tuple[int, int]:
@@ -39,8 +41,6 @@ class Splitting:
     V0: Potential
     V1: Potential
     N: float
-    p0: float = 0.5
-    p1: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
@@ -50,8 +50,6 @@ class Splitting:
         n = self.N if self.N >= 1.0 else 1.0 / self.N
         if abs(n - round(n)) > 1e-12:
             raise ValueError("N or 1/N must be a positive integer")
-        if min(self.p0, self.p1) < 0.5:
-            raise ValueError("exponents below 1/2 are not admissible here")
 
 
 @dataclass(frozen=True)
@@ -118,15 +116,6 @@ def _solve_share(V: Potential, share: float, tol: float) -> Spectrum:
                     inner.near_threshold, share * inner.threshold)
 
 
-def _moment_factor(p: float, share: float, N_factor: float):
-    """(1 + N) * share^(-1/2) * L_p for one side of the K-bound display."""
-    try:
-        L = constants_row(p).L_best
-    except ValueError:
-        return None
-    return N_factor * L / math.sqrt(share)
-
-
 def verify_splitting(V: Potential, split: Splitting, k_max: int,
                      tol: float = SOLVER_TOL) -> dict:
     """Check |E_k(H)| <= |a_k| + |b_k| for k <= k_max, radii folded in.
@@ -135,9 +124,9 @@ def verify_splitting(V: Potential, split: Splitting, k_max: int,
     for the negative eigenvalues at hand it is the content of the Ky-Fan
     input |E_{m+n-1}(H)| <= |E_n(H0)| + |E_m(H1)| at m + n - 1 = k.
 
-    Returns a report with the three spectra, the interleaved sequences, the
-    per-k margins, and the moment-sum factors (1+N) share^(-1/2) L_p of the
-    two sides.  A violation beyond the certified error marks ok = False.
+    Returns a report with the three spectra, the interleaved sequences and
+    the per-k margins.  A violation beyond the certified error marks
+    ok = False.
     """
     if not (V.is_nonnegative() and split.V0.is_nonnegative()
             and split.V1.is_nonnegative()):
@@ -167,18 +156,12 @@ def verify_splitting(V: Potential, split: Splitting, k_max: int,
         if margin < 0.0:
             ok = False
     N_big = split.N if split.N >= 1.0 else 1.0 / split.N
-    report = {
+    return {
         "ok": ok,
         "margins": tuple(margins),
         "spectrum": spec,
         "spectrum0": spec0,
         "spectrum1": spec1,
         "sequences": seqs,
-        "factor0": _moment_factor(split.p0, split.theta, 1.0 + split.N),
-        "factor1": _moment_factor(split.p1, 1.0 - split.theta,
-                                  1.0 + 1.0 / split.N),
-        "moment0": riesz_mean(spec0, split.p0).value,
-        "moment1": riesz_mean(spec1, split.p1).value,
         "N": N_big,
     }
-    return report

@@ -11,7 +11,8 @@ from lt_spectral.constants import VARSIGMA_3, constants_row
 from lt_spectral.numerics import InvariantError
 from lt_spectral.potential import (Gaussian, PiecewiseConstant,
                                    PoschlTeller, SquareWell, Zero)
-from lt_spectral.sturm import riesz_mean, solve_interval, solve_line
+from lt_spectral.sturm import (SOLVER_TOL, riesz_mean, solve_interval,
+                               solve_line)
 
 from oracles import raw_moment_constant
 
@@ -105,6 +106,18 @@ class TestBuildPartition:
         assert p.breakpoints == (0.0, 3.0 / m, math.inf)
         assert p.masses[0] == pytest.approx(m, rel=1e-15)
         assert p.truncated
+
+    def test_light_half_closes_at_the_bracket_start(self):
+        # the -x half of this off-centre Gaussian has its mass m within
+        # 3/m of the origin up to rounding, on an unbounded support:
+        # g(3/m) rounds to +4.4e-16, no root lies past it, and 3/m itself
+        # closes the interval
+        V = Gaussian(2.59, width=0.49, center=0.92).half_view(-1)
+        m = V.integrate()
+        p = build_partition(V)
+        assert p.breakpoints == (0.0, 3.0 / m, math.inf)
+        assert p.masses[0] == pytest.approx(m, rel=1e-15)
+        assert not p.truncated
 
     def test_narrow_far_well_closes(self):
         # g(l) = l * int_0^l V - 3 has slope l * v = 2e5 at the root near
@@ -219,6 +232,19 @@ class TestCertificate:
     def test_rejects_signed_potential(self):
         with pytest.raises(ValueError):
             certify_theorem1(Gaussian(-1.0))
+
+    def test_unresolved_proper_interval_spends_its_bound(self):
+        # the +x half ends on the proper interval [4.24, 1.4e10] of mass
+        # 2.1e-10, whose ground state near -1e-20 FD neither resolves nor
+        # flags; it counts as one unresolved state with
+        # sqrt|E_1| <= UPPER_FACTOR * mass
+        V = Gaussian(2.71, width=0.7, center=1.06).half_view(+1)
+        part, _, err = bracketing._bracket_side(V, SOLVER_TOL)
+        k = len(part) - 2
+        assert k in part.finite_indices()
+        spec = solve_interval(V, part.breakpoints[k:k + 2], bc="neumann")
+        assert len(spec) == spec.near_threshold == 0
+        assert err >= UPPER_FACTOR * part.masses[k] > 0.0
 
     def test_json_schema(self):
         cert = certify_theorem1(SquareWell(2.0, -1.0, 1.0))

@@ -8,6 +8,7 @@ from lt_spectral.bracketing import BracketingError
 from lt_spectral.cli import (DEFAULT_SEED, EXIT_INEQUALITY, EXIT_NUMERICAL,
                              EXIT_PASS, EXIT_USAGE, build_parser, main,
                              random_piecewise, splitmix64)
+from lt_spectral.constants import VARSIGMA_3
 from lt_spectral.potential import Gaussian, SquareWell, Sum
 from lt_spectral.scattering import ScatteringError
 from lt_spectral.sturm import RieszMean, SolverError, Spectrum
@@ -287,7 +288,7 @@ _SAMPLED = {"family": "sampled", "params": {"grid": [-1, 0, 0.5, 2],
 
 
 class TestStatedDefaultTolerance:
-    @pytest.mark.parametrize("command", ["certify", "sumrule", "kyfan"])
+    @pytest.mark.parametrize("command", ["certify", "sumrule"])
     @pytest.mark.parametrize("source", ["seed", "sampled"])
     def test_stated_default_is_the_default(self, capsys, tmp_path, command,
                                            source):
@@ -304,17 +305,6 @@ class TestStatedDefaultTolerance:
         assert run(capsys, *argv, "--tol", "1e-6") == (code, out)
 
 
-class TestKyfan:
-    def test_even_split(self, capsys, well_file):
-        code, out = run(capsys, "kyfan", "--potential", well_file)
-        assert code == EXIT_PASS
-        doc = json.loads(out)
-        assert doc["ok"]
-        assert len(doc["margins"]) == 6
-        assert all(m >= 0.0 for m in doc["margins"])
-        assert doc["factor0"] == doc["factor1"]
-
-
 _HALF_WELL = {"family": "square_well", "params": {"v": 1, "a": -2, "b": 2},
               "domain": "half_line"}
 
@@ -323,7 +313,6 @@ _HALF_WELL = {"family": "square_well", "params": {"v": 1, "a": -2, "b": 2},
 _READS = {
     "certify": {"--potential", "--seed", "--tol"},
     "constants": {"--gamma", "--gamma-grid"},
-    "kyfan": {"--potential", "--seed", "--tol"},
     "partition": {"--potential", "--seed"},
     "scatter": {"--potential", "--seed"},
     "sumrule": {"--potential", "--seed", "--tol"},
@@ -355,19 +344,23 @@ class TestUsageErrors:
         bad.write_text('{"family": "mystery", "params": {}}')
         assert main(["certify", "--potential", str(bad)]) == EXIT_USAGE
 
-    def test_signed_potential_for_kyfan(self, tmp_path, capsys):
-        from lt_spectral.potential import PiecewiseConstant
-        signed = PiecewiseConstant([0.0, 1.0], [-1.0])
-        path = tmp_path / "signed.json"
-        path.write_text(json.dumps(signed.to_json_dict()))
-        assert main(["kyfan", "--potential", str(path)]) == EXIT_USAGE
+    @pytest.mark.parametrize("argv", [
+        ["kyfan", "--seed", "1"], ["kyfan", "--potential", "F"],
+        ["kyfan", "--tol", "1e-6"]], ids=["seed", "potential", "tol"])
+    def test_kyfan_is_an_unknown_command(self, capsys, argv):
+        # retired: its even split held by the ordering of one spectrum
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "usage error: argument command: invalid choice: 'kyfan'")
+        assert captured.out == ""
 
     def test_bad_tolerance(self, capsys, well_file):
         code = main(["certify", "--potential", well_file, "--tol", "-1"])
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("command", ["certify", "kyfan", "partition",
-                                         "scatter", "sumrule"])
+    @pytest.mark.parametrize("command", ["certify", "partition", "scatter",
+                                         "sumrule"])
     def test_seed_next_to_potential(self, capsys, well_file, command):
         # the seed would be ignored: the document is the potential
         code = main([command, "--potential", well_file, "--seed", "3"])
@@ -393,7 +386,7 @@ class TestUsageErrors:
         assert main([command, "--tol", "1e-6"]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.err == ("usage error: --tol is taken only by "
-                                "certify, kyfan, sumrule\n")
+                                "certify, sumrule\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("command, option", _UNREAD)
@@ -425,9 +418,9 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command, doc", [
         # an interval is not a domain
-        ("kyfan", {"family": "gaussian",
-                   "params": {"amplitude": 3, "center": 0.5},
-                   "domain": [-1, 2]}),
+        ("certify", {"family": "gaussian",
+                     "params": {"amplitude": 3, "center": 0.5},
+                     "domain": [-1, 2]}),
         # scattering is defined on the whole line only
         ("scatter", {"family": "square_well",
                      "params": {"v": 3, "a": 0, "b": 2},
@@ -466,8 +459,8 @@ class TestUsageErrors:
                      "params": {"grid": [0, 1], "values": [1, math.inf]}}),
         ("scatter", {"family": "sampled",
                      "params": {"grid": [0, 1], "values": [1, math.inf]}}),
-        ("kyfan", {"family": "sampled",
-                   "params": {"grid": [0, 1], "values": [1, math.inf]}}),
+        ("certify", {"family": "sampled",
+                     "params": {"grid": [0, 1], "values": [1, math.inf]}}),
         ("certify", {"family": "square_well",
                      "params": {"v": 1, "a": 0, "b": 10**400}}),
     ])
@@ -523,6 +516,27 @@ class TestSmoothRepros:
                                   "deep-sumrule", "wide-certify"])
     def test_exit_pass(self, tmp_path, capsys, command, doc):
         self._run(tmp_path, capsys, command, doc)
+
+
+class TestOffCentreGaussians:
+    """Gaussians whose certificate once exited 2: a half whose mass lies
+    within its first bracket step, and a proper interval too shallow for
+    FD to resolve or flag."""
+
+    @pytest.mark.parametrize("params", [
+        {"amplitude": 2.59, "width": 0.49, "center": 0.92},
+        {"amplitude": 2.71, "width": 0.7, "center": 1.06},
+        {"amplitude": 2.71, "width": 0.7, "center": -1.06}],
+        ids=["light-half", "shallow-right", "shallow-left"])
+    def test_certify_passes(self, tmp_path, capsys, params):
+        path = tmp_path / "gauss.json"
+        path.write_text(json.dumps({"family": "gaussian", "params": params}))
+        code, out = run(capsys, "certify", "--potential", str(path))
+        assert code == EXIT_PASS
+        doc = json.loads(out)
+        assert doc["verdict"] == "pass"
+        assert 0.25 * doc["integral_V"] <= doc["sum_sqrt"] \
+            <= VARSIGMA_3 / 3.0 * doc["integral_V"]
 
 
 class TestNumericalFailures:

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from lt_spectral.constants import m_factor
 from lt_spectral.kyfan import (InterleavedSequences, Splitting,
                                build_interleaving, split_indices,
                                verify_splitting)
@@ -55,10 +58,6 @@ class TestSplittingValidation:
         with pytest.raises(ValueError):
             Splitting(0.5, Zero(), Zero(), -2)
 
-    def test_exponent_floor(self):
-        with pytest.raises(ValueError):
-            Splitting(0.5, Zero(), Zero(), 1, p0=0.4)
-
 
 class TestInterleaving:
     def _spec(self, *vals):
@@ -105,6 +104,37 @@ class TestCountingConsequence:
         rhs = (1 + N) * riesz_mean(s0, p).value
         assert lhs <= rhs + 1e-12
 
+    @staticmethod
+    def _multiplicities(N):
+        """Uses per source index of H0 and of H1, counted over one interior
+        period of split_indices; for N = 1/m the roles are interchanged."""
+        n = round(N if N >= 1 else 1 / N)
+        s_uses, l_uses = Counter(), Counter()
+        for k in range(1, 4 * (n + 1)):
+            s, l = split_indices(k, n)
+            s_uses[s] += 1
+            l_uses[l] += 1
+        # s = 2 fills one block of n + 1 targets; l = n .. 2n - 1 spans one
+        # block's advance, its first index shared with the block before
+        per_s = s_uses[2]
+        per_l = sum(l_uses[i] for i in range(n, 2 * n)) / n
+        return (per_s, per_l) if N >= 1 else (per_l, per_s)
+
+    @pytest.mark.parametrize("eta", [1 / 9 + 7 / 9 * i / 40
+                                     for i in range(41)], ids="{:.4f}".format)
+    def test_m_factor_objective_counts_the_reuse(self, eta):
+        # M(eta) = min over N of (1+N)^(1-eta) (1+1/N)^eta: the bases are
+        # the reuse counts N + 1 and 1 + 1/N of the interleaving, and the
+        # minimum beats every split N, 1/N <= 9 (N* = eta/(1-eta) in
+        # [1/8, 8])
+        M, N = m_factor(eta)
+        m0, m1 = self._multiplicities(N)
+        assert (m0, m1) == pytest.approx((1 + N, 1 + 1 / N), rel=1e-15)
+        assert M == pytest.approx(m0 ** (1 - eta) * m1 ** eta, rel=1e-14)
+        for n in list(range(1, 10)) + [1 / k for k in range(2, 10)]:
+            a, b = self._multiplicities(n)
+            assert M <= a ** (1 - eta) * b ** eta * (1 + 1e-14)
+
 
 class TestVerifySplitting:
     def test_even_split_square_well(self):
@@ -139,22 +169,6 @@ class TestVerifySplitting:
         assert direct["N"] == swapped["N"] == 2
         # the swapped run interleaves the same spectra with roles exchanged
         assert direct["sequences"].a == swapped["sequences"].b
-
-    def test_moment_factors(self):
-        V = SquareWell(4.0, -1.0, 1.0)
-        half = SquareWell(2.0, -1.0, 1.0)
-        report = verify_splitting(V, Splitting(0.5, half, half, 1), 4)
-        assert report["factor0"] == report["factor1"]
-        assert report["factor0"] > 0.0
-        assert report["moment0"] == pytest.approx(report["moment1"],
-                                                  rel=1e-6)
-
-    def test_factor_none_outside_window(self):
-        V = SquareWell(4.0, -1.0, 1.0)
-        half = SquareWell(2.0, -1.0, 1.0)
-        report = verify_splitting(V, Splitting(0.5, half, half, 1, p0=2.0),
-                                  3)
-        assert report["factor0"] is None
 
     def test_rejects_signed_inputs(self):
         with pytest.raises(ValueError):
