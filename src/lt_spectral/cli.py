@@ -10,7 +10,8 @@ well, so every command is runnable (and reproducible) out of the box.
 --tol, the eigenvalue solver's absolute tolerance, is taken by certify and
 sumrule only; the wave pipeline runs at fixed tolerances.  A command
 refuses any option it does not read, and --seed next to --potential
-(exit 64).
+(exit 64).  A command imports the library modules it runs when it runs, so
+constants loads neither numpy nor scipy.
 
 Exit codes: 0 pass, 1 a certified inequality failed, 2 numerical failure,
 64 usage error.
@@ -23,7 +24,6 @@ import json
 import math
 import sys
 
-from . import bracketing, constants, potential, scattering, sturm
 from .numerics import NumericsError
 
 EXIT_PASS = 0
@@ -57,12 +57,13 @@ def splitmix64(seed: int):
 
 
 def random_piecewise(seed: int, domain: str = "full_line",
-                     signed: bool = False) -> potential.PiecewiseConstant:
-    """Seeded random piecewise-constant potential.
+                     signed: bool = False):
+    """Seeded random piecewise-constant potential (a PiecewiseConstant).
 
     3 to 8 pieces, values in (0, 5] (sign-flipped at random when signed),
     support inside [0, 10] (shifted to [-5, 5] on the full line).
     """
+    from . import potential
     rng = splitmix64(seed)
     n = 3 + int(next(rng) * 6)
     cuts = sorted(10.0 * next(rng) for _ in range(n + 1))
@@ -99,6 +100,7 @@ def _emit(text: str, out: str | None):
 
 
 def _load_potential(args, domain_default="full_line"):
+    from . import potential
     if args.potential:
         return potential.load(args.potential)
     seed = DEFAULT_SEED if args.seed is None else args.seed
@@ -106,6 +108,7 @@ def _load_potential(args, domain_default="full_line"):
 
 
 def _tol(args) -> float:
+    from . import sturm
     if args.tol is None:
         return sturm.SOLVER_TOL
     if not 0.0 < args.tol < 1.0:
@@ -131,6 +134,7 @@ def _gamma_values(args) -> list[float]:
 
 
 def cmd_certify(args) -> int:
+    from . import bracketing
     V = _load_potential(args)
     cert = bracketing.certify_theorem1(V, tol=_tol(args))
     _emit(json.dumps(_round15(cert.to_json_dict()), indent=2) + "\n",
@@ -139,6 +143,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_constants(args) -> int:
+    from . import constants
     gammas = _gamma_values(args)
     for g in gammas:
         if not 0.5 <= g <= 1.5:
@@ -151,6 +156,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    from . import bracketing
     part = bracketing.build_partition(
         _load_potential(args, domain_default="half_line"))
     doc = {
@@ -166,12 +172,14 @@ def cmd_partition(args) -> int:
 
 
 def cmd_scatter(args) -> int:
+    from . import scattering
     data = scattering.reflection_coefficient(_load_potential(args))
     _emit(data.to_csv(), args.out)
     return EXIT_PASS
 
 
 def cmd_sumrule(args) -> int:
+    from . import scattering
     V = _load_potential(args)
     residual, moment = scattering._sum_rule(V, _tol(args))
     # the moment enters four times; 1e-6 covers the log-integral quadrature

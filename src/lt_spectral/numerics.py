@@ -1,5 +1,5 @@
 """Shared numerical kernels: root finding, 1D minimization, quadrature, the
-constant-coefficient step propagator (one step or many at once), Gamma.
+constant-coefficient step propagator, Gamma.
 
 All routines are pure functions of their arguments and safe for concurrent
 use.  The double-exponential (tanh-sinh) rule serves the numeric route to
@@ -8,7 +8,7 @@ behaviour that varies with eta; the closed route sums a series and shares
 no rule with it; each of its nodes is computed where the rule uses it.
 find_root and minimize_1d run scipy's brentq and bounded minimize_scalar
 loops on Python floats, and a Deferred imports a scipy routine on its first
-call, so importing loads none.
+call, so importing this module loads neither scipy nor numpy.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 import importlib
 import math
 from typing import Callable
-
-import numpy as np
 
 
 class NumericsError(Exception):
@@ -311,22 +309,6 @@ def piece_step(d: float, q: float) -> tuple[float, float, float, float]:
         c, s = math.cosh(m * d), math.sinh(m * d)
         return c, s / m, m * s, c
     return 1.0, d, 0.0, 1.0
-
-
-def piece_step_array(d: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """piece_step of the steps (d[i], q[i]) at once: an (n, 2, 2) array of
-    their matrices."""
-    d, q = np.asarray(d, dtype=float), np.asarray(q, dtype=float)
-    w = np.sqrt(np.abs(q))
-    wd = w * d
-    c, s = np.cos(wd), np.sin(wd)
-    hyp = q < 0.0
-    if hyp.any():
-        c[hyp], s[hyp] = np.cosh(wd[hyp]), np.sinh(wd[hyp])
-    # s / w tends to d as q -> 0: the shear
-    m01 = np.divide(s, w, out=d.copy(), where=w > 0.0)
-    m10 = np.where(hyp, w * s, -w * s)
-    return np.stack([c, m01, m10, c], axis=-1).reshape(-1, 2, 2)
 
 
 def gamma_fn(x: float) -> float:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import VARSIGMA_3
-from .numerics import Deferred, InvariantError, NumericsError, piece_step_array
+from .numerics import Deferred, InvariantError, NumericsError
 from .potential import FULL_LINE, Potential, piece_steps, truncation_point
 from .sturm import SOLVER_TOL, RieszMean, riesz_mean, solve_line
 
@@ -205,6 +205,22 @@ def _cells(V: Potential, edges: np.ndarray):
                         mid + h / (2.0 * math.sqrt(3.0))])
     v1, v2 = V.evaluate(x).reshape(2, -1)
     return h, 0.5 * (v1 + v2), math.sqrt(3.0) * h * (v2 - v1) / 12.0
+
+
+def piece_step_array(d: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """numerics.piece_step of the steps (d[i], q[i]) at once: an (n, 2, 2)
+    array of their matrices."""
+    d, q = np.asarray(d, dtype=float), np.asarray(q, dtype=float)
+    w = np.sqrt(np.abs(q))
+    wd = w * d
+    c, s = np.cos(wd), np.sin(wd)
+    hyp = q < 0.0
+    if hyp.any():
+        c[hyp], s[hyp] = np.cosh(wd[hyp]), np.sinh(wd[hyp])
+    # s / w tends to d as q -> 0: the shear
+    m01 = np.divide(s, w, out=d.copy(), where=w > 0.0)
+    m10 = np.where(hyp, w * s, -w * s)
+    return np.stack([c, m01, m10, c], axis=-1).reshape(-1, 2, 2)
 
 
 def _transfer(steps, ks: np.ndarray) -> tuple[np.ndarray, ...]:

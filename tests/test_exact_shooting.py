@@ -19,10 +19,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from lt_spectral.numerics import piece_step, piece_step_array
+from lt_spectral.numerics import piece_step
 from lt_spectral.potential import (HALF_LINE, PiecewiseConstant, SquareWell,
                                    Sum, piece_steps)
-from lt_spectral.scattering import _transfer
+from lt_spectral.scattering import _transfer, piece_step_array
 from lt_spectral.sturm import riesz_mean, solve_interval, solve_line
 
 from oracles import prufer_angle, square_well_line_levels, transfer_exact

@@ -7,7 +7,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for d in ("src/lt_spectral", "tests", "demos")
-               for p in (ROOT / d).glob("*.py") if p.name != "__init__.py")
+               for p in (ROOT / d).glob("*.py"))
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)

@@ -7,7 +7,7 @@ from lt_spectral.kyfan import (InterleavedSequences, Splitting,
                                build_interleaving, split_indices,
                                verify_splitting)
 from lt_spectral.potential import (Gaussian, PoschlTeller, SquareWell, Zero)
-from lt_spectral.sturm import Spectrum, riesz_mean
+from lt_spectral.sturm import Spectrum, riesz_mean, solve_line
 
 from oracles import multiplicity_bounds
 
@@ -181,8 +181,6 @@ class TestVerifySplitting:
         report = verify_splitting(
             PoschlTeller(2.0), Splitting(0.5, V0, Zero(), 1), 2)
         spec0 = report["spectrum0"]
-        inner = [0.5 * e for e in
-                 __import__("lt_spectral").solve_line(
-                     V0.amplified(2.0)).eigenvalues]
+        inner = [0.5 * e for e in solve_line(V0.amplified(2.0)).eigenvalues]
         for e, ei in zip(spec0.eigenvalues, inner):
             assert e == pytest.approx(ei, abs=1e-6)

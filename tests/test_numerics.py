@@ -7,8 +7,8 @@ import pytest
 from lt_spectral import bracketing, cli, constants, sturm
 from lt_spectral.numerics import (BracketError, DivergenceError,
                                   NumericsError, find_root, gamma_fn,
-                                  integrate_de, minimize_1d, piece_step,
-                                  piece_step_array)
+                                  integrate_de, minimize_1d, piece_step)
+from lt_spectral.scattering import piece_step_array
 
 from oracles import find_root_scipy, integrate_de_per_node, minimize_1d_scipy
 

@@ -1,8 +1,11 @@
-"""The package loads scipy routine by routine, on first use.
+"""The package loads numpy and scipy only where they are used.
 
-sturm, scattering and potential bind their scipy routines as numerics'
-Deferred objects, so importing the package, the constants table and the
-exact path of the scattering pipeline load no scipy module at all.  The
+The package's __init__ imports none of its modules, cli imports a command's
+modules in its handler, and numerics and constants import only the standard
+library, so importing the package and the constants table, as a function or
+as a command, load no numpy or scipy module at all.  sturm, scattering and
+potential bind their scipy routines as numerics' Deferred objects, so the
+exact path of the scattering pipeline loads no scipy module either.  The
 bindings stay module attributes that a test or the benchmark's tracer can
 wrap by name.
 """
@@ -28,18 +31,44 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
+NUMPY_MODULES = """
+import sys
+import lt_spectral
+{call}
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("numpy", "scipy")))
+"""
+
+
+def _last_line(script):
+    """The last line a fresh interpreter prints running script on src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env,
+        stdout=subprocess.PIPE, text=True, check=True)
+    return proc.stdout.splitlines()[-1]
+
+
 @pytest.mark.parametrize("call", [
     "", "constants.constants_row(1.0)",
     "scattering.reflection_coefficient(cli.random_piecewise(1))",
     'cli.main(["constants", "--gamma", "1.0"])'])
 def test_no_scipy_loaded(call):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC), *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_MODULES.format(call=call)], env=env,
-        stdout=subprocess.PIPE, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert _last_line(SCIPY_MODULES.format(call=call)) == "[]"
+
+
+@pytest.mark.parametrize("call", [
+    "",
+    "from lt_spectral import constants; constants.constants_row(1.0)",
+    'from lt_spectral import cli; cli.main(["constants"])',
+    'from lt_spectral import cli; cli.main(["constants", "--gamma", "1.0"])',
+    "from lt_spectral import cli; "
+    'cli.main(["constants", "--gamma-grid", "0.5:1.5:1001"])'],
+    ids=["import", "constants_row", "table", "gamma", "gamma_grid"])
+def test_no_numpy_loaded(call):
+    assert _last_line(NUMPY_MODULES.format(call=call)) == "[]"
 
 
 BINDINGS = [(sturm, "eigh_tridiagonal"), (scattering, "quad"),
