@@ -46,9 +46,10 @@ def varsigma(y: float) -> float:
         raise ValueError("varsigma requires y >= 0")
     if y == 0.0:
         return 0.0
-    # x*tanh(x) >= x - 1, so the root lies in [0, y + 2]
+    # x*tanh(x) >= x - 1, so the root lies in [0, y + 2]; find_root floors
+    # rtol at 4 ulp(1), which leaves varsigma(3) correctly rounded
     return find_root(lambda x: x * math.tanh(x) - y, 0.0, y + 2.0,
-                     1e-12, 1e-12)
+                     1e-15, 0.0)
 
 
 VARSIGMA_3 = varsigma(3.0)
