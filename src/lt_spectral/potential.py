@@ -19,7 +19,7 @@ pieces() selects the exact paths, which read the piece list as given
 matrices in scattering and bound states on the whole or half line in
 sturm.
 
-JSON exchange format::
+The document format that from_json_dict reads::
 
     {"family": "square_well", "params": {"v": 3, "a": 0, "b": 2},
      "domain": "full_line"}
@@ -223,12 +223,6 @@ class Potential:
         """True when V >= 0 can be read off the family parameters."""
         return False
 
-    def to_json_dict(self) -> dict:
-        raise NotImplementedError(f"{type(self).__name__} has no JSON form")
-
-    def _domain_json(self):
-        return "full_line" if self.domain == FULL_LINE else "half_line"
-
 
 class PiecewiseConstant(Potential):
     """Constant values between strictly increasing breakpoints, zero outside.
@@ -297,21 +291,12 @@ class PiecewiseConstant(Potential):
     def is_nonnegative(self):
         return bool(np.all(self.values >= 0))
 
-    def to_json_dict(self):
-        return {"family": "piecewise_constant",
-                "params": {"breakpoints": self.breakpoints.tolist(),
-                           "values": self.values.tolist()},
-                "domain": self._domain_json()}
-
 
 class Zero(PiecewiseConstant):
     """The identically-zero potential: no pieces."""
 
     def __init__(self, domain="full_line"):
         super().__init__([0.0], [], domain)
-
-    def to_json_dict(self):
-        return {"family": "zero", "params": {}, "domain": self._domain_json()}
 
 
 class SquareWell(PiecewiseConstant):
@@ -323,12 +308,6 @@ class SquareWell(PiecewiseConstant):
         if not a < b:
             raise ValueError("need a < b")
         super().__init__((a, b), (v,), domain)
-        self.v, self.a, self.b = float(v), float(a), float(b)
-
-    def to_json_dict(self):
-        return {"family": "square_well",
-                "params": {"v": self.v, "a": self.a, "b": self.b},
-                "domain": self._domain_json()}
 
 
 class PoschlTeller(Potential):
@@ -368,11 +347,6 @@ class PoschlTeller(Potential):
     def is_nonnegative(self):
         return True
 
-    def to_json_dict(self):
-        return {"family": "poschl_teller",
-                "params": {"nu": self.nu, "c": self.c, "alpha": self.alpha},
-                "domain": self._domain_json()}
-
 
 class Gaussian(Potential):
     """V(x) = amplitude * exp(-((x - center)/width)^2)."""
@@ -407,12 +381,6 @@ class Gaussian(Potential):
 
     def is_nonnegative(self):
         return self.amplitude >= 0
-
-    def to_json_dict(self):
-        return {"family": "gaussian",
-                "params": {"amplitude": self.amplitude,
-                           "center": self.center, "width": self.width},
-                "domain": self._domain_json()}
 
 
 class Sampled(Potential):
@@ -503,12 +471,6 @@ class Sampled(Potential):
     def is_nonnegative(self):
         return bool(np.all(self.values >= 0))
 
-    def to_json_dict(self):
-        return {"family": "sampled",
-                "params": {"grid": self.grid.tolist(),
-                           "values": self.values.tolist()},
-                "domain": self._domain_json()}
-
 
 class Sum(Potential):
     """Pointwise sum of potentials on their common domain."""
@@ -560,11 +522,6 @@ class Sum(Potential):
 
     def is_nonnegative(self):
         return all(t.is_nonnegative() for t in self.terms)
-
-    def to_json_dict(self):
-        return {"family": "sum",
-                "params": {"terms": [t.to_json_dict() for t in self.terms]},
-                "domain": self._domain_json()}
 
 
 class _Mapped(Potential):
@@ -627,20 +584,6 @@ class _Mapped(Potential):
         return tuple(self.mass * m
                      for m in self.inner._sign_masses(*self._image(a, b)))
 
-    def to_json_dict(self):
-        inner = self.inner.to_json_dict()
-        if self._restricts:
-            return {"family": "half_view",
-                    "params": {"side": int(self.s), "inner": inner},
-                    "domain": "half_line"}
-        if self.s == 1.0:
-            return {"family": "amplified",
-                    "params": {"c": self.mass, "inner": inner},
-                    "domain": self._domain_json()}
-        return {"family": "scaled",
-                "params": {"alpha": self.s, "inner": inner},
-                "domain": self._domain_json()}
-
 
 #: the families whose params are their constructor's keyword arguments
 _FAMILIES = {"zero": Zero, "square_well": SquareWell,
@@ -692,9 +635,10 @@ def _from_doc(doc: dict) -> Potential:
     family = doc.get("family")
     V = _build(family, params, doc.get("domain", "full_line"))
     if "domain" in doc and V.domain != _domain_tuple(doc["domain"]):
+        line = "full_line" if V.domain == FULL_LINE else "half_line"
         raise ValueError(f"{family} document states domain "
                          f"{doc['domain']!r}, but its potential lives on "
-                         f"the {V._domain_json()}")
+                         f"the {line}")
     return V
 
 

@@ -195,6 +195,10 @@ def solve_interval(V: Potential, interval, bc="neumann",
     a, b = float(interval[0]), float(interval[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("need a finite interval with a < b")
+    h = (b - a) / 2**LEVEL_MIN  # the coarsest grid's spacing
+    if not math.isfinite(h * h):
+        raise SolverError(f"[{a}, {b}] is too long for a finite-difference "
+                          "grid")
     jumps = _jump_sum(V, a, b)
     tol = _effective_tol(tol, jumps, b - a)
     pair = (bc, bc) if isinstance(bc, str) else tuple(bc)

@@ -13,7 +13,7 @@ class FDOnly(PiecewiseConstant):
     """V's piece list with pieces() None, on V's domain."""
 
     def __init__(self, V: PiecewiseConstant):
-        super().__init__(V.breakpoints, V.values, V._domain_json())
+        super().__init__(V.breakpoints, V.values, V.domain)
 
     def pieces(self):
         return None

@@ -9,11 +9,16 @@ from lt_spectral.cli import (DEFAULT_SEED, EXIT_INEQUALITY, EXIT_NUMERICAL,
                              EXIT_PASS, EXIT_USAGE, build_parser, main,
                              random_piecewise, splitmix64)
 from lt_spectral.constants import VARSIGMA_3
-from lt_spectral.potential import Gaussian, SquareWell, Sum
 from lt_spectral.scattering import ScatteringError
 from lt_spectral.sturm import RieszMean, SolverError, Spectrum
 
 from fd_path import FDOnly
+
+#: a Gaussian plus a square well: a smooth term and two jumps
+SMOOTH_PLUS_WELL = json.dumps(
+    {"family": "sum", "params": {"terms": [
+        {"family": "gaussian", "params": {"amplitude": 1.0}},
+        {"family": "square_well", "params": {"v": 1.0, "a": 0.5, "b": 1.5}}]}})
 
 
 def run(capsys, *argv):
@@ -25,15 +30,17 @@ def run(capsys, *argv):
 @pytest.fixture
 def well_file(tmp_path):
     path = tmp_path / "well.json"
-    path.write_text(json.dumps(SquareWell(2.0, -1.0, 1.0).to_json_dict()))
+    path.write_text(json.dumps(
+        {"family": "square_well", "params": {"v": 2.0, "a": -1.0, "b": 1.0}}))
     return str(path)
 
 
 @pytest.fixture
 def half_well_file(tmp_path):
-    V = SquareWell(3.0, 0.0, 2.0, domain="half_line")
     path = tmp_path / "half.json"
-    path.write_text(json.dumps(V.to_json_dict()))
+    path.write_text(json.dumps(
+        {"family": "square_well", "params": {"v": 3.0, "a": 0.0, "b": 2.0},
+         "domain": "half_line"}))
     return str(path)
 
 
@@ -70,9 +77,8 @@ class TestCertify:
     def test_smooth_plus_well(self, tmp_path, capsys):
         # the well's jumps lie on the right half only; the left half's
         # partition intervals are charged for none of them
-        V = Sum([Gaussian(1.0), SquareWell(1.0, 0.5, 1.5)])
         path = tmp_path / "mix.json"
-        path.write_text(json.dumps(V.to_json_dict()))
+        path.write_text(SMOOTH_PLUS_WELL)
         code, out = run(capsys, "certify", "--potential", str(path))
         assert code == EXIT_PASS
         assert json.loads(out)["verdict"] == "pass"
@@ -148,9 +154,11 @@ class TestPartition:
     def test_narrow_far_well(self, tmp_path, capsys):
         # g = l * mass - 3 is steep near its root l = 200: a root
         # tolerance in l alone misses the product invariant by 2.9e-7
-        V = SquareWell(1000.0, 200.0, 200.0001, domain="half_line")
         path = tmp_path / "narrow.json"
-        path.write_text(json.dumps(V.to_json_dict()))
+        path.write_text(json.dumps(
+            {"family": "square_well",
+             "params": {"v": 1000.0, "a": 200.0, "b": 200.0001},
+             "domain": "half_line"}))
         code, out = run(capsys, "partition", "--potential", str(path))
         assert code == EXIT_PASS
         doc = json.loads(out)
@@ -257,9 +265,8 @@ class TestSumRule:
 
     def test_sum_with_a_jump(self, capsys, tmp_path):
         # a jump plus a smooth term: no pieces(), cells cut at the jumps
-        V = Sum([Gaussian(1.0), SquareWell(1.0, 0.5, 1.5)])
         path = tmp_path / "sum.json"
-        path.write_text(json.dumps(V.to_json_dict()))
+        path.write_text(SMOOTH_PLUS_WELL)
         code, out = run(capsys, "sumrule", "--potential", str(path))
         assert code == EXIT_PASS
         assert json.loads(out)["pass"]
@@ -565,6 +572,13 @@ class TestNumericalFailures:
         # carries a jump of 1000 over length 200: the same FD floor
         {"family": "square_well", "params": {"v": 1000, "a": 200,
                                              "b": 200.0001}},
+        # int V = 1e-200 closes the truncated interval at about 3e200,
+        # which no finite-difference grid can span
+        {"family": "square_well", "params": {"v": 1e-200, "a": 0, "b": 1}},
+        {"family": "gaussian", "params": {"amplitude": 1e-200}},
+        {"family": "poschl_teller", "params": {"nu": 1e-200}},
+        {"family": "sampled",
+         "params": {"grid": [0, 1], "values": [1e-200, 1e-200]}},
     ])
     def test_valid_input_numerical_failure(self, tmp_path, capsys, doc):
         path = tmp_path / "hard.json"

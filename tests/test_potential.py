@@ -481,49 +481,83 @@ class TestPieces:
         assert V.pieces() is None
 
 
-class TestJsonRoundTrip:
-    @pytest.mark.parametrize("V", [
-        pot.Zero(),
-        pot.SquareWell(3.0, 0.0, 2.0, domain="half_line"),
-        pot.PoschlTeller(2.0, 0.5, 1.5),
-        pot.Gaussian(-1.0, 0.3, 2.0),
-        pot.PiecewiseConstant([0.0, 1.0, 2.0], [1.0, -1.0]),
-        pot.Sampled([0.0, 0.5, 1.0], [1.0, 2.0, 0.5]),
-        pot.Sum([pot.Gaussian(1.0), pot.Gaussian(0.5, 1.0)]),
-        pot.SquareWell(1.0, -1.0, 1.0).scaled(2.0),
-        pot.PoschlTeller(1.0).amplified(0.3),
-        pot.Gaussian(1.0).half_view(-1),
-    ])
-    def test_round_trip(self, V):
-        W = pot.from_json(json.dumps(V.to_json_dict()))
-        xs = [x for x in np.linspace(0.1, 1.9, 7)]
-        assert list(W.evaluate(np.array(xs))) == \
-            pytest.approx(list(V.evaluate(np.array(xs))))
-        assert W.domain == V.domain
+def _loads_as(doc, V):
+    """The document loads to a potential with V's values at 7 points and
+    V's domain."""
+    W = pot.from_json(json.dumps(doc))
+    xs = np.linspace(0.1, 1.9, 7)
+    assert W.evaluate(xs).tolist() == V.evaluate(xs).tolist()
+    assert W.domain == V.domain
 
-    @pytest.mark.parametrize("doc", [
-        {"family": "scaled",
-         "params": {"alpha": 1.7,
-                    "inner": {"family": "square_well",
-                              "params": {"v": 2.0, "a": -0.737, "b": 1.111},
-                              "domain": "full_line"}},
-         "domain": "full_line"},
-        {"family": "amplified",
-         "params": {"c": 0.6,
-                    "inner": {"family": "poschl_teller",
-                              "params": {"nu": 2.0, "c": 0.3, "alpha": 1.0},
-                              "domain": "full_line"}},
-         "domain": "full_line"},
-        {"family": "half_view",
-         "params": {"side": -1,
-                    "inner": {"family": "gaussian",
-                              "params": {"amplitude": 2.0, "center": 0.7,
-                                         "width": 1.1},
-                              "domain": "full_line"}},
-         "domain": "half_line"},
-    ])
-    def test_wrapper_documents_round_trip(self, doc):
-        assert pot.from_json_dict(doc).to_json_dict() == doc
+
+class TestJsonRoundTrip:
+    """The loader, the one reader of potential documents: each literal
+    document loads to the potential its constructors build."""
+
+    @pytest.mark.parametrize("doc, V", [
+        ({"family": "zero", "params": {}}, pot.Zero()),
+        ({"family": "square_well", "params": {"v": 3.0, "a": 0.0, "b": 2.0},
+          "domain": "half_line"},
+         pot.SquareWell(3.0, 0.0, 2.0, domain="half_line")),
+        ({"family": "poschl_teller",
+          "params": {"nu": 2.0, "c": 0.5, "alpha": 1.5}},
+         pot.PoschlTeller(2.0, 0.5, 1.5)),
+        ({"family": "gaussian",
+          "params": {"amplitude": -1.0, "center": 0.3, "width": 2.0}},
+         pot.Gaussian(-1.0, 0.3, 2.0)),
+        ({"family": "piecewise_constant",
+          "params": {"breakpoints": [0.0, 1.0, 2.0], "values": [1.0, -1.0]}},
+         pot.PiecewiseConstant([0.0, 1.0, 2.0], [1.0, -1.0])),
+        ({"family": "sampled",
+          "params": {"grid": [0.0, 0.5, 1.0], "values": [1.0, 2.0, 0.5]}},
+         pot.Sampled([0.0, 0.5, 1.0], [1.0, 2.0, 0.5])),
+        ({"family": "sum", "params": {"terms": [
+            {"family": "gaussian", "params": {"amplitude": 1.0}},
+            {"family": "gaussian",
+             "params": {"amplitude": 0.5, "center": 1.0}}]}},
+         pot.Sum([pot.Gaussian(1.0), pot.Gaussian(0.5, 1.0)])),
+        ({"family": "scaled", "params": {"alpha": 2.0, "inner": {
+            "family": "square_well",
+            "params": {"v": 1.0, "a": -1.0, "b": 1.0}}}},
+         pot.SquareWell(1.0, -1.0, 1.0).scaled(2.0)),
+        ({"family": "amplified", "params": {"c": 0.3, "inner": {
+            "family": "poschl_teller", "params": {"nu": 1.0}}}},
+         pot.PoschlTeller(1.0).amplified(0.3)),
+        ({"family": "half_view", "params": {"side": -1, "inner": {
+            "family": "gaussian", "params": {"amplitude": 1.0}}},
+          "domain": "half_line"},
+         pot.Gaussian(1.0).half_view(-1)),
+    ], ids=[f"V{i}" for i in range(10)])
+    def test_round_trip(self, doc, V):
+        _loads_as(doc, V)
+
+    @pytest.mark.parametrize("doc, V", [
+        ({"family": "scaled",
+          "params": {"alpha": 1.7,
+                     "inner": {"family": "square_well",
+                               "params": {"v": 2.0, "a": -0.737, "b": 1.111},
+                               "domain": "full_line"}},
+          "domain": "full_line"},
+         pot.SquareWell(2.0, -0.737, 1.111).scaled(1.7)),
+        ({"family": "amplified",
+          "params": {"c": 0.6,
+                     "inner": {"family": "poschl_teller",
+                               "params": {"nu": 2.0, "c": 0.3, "alpha": 1.0},
+                               "domain": "full_line"}},
+          "domain": "full_line"},
+         pot.PoschlTeller(2.0, 0.3, 1.0).amplified(0.6)),
+        ({"family": "half_view",
+          "params": {"side": -1,
+                     "inner": {"family": "gaussian",
+                               "params": {"amplitude": 2.0, "center": 0.7,
+                                          "width": 1.1},
+                               "domain": "full_line"}},
+          "domain": "half_line"},
+         pot.Gaussian(2.0, 0.7, 1.1).half_view(-1)),
+    ], ids=[f"doc{i}" for i in range(3)])
+    def test_wrapper_documents_round_trip(self, doc, V):
+        # every key stated, the domains of wrapper and inner included
+        _loads_as(doc, V)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

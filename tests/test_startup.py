@@ -25,7 +25,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCIPY_MODULES = """
 import sys
 import lt_spectral
-from lt_spectral import cli, constants, scattering
+from lt_spectral import cli, scattering
 {call}
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
@@ -52,9 +52,7 @@ def _last_line(script):
 
 
 @pytest.mark.parametrize("call", [
-    "", "constants.constants_row(1.0)",
-    "scattering.reflection_coefficient(cli.random_piecewise(1))",
-    'cli.main(["constants", "--gamma", "1.0"])'])
+    "scattering.reflection_coefficient(cli.random_piecewise(1))"])
 def test_no_scipy_loaded(call):
     assert _last_line(SCIPY_MODULES.format(call=call)) == "[]"
 

@@ -430,6 +430,13 @@ class TestSolverBehavior:
         with pytest.raises(SolverError, match="first-order floor"):
             solve_interval(SquareWell(1e4, 0.0, 1e-6), (0.0, 2000.0))
 
+    def test_interval_too_long_for_a_grid(self):
+        # h = 3e200 / 2^LEVEL_MIN squares past the float range: a numerical
+        # failure that names the interval, not an OverflowError
+        with pytest.raises(SolverError,
+                           match=r"\[0\.0, 3e\+200\] is too long"):
+            solve_interval(SquareWell(1e-200, 0.0, 1.0), (0.0, 3e200))
+
     def test_exact_radii_for_pieces(self):
         # with pieces() the jumps cost nothing: exact shooting brackets
         # the closed-form level to a relative 1e-12 or so
