@@ -36,6 +36,11 @@ TAIL_ZERO_FRACTION = 1e-12
 #: rounding allowance, relative, on the product length * mass at the edge
 EDGE_RTOL = 8 * 2.0**-52
 
+#: the most intervals a partition may close by the defining relation; the
+#: tests and the random piecewise seeds need fewer than a hundred, a square
+#: well of depth v on [0, 1] about sqrt(v / 3)
+PARTITION_MAX = 10**4
+
 
 class BracketingError(NumericsError):
     """A partition invariant or the one-eigenvalue property failed."""
@@ -99,6 +104,8 @@ def build_partition(V: Potential) -> Partition:
     V must be nonnegative with finite integral on the half line.  Each
     breakpoint solves the monotone equation (l - l_k) * int_{l_k}^l V = 3;
     when the remaining tail mass vanishes the last breakpoint is inf.
+    BracketingError is raised before a breakpoint past the first
+    PARTITION_MAX is sought.
     """
     if V.domain != HALF_LINE:
         raise ValueError("partition requires a half-line potential")
@@ -139,7 +146,11 @@ def build_partition(V: Potential) -> Partition:
             masses.append(0.0)
             return Partition(tuple(breakpoints), tuple(masses),
                              truncated=True)
-        hi = lo + 3.0 / tail
+        if len(masses) >= PARTITION_MAX:
+            raise BracketingError(f"the partition passes its budget of "
+                                  f"{PARTITION_MAX} intervals at l = {lk}")
+        # at least one float past l_k, where 3 / tail vanishes beside it
+        hi = max(lo + 3.0 / tail, math.nextafter(lk, math.inf))
         while g(hi) < 0.0:
             hi = lk + 2.0 * (hi - lk)
         # breakpoints are cheap to locate precisely; the product invariant

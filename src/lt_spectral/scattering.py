@@ -207,10 +207,12 @@ def _cells(V: Potential, edges: np.ndarray):
     return h, 0.5 * (v1 + v2), math.sqrt(3.0) * h * (v2 - v1) / 12.0
 
 
-def piece_step_array(d: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """numerics.piece_step of the steps (d[i], q[i]) at once: an (n, 2, 2)
-    array of their matrices."""
-    d, q = np.asarray(d, dtype=float), np.asarray(q, dtype=float)
+def piece_step_array(d: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """numerics.piece_step of the steps (d, q) at once, elementwise over
+    the broadcast shape of d and q: the entries (m00, m01, m10, m11) as
+    arrays of that shape, m00 and m11 one array."""
+    d, q = np.broadcast_arrays(np.asarray(d, dtype=float),
+                               np.asarray(q, dtype=float))
     w = np.sqrt(np.abs(q))
     wd = w * d
     c, s = np.cos(wd), np.sin(wd)
@@ -220,7 +222,7 @@ def piece_step_array(d: np.ndarray, q: np.ndarray) -> np.ndarray:
     # s / w tends to d as q -> 0: the shear
     m01 = np.divide(s, w, out=d.copy(), where=w > 0.0)
     m10 = np.where(hyp, w * s, -w * s)
-    return np.stack([c, m01, m10, c], axis=-1).reshape(-1, 2, 2)
+    return c, m01, m10, c
 
 
 def _transfer(steps, ks: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -230,20 +232,30 @@ def _transfer(steps, ks: np.ndarray) -> tuple[np.ndarray, ...]:
     A step is exp [[beta h, h], [-q h, -beta h]] with q = k^2 + mean: the
     piece step P of q - beta^2 plus beta P01 diag(1, -1), less beta^2 P01
     in its lower left entry.  With beta = 0 it is P, bit for bit.
+
+    The steps are held as one (2, 2, step, k) array M, and each round
+    multiplies every later step of a pair into the earlier one by one
+    broadcast multiply, entry (i, l, j) = later[i, l] * earlier[l, j], and
+    one add over l; an odd last step waits for the next round.  Elementwise
+    ufuncs only, so every entry is rounded as the scalar e * a + f * c
+    would be: no fused multiply-add, whatever the numpy build.
     """
     h, mean, beta = (np.asarray(s, dtype=float)[:, None] for s in steps)
-    q = ks * ks + mean
-    p00, p01, p10, _ = piece_step_array(
-        np.broadcast_to(h, q.shape).ravel(),
-        (q - beta * beta).ravel()).reshape(*q.shape, 4).transpose(2, 0, 1)
-    M = (p00 + beta * p01, p01, p10 - beta * beta * p01, p00 - beta * p01)
-    while len(M[0]) > 1:
-        n = len(M[0]) // 2 * 2
-        (a, b, c, d), (e, f, g, k) = ([m[0:n:2] for m in M],
-                                      [m[1:n:2] for m in M])
-        M = [np.concatenate([x, m[n:]]) for x, m in zip(
-            (e * a + f * c, e * b + f * d, g * a + k * c, g * b + k * d), M)]
-    return tuple(m[0] for m in M)
+    p00, p01, p10, _ = piece_step_array(h, ks * ks + mean - beta * beta)
+    M = np.empty((2, 2, *p00.shape))
+    bp = beta * p01
+    np.add(p00, bp, out=M[0, 0])
+    M[0, 1] = p01
+    np.subtract(p10, beta * beta * p01, out=M[1, 0])
+    np.subtract(p00, bp, out=M[1, 1])
+    del p00, p01, p10, bp
+    while M.shape[2] > 1:
+        n = M.shape[2] // 2 * 2
+        t = M[:, :, None, 1:n:2] * M[None, :, :, 0:n:2]
+        pairs = t[:, 0] + t[:, 1]
+        M = pairs if n == M.shape[2] else np.concatenate(
+            [pairs, M[:, :, n:]], axis=2)
+    return tuple(M.reshape(4, -1))
 
 
 def _settled_cells(V: Potential, X: float, k_max: float):

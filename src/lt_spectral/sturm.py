@@ -65,7 +65,8 @@ _ORDER_WINDOW = (12.0, 20.0)
 
 
 class SolverError(NumericsError):
-    """The grid budget was exhausted before the tolerance was met."""
+    """A budget ran out: the grid's before the tolerance was met, or exact
+    shooting's on the number of states."""
 
 
 @dataclass(frozen=True)
@@ -334,6 +335,11 @@ def _shoot(steps, E: float, half: bool) -> tuple[int, float]:
 #: relative half-width of the first bracket checked around an exact root
 EXACT_RTOL = 1e-12
 
+#: the most states below -10 tol that exact shooting brackets; the tests
+#: and the random piecewise seeds have fewer than a hundred, a square well
+#: of depth v on [0, 1] about sqrt(v) / pi (31,831 at v = 1e10)
+EXACT_STATES_MAX = 10**6
+
 
 def _solve_exact(steps, half: bool, tol: float) -> Spectrum:
     """Negative spectrum of a piecewise-constant V by exact shooting.
@@ -343,7 +349,8 @@ def _solve_exact(steps, half: bool, tol: float) -> Spectrum:
     of a bracket around the root on whose ends g was seen to change sign;
     eigenvalues closer than EXACT_RTOL share the bracket the counts put
     them in.  The N(0) - N(-eps) states in [-eps, 0) are near-threshold
-    candidates with threshold eps.
+    candidates with threshold eps.  More than EXACT_STATES_MAX states
+    below -eps raise SolverError before any is bracketed.
     """
     eps = 10.0 * tol
 
@@ -356,6 +363,9 @@ def _solve_exact(steps, half: bool, tol: float) -> Spectrum:
     # -u'' - V u >= -max V, so every eigenvalue lies above -max V
     bottom = -max((v for _, v in steps), default=0.0)
     n = count(-eps) if bottom < -eps else 0
+    if n > EXACT_STATES_MAX:
+        raise SolverError(f"{n:.3g} states below {-eps:.0e} pass the budget "
+                          f"of {EXACT_STATES_MAX} for exact shooting")
     # bisect on N until each bracket holds one eigenvalue, or several that
     # rounding cannot separate (a tunnelling pair split by ~e^{-kappa L})
     brackets, stack = [], [(bottom, -eps, 0, n)]

@@ -4,6 +4,9 @@ Nothing here shares code paths with the library: eigenvalues come from
 Prüfer-angle shooting or transcendental closed forms, reflection amplitudes
 from textbook closed forms or a linear solve of the plane-wave matching,
 and transfer matrices of piece lists from one scalar step at a time.
+The pairwise Magnus product on four separate entry arrays, eight strided
+slices a round, is the reference the library's broadcast product must
+match bit for bit.
 The tanh-sinh rule with every node computed in place, scipy's bounded
 minimiser and scipy's brentq are the references the library's quadrature
 and in-module Brent loops must match bit for bit.
@@ -182,6 +185,41 @@ def transfer_exact(steps, k):
         a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
                       m10 * a + m00 * c, m10 * b + m00 * d)
     return a, b, c, d
+
+
+def _piece_step_stack(d, q):
+    """The entries of u'' = -q u over steps of length d, for 1-d arrays d
+    and q: an (n, 2, 2) array of the step matrices."""
+    w = np.sqrt(np.abs(q))
+    wd = w * d
+    c, s = np.cos(wd), np.sin(wd)
+    hyp = q < 0.0
+    if hyp.any():
+        c[hyp], s[hyp] = np.cosh(wd[hyp]), np.sinh(wd[hyp])
+    m01 = np.divide(s, w, out=d.copy(), where=w > 0.0)
+    m10 = np.where(hyp, w * s, -w * s)
+    return np.stack([c, m01, m10, c], axis=-1).reshape(-1, 2, 2)
+
+
+def transfer_pairwise(steps, ks):
+    """(m00, m01, m10, m11) over the wavenumbers ks of the Magnus steps
+    (h, mean, beta): the steps stacked as (n, 2, 2) matrices and split into
+    four (step, k) entry arrays, then multiplied pairwise, each later step
+    of a pair into the earlier one as e a + f c, e b + f d, g a + k c and
+    g b + k d, with an odd last step carried to the next round."""
+    h, mean, beta = (np.asarray(s, dtype=float)[:, None] for s in steps)
+    q = ks * ks + mean
+    p00, p01, p10, _ = _piece_step_stack(
+        np.broadcast_to(h, q.shape).ravel(),
+        (q - beta * beta).ravel()).reshape(*q.shape, 4).transpose(2, 0, 1)
+    M = (p00 + beta * p01, p01, p10 - beta * beta * p01, p00 - beta * p01)
+    while len(M[0]) > 1:
+        n = len(M[0]) // 2 * 2
+        (a, b, c, d), (e, f, g, k) = ([m[0:n:2] for m in M],
+                                      [m[1:n:2] for m in M])
+        M = [np.concatenate([x, m[n:]]) for x, m in zip(
+            (e * a + f * c, e * b + f * d, g * a + k * c, g * b + k * d), M)]
+    return tuple(m[0] for m in M)
 
 
 def log_transmission_integral(pieces, k_max):

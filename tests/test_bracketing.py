@@ -4,8 +4,9 @@ import pytest
 
 from lt_spectral import bracketing
 from lt_spectral.bracketing import (LOWER_FACTOR, PARTITION_RTOL,
-                                    UPPER_FACTOR, Partition, build_partition,
-                                    certify_theorem1, interval_ground_bounds)
+                                    UPPER_FACTOR, BracketingError, Partition,
+                                    build_partition, certify_theorem1,
+                                    interval_ground_bounds)
 from lt_spectral.cli import random_piecewise
 from lt_spectral.constants import VARSIGMA_3, constants_row
 from lt_spectral.numerics import InvariantError
@@ -147,6 +148,27 @@ class TestBuildPartition:
 
         with pytest.raises(InvariantError, match="no float in"):
             bracketing._bisect_to_value(g, 0.5, 2.0, 1.5, 1e-8)
+
+    def test_interval_budget(self, monkeypatch):
+        # the well closes 12 intervals by the defining relation, then its
+        # truncated tail at the edge and the empty one past it; a budget of
+        # 11 refuses it
+        V = SquareWell(500.0, 0.0, 1.0, domain="half_line")
+        p = build_partition(V)
+        assert len(p) == 14 and p.truncated
+        monkeypatch.setattr(bracketing, "PARTITION_MAX", 12)
+        assert build_partition(V) == p
+        monkeypatch.setattr(bracketing, "PARTITION_MAX", 11)
+        with pytest.raises(BracketingError, match="budget of 11 intervals"):
+            build_partition(V)
+
+    def test_deep_well_reaches_the_budget(self, monkeypatch):
+        # past l_1 ~ 1.7e-150 the first guess l_k + 3 / int V rounds to l_k
+        # itself; the search starts a float further on instead of stalling
+        monkeypatch.setattr(bracketing, "PARTITION_MAX", 50)
+        V = SquareWell(1e300, 0.0, 1.0, domain="half_line")
+        with pytest.raises(BracketingError, match="budget of 50 intervals"):
+            build_partition(V)
 
     def test_rejects_whole_line(self):
         with pytest.raises(ValueError):

@@ -586,6 +586,23 @@ class TestNumericalFailures:
         assert main(["certify", "--potential", str(path)]) == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("numerical failure: ")
 
+    @pytest.mark.parametrize("command, domain, budget", [
+        ("certify", "full_line", "budget of 10000 intervals"),
+        ("sumrule", "full_line", "budget of 1000000 for exact shooting"),
+        ("partition", "half_line", "budget of 10000 intervals"),
+    ])
+    def test_deep_well_runs_out_of_budget(self, tmp_path, capsys, command,
+                                          domain, budget):
+        # about 6e149 partition intervals and 3e149 bound states: each
+        # command stops at its budget instead of running without end
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(
+            {"family": "square_well", "params": {"v": 1e300, "a": 0, "b": 1},
+             "domain": domain}))
+        assert main([command, "--potential", str(path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and budget in err
+
     def test_broken_invariant_is_numerical(self, capsys, monkeypatch):
         # a result object that fails its own check is a numerical fault,
         # not a usage error

@@ -19,11 +19,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from lt_spectral import sturm
 from lt_spectral.numerics import piece_step
 from lt_spectral.potential import (HALF_LINE, PiecewiseConstant, SquareWell,
                                    Sum, piece_steps)
 from lt_spectral.scattering import _transfer, piece_step_array
-from lt_spectral.sturm import riesz_mean, solve_interval, solve_line
+from lt_spectral.sturm import (SolverError, riesz_mean, solve_interval,
+                               solve_line)
 
 from oracles import prufer_angle, square_well_line_levels, transfer_exact
 
@@ -135,6 +137,24 @@ def test_many_oscillations():
         assert abs(e - x) <= max(r, 1e-11)
 
 
+def test_state_budget(monkeypatch):
+    # 64 states below -10 tol: a budget of 63 refuses the well at once
+    V = SquareWell(400.0, -5.0, 5.0)
+    monkeypatch.setattr(sturm, "EXACT_STATES_MAX", 64)
+    assert len(solve_line(V)) == 64
+    monkeypatch.setattr(sturm, "EXACT_STATES_MAX", 63)
+    with pytest.raises(SolverError, match="64 states below -1e-05 pass the "
+                                          "budget of 63"):
+        solve_line(V)
+
+
+def test_deep_well_is_refused():
+    # about 3.2e149 states: the count is one shot, the bisection never
+    # starts
+    with pytest.raises(SolverError, match="3.18e[+]149 states"):
+        solve_line(SquareWell(1e300, 0.0, 1.0))
+
+
 def test_tunnelling_pair_below_rounding():
     # two wells 200 apart: the pair splitting e^{-kappa 200} is far below
     # rounding, so both states share one bracket instead of failing, and
@@ -157,7 +177,7 @@ def test_scattering_steps_share_the_formula(q):
     # piece_step_array's in the batched product, piece_step's in the oracle
     M = [float(m[0]) for m in _transfer(([0.7], [q - 0.25], [0.0]),
                                          np.array([0.5]))]
-    assert M == piece_step_array([0.7], [q])[0].ravel().tolist()
+    assert M == [float(m[0]) for m in piece_step_array([0.7], [q])]
     assert transfer_exact([(0.7, q - 0.25)], 0.5) == piece_step(0.7, q)
 
 

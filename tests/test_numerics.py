@@ -254,10 +254,20 @@ class TestPieceStepArray:
         q = rng.uniform(-30.0, 30.0, 300)
         q[::10] = 0.0
         m = piece_step_array(d, q)
-        assert m.shape == (300, 2, 2)
+        assert [e.shape for e in m] == [(300,)] * 4
         for i in range(300):
-            assert m[i].ravel() == pytest.approx(piece_step(d[i], q[i]),
-                                                 rel=1e-13, abs=1e-15)
+            assert [e[i] for e in m] == pytest.approx(piece_step(d[i], q[i]),
+                                                      rel=1e-13, abs=1e-15)
+
+    def test_entries_take_the_broadcast_shape(self):
+        # one length per row against a (row, k) grid of q, as the product
+        # takes them, gives the entries of the full grid
+        d, q = np.array([[0.3], [1.1]]), np.array([[4.0, -2.0, 0.0]] * 2)
+        m = piece_step_array(d, q)
+        assert [e.shape for e in m] == [(2, 3)] * 4
+        full = piece_step_array(np.broadcast_to(d, q.shape).ravel(), q.ravel())
+        for e, f in zip(m, full):
+            assert e.ravel().tolist() == f.tolist()
 
 
 #: (f, lo, hi): smooth, steep and flat functions, tiny values whose

@@ -21,7 +21,8 @@ from lt_spectral.scattering import (K_CHECK, ScatteringData,
                                     sum_rule_residual, theorem2_check)
 
 from oracles import (log_transmission_integral, plane_wave_projection,
-                     poschl_teller_reflection_sq, square_well_reflection_sq)
+                     poschl_teller_reflection_sq, square_well_reflection_sq,
+                     transfer_pairwise)
 
 MODEST_GRID = np.geomspace(0.02, 20.0, 40)
 
@@ -334,6 +335,53 @@ class TestLogIntegralMemo:
                 _log_integral(_Propagator(V))
             assert len(calls) == count
         assert V not in scattering._LOG_INTEGRALS
+
+
+def _bits(entries):
+    return np.array(entries).view(np.int64)
+
+
+class TestPairwiseProduct:
+    """_transfer against the four-array pairwise product of the oracle,
+    bit for bit, the sign of zero included."""
+
+    @staticmethod
+    def random_steps(n, ks, seed):
+        # signed means, so that some steps are hyperbolic at some k; beta
+        # != 0 on most steps; every fifth step a shear at ks[0], where
+        # k^2 + mean - beta^2 is exactly 0 and the step's m10 is -0.0
+        rng = np.random.default_rng(seed)
+        h = rng.uniform(1e-3, 0.2, n)
+        mean = rng.normal(0.0, 6.0, n)
+        beta = rng.normal(0.0, 1.0, n) * (rng.random(n) < 0.8)
+        mean[::5], beta[::5] = -(ks[0] * ks[0]), 0.0
+        return h, mean, beta
+
+    @pytest.mark.parametrize("K", [1, 3, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 257])
+    def test_random_steps(self, n, K):
+        ks = np.random.default_rng(K).uniform(0.01, 3.0, K)
+        steps = self.random_steps(n, ks, seed=n * K)
+        q = ks * ks + steps[1][:, None] - (steps[2] ** 2)[:, None]
+        assert np.any(q == 0.0) and (n < 2 or np.any(q < 0.0))
+        assert np.any(steps[2] != 0.0) or n == 1
+        M = _transfer(steps, ks)
+        assert [m.shape for m in M] == [(K,)] * 4
+        assert np.array_equal(_bits(M), _bits(transfer_pairwise(steps, ks)))
+
+    def test_one_shear_step_keeps_its_negative_zero(self):
+        M = _transfer(([0.5], [-4.0], [0.0]), np.array([2.0]))
+        assert _bits(M).tolist() == _bits([[1.0], [0.5], [-0.0], [1.0]]
+                                          ).tolist()
+
+    @pytest.mark.parametrize("V", [Gaussian(1.5, width=2.0),
+                                   PoschlTeller(3.0, c=-0.25, alpha=1.5)],
+                             ids=["gaussian", "poschl_teller"])
+    def test_settled_cells(self, V):
+        steps = _Propagator(V).steps
+        ks = np.array([scattering.K_MIN, K_CHECK, 37.5])
+        assert np.array_equal(_bits(_transfer(steps, ks)),
+                              _bits(transfer_pairwise(steps, ks)))
 
 
 class TestCellPath:
