@@ -148,13 +148,6 @@ def test_state_budget(monkeypatch):
         solve_line(V)
 
 
-def test_deep_well_is_refused():
-    # about 3.2e149 states: the count is one shot, the bisection never
-    # starts
-    with pytest.raises(SolverError, match="3.18e[+]149 states"):
-        solve_line(SquareWell(1e300, 0.0, 1.0))
-
-
 def test_tunnelling_pair_below_rounding():
     # two wells 200 apart: the pair splitting e^{-kappa 200} is far below
     # rounding, so both states share one bracket instead of failing, and
