@@ -10,8 +10,11 @@ and assemble the sandwich
 with certified error bars folded into every comparison.
 """
 
-from lt_spectral.bracketing import (build_partition, certify_theorem1,
-                                    interval_ground_bounds)
+import math
+
+from lt_spectral.bracketing import (LOWER_FACTOR, UPPER_FACTOR,
+                                    build_partition, certify_theorem1,
+                                    interval_spectrum)
 from lt_spectral.cli import random_piecewise
 
 SEED = 11
@@ -30,18 +33,23 @@ print()
 
 print("per-interval ground states (lower <= sqrt|E_1| <= upper):")
 for k, mass in enumerate(partition.masses):
-    if mass <= 0.0:
+    if mass <= 0.0 or math.isinf(partition.breakpoints[k + 1]):
         continue
-    a, b = partition.breakpoints[k], partition.breakpoints[k + 1]
-    lam, lower, upper = interval_ground_bounds(V, partition, k)
-    if abs((b - a) * mass - 3.0) < 1e-9:
-        print(f"  interval {k}: {lower:.6f} <= {lam:.6f} <= {upper:.6f}")
-    else:
+    spec = interval_spectrum(V, partition, k)
+    lam = ", ".join(f"{math.sqrt(-e):.6f}" for e in spec.eigenvalues)
+    if not partition.proper(k):
         # a mass-starved tail interval closes before length * mass
         # reaches 3, so the per-interval bounds do not apply there; its
         # contribution is covered by the aggregate upper bound instead
-        print(f"  interval {k}: sqrt|E_1| = {lam:.6f} "
+        print(f"  interval {k}: sqrt|E_1| = {lam or 'none'} "
               "(starved tail, aggregate bound only)")
+    elif spec.eigenvalues:
+        print(f"  interval {k}: {LOWER_FACTOR * mass:.6f} <= {lam} "
+              f"<= {UPPER_FACTOR * mass:.6f}")
+    else:
+        # too shallow to resolve: counted at the upper bound
+        print(f"  interval {k}: unresolved, sqrt|E_1| <= "
+              f"{UPPER_FACTOR * mass:.6f}")
 print()
 
 cert = certify_theorem1(V, assume_even=True)

@@ -88,11 +88,14 @@ class Partition:
         """Per-interval lower bound mass / sqrt(3) on lambda_1."""
         return tuple(LOWER_FACTOR * m for m in self.masses)
 
+    def proper(self, k: int) -> bool:
+        """Interval k carries the full product relation."""
+        return (not math.isinf(self.breakpoints[k + 1])
+                and not (self.truncated and k >= len(self.masses) - 2))
+
     def finite_indices(self) -> list[int]:
         """Indices of intervals that carry the full product relation."""
-        return [k for k in range(len(self.masses))
-                if not math.isinf(self.breakpoints[k + 1])
-                and not (self.truncated and k >= len(self.masses) - 2)]
+        return [k for k in range(len(self.masses)) if self.proper(k)]
 
     def to_json_list(self) -> list:
         return ["inf" if math.isinf(b) else b for b in self.breakpoints]
@@ -193,27 +196,31 @@ def _bisect_to_value(g, lo: float, hi: float, x: float,
                 f"no float in [{lo!r}, {hi!r}] brings |g| within {gtol}")
 
 
-def interval_ground_bounds(V: Potential, partition: Partition, k: int,
-                           tol: float = SOLVER_TOL):
-    """(lambda1, lower, upper) for partition interval k.
+def interval_spectrum(V: Potential, partition: Partition, k: int,
+                      tol: float = SOLVER_TOL) -> Spectrum:
+    """Neumann spectrum of finite partition interval k, by the partition's
+    one-state rule.
 
-    lambda1 = sqrt(|E_1|) from the Neumann interval solve; lower and upper
-    are the explicit per-interval bounds.  Raises BracketingError when the
-    solver does not report exactly one negative eigenvalue.
+    A proper interval holds exactly one negative eigenvalue.  More than one
+    resolved raises BracketingError; one too shallow for the solver even to
+    flag counts as one unresolved state, with the partition's bound
+    sqrt|E_1| <= UPPER_FACTOR * mass.  The truncated interval at the support
+    edge is exempt from the rule and returned as solved.
     """
     a, b = partition.breakpoints[k], partition.breakpoints[k + 1]
     if math.isinf(b):
-        raise ValueError("ground bounds apply to finite intervals only")
-    mass = partition.masses[k]
-    if mass <= 0.0:
-        raise ValueError("finite partition intervals must carry mass")
+        raise ValueError("interval spectra apply to finite intervals only")
     spec = solve_interval(V, (a, b), bc="neumann", tol=tol)
-    if len(spec) != 1:
-        raise BracketingError(
-            f"interval {k} = [{a}, {b}]: expected exactly one negative "
-            f"Neumann eigenvalue, solver found {len(spec)}")
-    lambda1 = math.sqrt(abs(spec.eigenvalues[0]))
-    return lambda1, LOWER_FACTOR * mass, UPPER_FACTOR * mass
+    if partition.proper(k):
+        if len(spec) + spec.near_threshold < 1:
+            spec = Spectrum((), (), 1,
+                            (UPPER_FACTOR * partition.masses[k])**2)
+        if len(spec) > 1:
+            raise BracketingError(
+                f"interval [{a}, {b}]: expected one negative "
+                f"eigenvalue, found {len(spec)} with "
+                f"{spec.near_threshold} unresolved")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -257,32 +264,17 @@ class Theorem1Certificate:
 def _bracket_side(V: Potential, tol) -> tuple[Partition, float, float]:
     """Partition a half-line potential and sum the lambda_1 upper data."""
     part = build_partition(V)
-    proper = set(part.finite_indices())
     total = 0.0
     err = 0.0
     for k in range(len(part)):
-        a, b = part.breakpoints[k], part.breakpoints[k + 1]
-        if math.isinf(b):
+        if math.isinf(part.breakpoints[k + 1]):
             # unresolved tail mass m can hide at most lambda_1 <= m
             err += part.masses[k]
             continue
         if part.masses[k] <= 0.0:
             continue
-        spec = solve_interval(V, (a, b), bc="neumann", tol=tol)
-        if k in proper:
-            # exactly one negative eigenvalue per proper interval; it may
-            # be too close to zero to resolve, in which case it shows up
-            # as a near-threshold candidate that riesz_mean budgets
-            if len(spec) + spec.near_threshold < 1:
-                # too shallow even to be a candidate: count it with the
-                # partition's bound sqrt|E_1| <= UPPER_FACTOR * mass
-                spec = Spectrum((), (), 1, (UPPER_FACTOR * part.masses[k])**2)
-            if len(spec) > 1:
-                raise BracketingError(
-                    f"interval [{a}, {b}]: expected one negative "
-                    f"eigenvalue, found {len(spec)} with "
-                    f"{spec.near_threshold} unresolved")
-        mean = riesz_mean(spec, 0.5)
+        # an unresolved state is budgeted by riesz_mean at its threshold
+        mean = riesz_mean(interval_spectrum(V, part, k, tol), 0.5)
         total += mean.value
         err += mean.error
     return part, total, err

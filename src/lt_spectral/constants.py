@@ -46,6 +46,14 @@ def varsigma(y: float) -> float:
         raise ValueError("varsigma requires y >= 0")
     if y == 0.0:
         return 0.0
+    if y < 0.5:
+        # the root r t lies near r = sqrt(y), with t in [1/2, 2] since
+        # x^2 (1 - x^2 / 3) <= x*tanh(x) <= x^2; the tolerance and the
+        # equation x*tanh(x) / y = 1 scale with r, so no absolute xtol
+        # swamps the root and no subnormal x*tanh(x) rounds it
+        r = math.sqrt(y)
+        return find_root(lambda x: (x / r) * (math.tanh(x) / r) - 1.0,
+                         0.5 * r, 2.0 * r, 1e-15 * r, 0.0)
     # x*tanh(x) >= x - 1, so the root lies in [0, y + 2]; find_root floors
     # rtol at 4 ulp(1), which leaves varsigma(3) correctly rounded
     return find_root(lambda x: x * math.tanh(x) - y, 0.0, y + 2.0,

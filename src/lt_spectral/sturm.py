@@ -22,16 +22,21 @@ is the radius only if every resolved eigenvalue passes an order check
 (_ORDER_WINDOW).  It passes on the truncation boxes of smooth whole-line
 V: the Poschl-Teller wells nu = 2 and 3 stop at 2^11 + 1 nodes instead of
 2^16 + 1.  A kink or a Neumann end where V' != 0 fails it and keeps the
-first step.  Across jumps the radius carries a first-order allowance, so
-every tolerance, the default SOLVER_TOL or a stated one, is raised there
-by one rule to at least JUMP_TOL and 4 x that allowance on the finest
-grid.  This covers all interval spectra (solve_interval), half views and
-potentials without pieces().  Their whole-line (and half-line Neumann)
-spectra are two interval spectra on a box where the discarded potential
-tail is negligible: each eigenvalue is sandwiched between the
-Neumann-truncated value (below) and the Dirichlet-truncated value (above),
-each widened by a bound on sup V beyond the box.  Unresolved states are
-counted once, from the Neumann side, since N_D <= N <= N_N.
+first step.  Across jumps the radius carries a first-order allowance,
+half the sum J of the jumps strictly inside the interval times its
+length over 2^k; a jump at an end lies inside no grid cell and costs
+nothing.  Every tolerance, the default SOLVER_TOL or a stated one, is
+raised there by one rule to at least JUMP_TOL and 4 x that allowance on
+the finest grid, and the ladder starts one level below the first level
+whose allowance fits it, since no pair below that level can certify a
+resolved eigenvalue.  This covers all interval spectra (solve_interval),
+half views and potentials without pieces().  Their whole-line (and
+half-line Neumann) spectra are two interval spectra on a box where the
+discarded potential tail is negligible: each eigenvalue is sandwiched
+between the Neumann-truncated value (below) and the Dirichlet-truncated
+value (above), each widened by a bound on sup V beyond the box.
+Unresolved states are counted once, from the Neumann side, since
+N_D <= N <= N_N.
 
 A kinetic share -theta u'' is -u'' with V / theta, scaled by theta (see
 kyfan).
@@ -170,8 +175,9 @@ def _certified(vals, rads, tol: float) -> bool:
 
 
 def _jump_sum(V: Potential, a: float, b: float) -> float:
-    """Sum of the sizes of V's jumps in the closed interval [a, b]."""
-    return sum(d for x, d in V.jumps() if a <= x <= b)
+    """Sum of the sizes of V's jumps in the open interval (a, b); a jump at
+    an end lies inside no grid cell."""
+    return sum(d for x, d in V.jumps() if a < x < b)
 
 
 def _effective_tol(tol: float, jumps: float, length: float) -> float:
@@ -205,6 +211,10 @@ def solve_interval(V: Potential, interval, bc="neumann",
     pair = (bc, bc) if isinstance(bc, str) else tuple(bc)
     threshold = -10.0 * tol  # eigenvalues above this are unresolvable
     k = LEVEL_MIN
+    # a pair of levels whose jump allowance exceeds tol certifies no
+    # resolved eigenvalue: start one level below the first that fits
+    while 0.5 * jumps * (b - a) / 2**(k + 1) > tol:
+        k += 1
     # raw eigenvalues of the last four levels, coarsest first
     ladder = [_negative_eigs(*_tridiag(V, a, b, 2**k + 1, pair))]
     while True:

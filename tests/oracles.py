@@ -1,9 +1,10 @@
 """Independent reference implementations used only by the tests.
 
 Nothing here shares code paths with the library: eigenvalues come from
-Prüfer-angle shooting or transcendental closed forms, reflection amplitudes
-from textbook closed forms or a linear solve of the plane-wave matching,
-and transfer matrices of piece lists from one scalar step at a time.
+Prüfer-angle shooting (one ODE solve per piece between jumps) or
+transcendental closed forms, reflection amplitudes from textbook closed
+forms or a linear solve of the plane-wave matching, and transfer matrices
+of piece lists from one scalar step at a time.
 The pairwise Magnus product on four separate entry arrays, eight strided
 slices a round, is the reference the library's broadcast product must
 match bit for bit.
@@ -12,8 +13,9 @@ minimiser and scipy's brentq are the references the library's quadrature
 and in-module Brent loops must match bit for bit.
 The constants table is held to mpmath at 30 digits: the closed
 Theta(eta, 1/2, 3/2) by hypergeometric functions and by quadrature,
-varsigma(3), the real-interpolation bound and its crossover with the
-monotonicity bound, and the Glaser-Grosse-Martin minimum.
+varsigma(3) and varsigma at small arguments, the real-interpolation
+bound and its crossover with the monotonicity bound, and the
+Glaser-Grosse-Martin minimum.
 Agreement between these and the library is the point of the comparisons.
 The count and ground-state bounds, the Sobolev check, the raw moment
 constant and the index multiplicities at the end are textbook inequalities
@@ -37,18 +39,27 @@ def prufer_angle(V, a, b, E, bc_left="neumann"):
 
     With u = r sin(theta), u' = r cos(theta) the angle obeys
     theta' = cos^2(theta) + (E + V) sin^2(theta) and increases through
-    pi/2 + n*pi exactly at Neumann nodes of the solution.
+    pi/2 + n*pi exactly at Neumann nodes of the solution.  The angle is
+    continuous, so it is integrated piece by piece between the jumps of V
+    inside (a, b), with V sampled only inside each piece: one step across
+    a jump could step over a narrow piece.
     """
-    def rhs(x, y):
-        s, c = math.sin(y[0]), math.cos(y[0])
-        return [c * c + (E + float(V.evaluate(x))) * s * s]
+    cuts = sorted({x for x, _ in V.jumps() if a < x < b})
+    theta = 0.5 * math.pi if bc_left == "neumann" else 0.0
+    for lo, hi in zip([a, *cuts], [*cuts, b]):
+        inside = (math.nextafter(lo, hi), math.nextafter(hi, lo))
 
-    theta0 = 0.5 * math.pi if bc_left == "neumann" else 0.0
-    sol = solve_ivp(rhs, (a, b), [theta0], method="DOP853",
-                    rtol=1e-11, atol=1e-12)
-    if not sol.success:
-        raise RuntimeError("shooting failed")
-    return sol.y[0, -1]
+        def rhs(x, y):
+            s, c = math.sin(y[0]), math.cos(y[0])
+            v = float(V.evaluate(min(max(x, inside[0]), inside[1])))
+            return [c * c + (E + v) * s * s]
+
+        sol = solve_ivp(rhs, (lo, hi), [theta], method="DOP853",
+                        rtol=1e-11, atol=1e-12)
+        if not sol.success:
+            raise RuntimeError("shooting failed")
+        theta = sol.y[0, -1]
+    return theta
 
 
 def prufer_neumann_levels(V, a, b, n_max=8, e_min=None):
@@ -341,6 +352,16 @@ def theta_half_threehalf_quad_mp(eta, dps=TABLE_DPS):
         val = mp.quad(f, [0, (1 - u0) ** s])
         return +(t_star ** (1 - eta) / (1 - eta)
                  + mp.sqrt(2) / 3 * mp.mpf(1.5) ** eta * val)
+
+
+def varsigma_small_mp(y, dps=TABLE_DPS):
+    """The x > 0 with x tanh(x) = y, 0 < y < 1, at dps digits, as
+    x = sqrt(y) t with t tanh(sqrt(y) t) = sqrt(y)."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        r = mp.sqrt(mp.mpf(y))
+        return r * mp.findroot(lambda t: t * mp.tanh(r * t) - r, 1)
 
 
 def varsigma_3_mp(dps=TABLE_DPS):

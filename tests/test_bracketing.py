@@ -6,7 +6,7 @@ from lt_spectral import bracketing
 from lt_spectral.bracketing import (LOWER_FACTOR, PARTITION_RTOL,
                                     UPPER_FACTOR, BracketingError, Partition,
                                     build_partition, certify_theorem1,
-                                    interval_ground_bounds)
+                                    interval_spectrum)
 from lt_spectral.cli import random_piecewise
 from lt_spectral.constants import VARSIGMA_3, constants_row
 from lt_spectral.numerics import InvariantError
@@ -185,10 +185,11 @@ class TestGroundBounds:
         V = SquareWell(3.0, 0.0, 2.0, domain="half_line")
         p = build_partition(V)
         for k in p.finite_indices():
-            lam, lo, hi = interval_ground_bounds(V, p, k)
-            assert lo == pytest.approx(LOWER_FACTOR * p.masses[k])
-            assert hi == pytest.approx(UPPER_FACTOR * p.masses[k])
-            assert lo - 1e-6 <= lam <= hi + 1e-6
+            spec = interval_spectrum(V, p, k)
+            assert len(spec) == 1
+            lam = math.sqrt(abs(spec.eigenvalues[0]))
+            assert LOWER_FACTOR * p.masses[k] - 1e-6 <= lam \
+                <= UPPER_FACTOR * p.masses[k] + 1e-6
 
     @pytest.mark.parametrize("seed", range(6))
     def test_unique_negative_eigenvalue_random(self, seed):
@@ -198,14 +199,35 @@ class TestGroundBounds:
         p = build_partition(V)
         for k in p.finite_indices():
             a, b = p.breakpoints[k], p.breakpoints[k + 1]
-            spec = solve_interval(V, (a, b), bc="neumann")
+            spec = interval_spectrum(V, p, k)
             assert len(spec) == 1
+            assert spec == solve_interval(V, (a, b), bc="neumann")
 
     def test_infinite_interval_rejected(self):
         V = SquareWell(3.0, 0.0, 2.0, domain="half_line")
         p = build_partition(V)
         with pytest.raises(ValueError):
-            interval_ground_bounds(V, p, len(p) - 1)
+            interval_spectrum(V, p, len(p) - 1)
+
+    def test_shallow_proper_interval_counts_one_state(self):
+        # proper interval 2 = [4.24, 1.4e10] of mass 2.1e-10 holds a ground
+        # state near -1e-20 that FD neither resolves nor flags: one
+        # unresolved state at the partition's bound, as the bracket side
+        # counts it, not a BracketingError
+        V = Gaussian(2.71, width=0.7, center=1.06).half_view(+1)
+        p = build_partition(V)
+        assert p.proper(2) and not p.proper(3)
+        spec = interval_spectrum(V, p, 2)
+        assert (len(spec), spec.near_threshold) == (0, 1)
+        assert spec.threshold == (UPPER_FACTOR * p.masses[2])**2
+
+    def test_second_state_in_a_proper_interval_refused(self):
+        # a partition that claims one state on [0, 1] where V = 30 holds
+        # two (-30 and -30 + pi^2)
+        V = SquareWell(30.0, 0.0, 1.0, domain="half_line")
+        p = Partition((0.0, 1.0, math.inf), (3.0, 0.0))
+        with pytest.raises(BracketingError, match="found 2"):
+            interval_spectrum(V, p, 0)
 
 
 class TestCertificate:

@@ -18,7 +18,7 @@ from lt_spectral import constants
 from lt_spectral.numerics import NumericsError
 from oracles import (crossover_mp, doublestar_mp, ggm_min_mp, star_mp,
                      theta_half_threehalf_mp, theta_half_threehalf_quad_mp,
-                     theta_inner_inf, varsigma_3_mp)
+                     theta_inner_inf, varsigma_3_mp, varsigma_small_mp)
 
 
 class TestVarsigma:
@@ -30,6 +30,14 @@ class TestVarsigma:
         assert VARSIGMA_3 == pytest.approx(3.014482776033773, abs=1e-12)
         assert VARSIGMA_3 / 3.0 == pytest.approx(1.0048275920112577,
                                                  abs=1e-12)
+
+    @pytest.mark.parametrize("y", [1e-300, 1e-100, 1e-20, 1e-8, 1e-3, 0.3,
+                                   0.4999])
+    def test_relative_accuracy_at_small_arguments(self, y):
+        # the root is about sqrt(y): an absolute stopping rule left
+        # varsigma(1e-20) off by 1.1e-7 relative and varsigma(1e-300) at 0
+        ref = varsigma_small_mp(y)
+        assert float(abs(varsigma(y) - ref) / ref) <= 4e-16
 
     def test_monotone(self):
         ys = [0.0, 0.5, 1.0, 2.0, 4.0]

@@ -9,7 +9,7 @@ from lt_spectral.kyfan import _solve_share
 from lt_spectral.numerics import InvariantError
 from lt_spectral.potential import (Gaussian, PiecewiseConstant, PoschlTeller,
                                    Sampled, SquareWell, Sum, Zero)
-from lt_spectral.sturm import (SOLVER_TOL, SolverError, Spectrum,
+from lt_spectral.sturm import (JUMP_TOL, SOLVER_TOL, SolverError, Spectrum,
                                _negative_eigs, _tridiag, riesz_mean,
                                solve_interval, solve_line)
 
@@ -110,6 +110,67 @@ class TestPruferOracle:
         assert len(spec) == len(exact)
         for e, r, ex in zip(spec.eigenvalues, spec.radii, exact):
             assert abs(e - ex) <= r + 1e-10
+
+
+    def test_narrow_spike(self):
+        # one step across the spike's jumps could step over it: the angle
+        # must still rise with E through the ground state near -5.237e-3
+        V = PiecewiseConstant([4.0, 4.05], [1.0])
+        below = prufer_angle(V, 0.0, 10.0, -0.006)
+        above = prufer_angle(V, 0.0, 10.0, -0.005)
+        assert below < 0.5 * math.pi < above
+        (ground,) = prufer_neumann_levels(V, 0.0, 10.0)
+        assert ground == pytest.approx(-5.237e-3, rel=1e-3)
+
+
+class TestJumpLadder:
+    """Across jumps each radius carries the allowance 0.5 J (b - a) / 2^k,
+    with J the jumps strictly inside [a, b]; the ladder starts one level
+    below the first level k0 whose allowance fits the tolerance."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        rows = []
+
+        def spy(d, e):
+            rows.append(len(d))
+            return _negative_eigs(d, e)
+
+        monkeypatch.setattr(sturm, "_negative_eigs", spy)
+        return rows
+
+    def test_starts_one_level_below_the_first_that_fits(self, monkeypatch):
+        # interior jumps 4 and 3 on a length 2: 7 / 2^k <= JUMP_TOL first
+        # at k0 = 13, so only the pair (12, 13) is solved; climbing from
+        # LEVEL_MIN took seven solves, from 2^8 + 1 to 2^14 + 1 rows
+        V = PiecewiseConstant([0.0, 0.7, 1.3, 2.0], [1.0, 5.0, 2.0])
+        rows = self._spy(monkeypatch)
+        spec = solve_interval(V, (0.0, 2.0))
+        assert rows == [2**12 + 1, 2**13 + 1]
+        _check_against(spec, prufer_neumann_levels(V, 0.0, 2.0),
+                       tol=JUMP_TOL)
+
+    def test_jumps_at_the_ends_cost_nothing(self):
+        # V = 3 on [0, 2] jumps only at the ends, inside no grid cell: the
+        # solve is jump free and meets SOLVER_TOL, where charged for its
+        # ends it gave radii of 7.3e-4.  (The ground state's radius, 6.4e-11,
+        # does not cover LAPACK's bisection error of 2.5e-10 at 2^11 + 1
+        # rows, which the first Richardson step leaves out.)
+        V = PiecewiseConstant([0.0, 2.0], [3.0])
+        spec = solve_interval(V, (0.0, 2.0))
+        exact = [-3.0, -3.0 + 0.25 * math.pi**2]
+        assert spec.eigenvalues == pytest.approx(exact, abs=1e-6)
+        assert max(spec.radii) < 1e-6
+
+    def test_unresolved_spike_keeps_its_bound(self):
+        # the spike's only state lies above -10 tol at every level; solved
+        # on the pair (13, 14) it is still one near-threshold candidate
+        # whose bound covers it
+        V = PiecewiseConstant([4.0, 4.05], [1.0])
+        spec = solve_interval(V, (0.0, 10.0))
+        (ground,) = prufer_neumann_levels(V, 0.0, 10.0)
+        assert (len(spec), spec.near_threshold) == (0, 1)
+        assert spec.threshold >= abs(ground)
 
 
 class TestBracketingMonotonicity:
