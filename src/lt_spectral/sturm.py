@@ -13,13 +13,17 @@ ends the matching function changes sign.
 Every other spectrum uses second-order finite differences (FD) on a uniform
 grid (Neumann ends via ghost-point reflection, symmetrized by a diagonal
 similarity), with the negative eigenvalues of the tridiagonal matrix
-extracted by LAPACK's Sturm-sequence bisection.  Values on grids h and h/2
+extracted by LAPACK's Sturm-sequence bisection.  The difference part is
+positive semidefinite under every end condition, so the bisection starts
+at -max v less a rounding margin, not at LAPACK's Gershgorin end near
+-0.41 / h^2.  Values on grids h and h/2
 are Richardson-extrapolated; the extrapolation defect becomes the certified
 error radius.  The grids run from 2^LEVEL_MIN + 1 up to 2^LEVEL_MAX + 1
 nodes.  Without jumps, where the raw error is c2 h^2 + c4 h^4 + ..., a
 second step on four grids is tried when the first falls short; its defect
 is the radius only if every resolved eigenvalue passes an order check
-(_ORDER_WINDOW).  It passes on the truncation boxes of smooth whole-line
+(_ORDER_WINDOW) on differences that stand clear of the eigensolver's
+rounding.  It passes on the truncation boxes of smooth whole-line
 V: the Poschl-Teller wells nu = 2 and 3 stop at 2^11 + 1 nodes instead of
 2^16 + 1.  A kink or a Neumann end where V' != 0 fails it and keeps the
 first step.  Across jumps the radius carries a first-order allowance,
@@ -113,7 +117,8 @@ class RieszMean:
 
 
 def _tridiag(V: Potential, a: float, b: float, n: int, bc: tuple[str, str]):
-    """Symmetric tridiagonal FD matrix of -u'' - V u on [a, b]."""
+    """Symmetric tridiagonal FD matrix (d, e) of -u'' - V u on [a, b], and a
+    floor lo below all its eigenvalues."""
     left, right = bc
     x = np.linspace(a, b, n)
     h = (b - a) / (n - 1)
@@ -133,12 +138,29 @@ def _tridiag(V: Potential, a: float, b: float, n: int, bc: tuple[str, str]):
         e[0] *= math.sqrt(2.0)
     if right == "neumann":
         e[-1] *= math.sqrt(2.0)
-    return d, e
+    # the difference part has the form sum (u_{i+1} - u_i)^2 / h^2 >= 0
+    # under every end condition, so T >= -max v; the margin covers the
+    # rounding of the entries and of LAPACK's Sturm counts
+    lo = -float(np.max(v)) - 1.0 - _rounding(d, e)
+    return d, e, lo
 
 
-def _negative_eigs(d, e):
-    """All negative eigenvalues, by LAPACK bisection."""
-    lo = float(np.min(d)) - 2.0 * float(np.max(np.abs(e), initial=0.0)) - 1.0
+def _rounding(d, e) -> float:
+    """4 ulp ||T||_1 of the matrix (d, e), the eigensolver's own tolerance;
+    max|d| + 2 max|e| bounds the largest column sum of T from above."""
+    norm = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e)))
+    return 4.0 * np.finfo(float).eps * norm
+
+
+def _negative_eigs(d, e, lo):
+    """All negative eigenvalues, by LAPACK bisection on (lo, 0].
+
+    lo is _tridiag's floor -max v - 1 - 4 ulp ||T||_1.  LAPACK starts its
+    bisection at the higher of lo and its own Gershgorin end, which the
+    row next to a Neumann end, (sqrt(2) + 1) / h^2 off its diagonal, puts
+    near -0.41 / h^2 - max v; starting at lo saves about log2(0.4 / (h^2 max v))
+    halvings per eigenvalue and ends at the same stop width.
+    """
     if lo >= 0.0:
         return np.empty(0)
     vals = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
@@ -162,11 +184,15 @@ def _second_step(ladder, d, e):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (R1[0] - R1[1]) / (R1[1] - R1[2])
     lo, hi = _ORDER_WINDOW
-    # max|d| + 2 max|e| bounds the largest column sum of T from above
-    norm = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e)))
+    rounding = _rounding(d, e)
     vals = (16.0 * R1[2] - R1[1]) / 15.0
-    rads = np.abs(R1[2] - R1[1]) / 15.0 + 4.0 * np.finfo(float).eps * norm
-    return vals, rads, (ratio >= lo) & (ratio <= hi)
+    rads = np.abs(R1[2] - R1[1]) / 15.0 + rounding
+    # each raw value lies within the finest level's rounding of its
+    # matrix's eigenvalue, so R1_{k-1} - R1_k = (5 E_{k-1} - E_{k-2} -
+    # 4 E_k) / 3 carries up to 10/3 of it: a ratio over no more than that
+    # reads the eigensolver's rounding, not the order
+    legible = np.abs(R1[1] - R1[2]) > 10.0 / 3.0 * rounding
+    return vals, rads, (ratio >= lo) & (ratio <= hi) & legible
 
 
 def _certified(vals, rads, tol: float) -> bool:
@@ -219,8 +245,8 @@ def solve_interval(V: Potential, interval, bc="neumann",
     ladder = [_negative_eigs(*_tridiag(V, a, b, 2**k + 1, pair))]
     while True:
         k += 1
-        d, e = _tridiag(V, a, b, 2**k + 1, pair)
-        ladder = ladder[-3:] + [_negative_eigs(d, e)]
+        d, e, lo = _tridiag(V, a, b, 2**k + 1, pair)
+        ladder = ladder[-3:] + [_negative_eigs(d, e, lo)]
         coarse, fine = ladder[-2:]
         m = min(len(coarse), len(fine))
         vals = (4.0 * fine[:m] - coarse[:m]) / 3.0

@@ -546,6 +546,22 @@ class TestOffCentreGaussians:
             <= VARSIGMA_3 / 3.0 * doc["integral_V"]
 
 
+class TestTallNarrowWells:
+    """Square wells whose partition intervals are solved on grids where
+    LAPACK's bisection stops about 0.1 wide: the bisection's floor at
+    -max v must keep every state and the certificate must pass."""
+
+    @pytest.mark.parametrize("v, a", [(1e6, 5e-4), (1000.0, 0.05)],
+                             ids=["1e6", "1000"])
+    def test_certify_passes(self, tmp_path, capsys, v, a):
+        path = tmp_path / "tall.json"
+        path.write_text(json.dumps(
+            {"family": "square_well", "params": {"v": v, "a": -a, "b": a}}))
+        code, out = run(capsys, "certify", "--potential", str(path))
+        assert code == EXIT_PASS
+        assert json.loads(out)["verdict"] == "pass"
+
+
 class TestNumericalFailures:
     @pytest.mark.parametrize("command, module, name, error", [
         ("certify", bracketing, "certify_theorem1", SolverError),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from lt_spectral import sturm
 from lt_spectral.cli import random_piecewise
@@ -132,9 +133,9 @@ class TestJumpLadder:
     def _spy(monkeypatch):
         rows = []
 
-        def spy(d, e):
+        def spy(d, e, lo):
             rows.append(len(d))
-            return _negative_eigs(d, e)
+            return _negative_eigs(d, e, lo)
 
         monkeypatch.setattr(sturm, "_negative_eigs", spy)
         return rows
@@ -153,9 +154,10 @@ class TestJumpLadder:
     def test_jumps_at_the_ends_cost_nothing(self):
         # V = 3 on [0, 2] jumps only at the ends, inside no grid cell: the
         # solve is jump free and meets SOLVER_TOL, where charged for its
-        # ends it gave radii of 7.3e-4.  (The ground state's radius, 6.4e-11,
-        # does not cover LAPACK's bisection error of 2.5e-10 at 2^11 + 1
-        # rows, which the first Richardson step leaves out.)
+        # ends it gave radii of 7.3e-4.  (The ground state's radius, 2.8e-11,
+        # does not cover LAPACK's bisection error: the raw values at 2^10 + 1
+        # and 2^11 + 1 rows are off by 2.8e-11 and 1.1e-10, the extrapolated
+        # one by 1.4e-10, and the first Richardson step leaves that out.)
         V = PiecewiseConstant([0.0, 2.0], [3.0])
         spec = solve_interval(V, (0.0, 2.0))
         exact = [-3.0, -3.0 + 0.25 * math.pi**2]
@@ -216,7 +218,7 @@ def _ladder(V, interval, bc, top):
     a, b = interval
     levels = [_negative_eigs(*_tridiag(V, a, b, 2**k + 1, (bc, bc)))
               for k in range(top - 3, top + 1)]
-    d, e = _tridiag(V, a, b, 2**top + 1, (bc, bc))
+    d, e, _ = _tridiag(V, a, b, 2**top + 1, (bc, bc))
     coarse, fine = levels[-2:]
     m = min(len(coarse), len(fine))
     keep = (4.0 * fine[:m] - coarse[:m]) / 3.0 < -10.0 * SOLVER_TOL
@@ -252,9 +254,9 @@ class TestSecondStep:
     def test_line_spectra_stop_early(self, monkeypatch, nu):
         sizes = []
 
-        def spy(d, e):
+        def spy(d, e, lo):
             sizes.append(len(d))
-            return _negative_eigs(d, e)
+            return _negative_eigs(d, e, lo)
 
         monkeypatch.setattr(sturm, "_negative_eigs", spy)
         spec = solve_line(PoschlTeller(nu))
@@ -265,6 +267,9 @@ class TestSecondStep:
 
     @pytest.mark.parametrize("top", [11, 12, 13])
     def test_rejected_on_kinked_tent(self, top):
+        # at top 13 the h^3 term is below the eigensolver's rounding: the
+        # R1 differences (2.6e-9, 1.8e-10) give a ratio of 14.3 that only
+        # the rounding check refuses
         V = Sampled([-1.0, 0.0, 1.0], [0.0, 4.0, 0.0])
         levels, d, e, keep = _ladder(V, (-3.0, 3.0), "neumann", top)
         _, _, ordered = sturm._second_step(levels, d, e)
@@ -303,7 +308,8 @@ class TestSecondStep:
 
 class TestSturmCount:
     """The negative count comes from LAPACK's Sturm-sequence bisection,
-    started below the Gershgorin bound; it must miss no eigenvalue."""
+    started at _tridiag's floor lo = -max v - 1 - 4 ulp ||T||_1; it must
+    miss no eigenvalue.  T - mu has the floor lo - mu."""
 
     @pytest.mark.parametrize("seed", range(50))
     def test_count_matches_eigh(self, seed):
@@ -311,19 +317,89 @@ class TestSturmCount:
         rng = np.random.default_rng(seed)
         V = random_piecewise(seed)
         lo, hi = V.support()
-        d, e = _tridiag(V, lo, hi, 129, ("neumann", "neumann"))
+        d, e, floor = _tridiag(V, lo, hi, 129, ("neumann", "neumann"))
         mu = float(rng.uniform(-5.0, 5.0))
-        from scipy.linalg import eigh_tridiagonal
         w = eigh_tridiagonal(d, e, eigvals_only=True)
         # eigenvalues of T - mu below 0 are those of T below mu
-        assert len(_negative_eigs(d - mu, e)) == int(np.sum(w < mu))
+        assert len(_negative_eigs(d - mu, e, floor - mu)) \
+            == int(np.sum(w < mu))
 
     def test_shift_consistency(self):
         V = SquareWell(4.0, 0.0, 2.0)
-        d, e = _tridiag(V, -1.0, 3.0, 257, ("dirichlet", "dirichlet"))
-        c1 = len(_negative_eigs(d + 1.0, e))
-        c2 = len(_negative_eigs(d, e))
+        d, e, lo = _tridiag(V, -1.0, 3.0, 257, ("dirichlet", "dirichlet"))
+        c1 = len(_negative_eigs(d + 1.0, e, lo + 1.0))
+        c2 = len(_negative_eigs(d, e, lo))
         assert 0 <= c1 <= c2
+
+
+class TestFloor:
+    """The difference part of T is positive semidefinite under every end
+    condition, so T >= -max v, and the bisection starts at _tridiag's floor
+    -max v - 1 - 4 ulp ||T||_1.  Under it the count is that of the whole
+    spectrum, and each value lies within ulp ||T||_1 of the same eigenvalue
+    bisected to full accuracy from LAPACK's own Gershgorin end."""
+
+    ENDS = [("neumann", "neumann"), ("dirichlet", "dirichlet"),
+            ("neumann", "dirichlet")]
+
+    @staticmethod
+    def _ulp_norm(d, e):
+        norm = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e)))
+        return np.finfo(float).eps * norm
+
+    def _check_values(self, d, e, vals):
+        ref = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                               select_range=(0, len(vals) - 1),
+                               tol=np.finfo(float).tiny)
+        assert np.max(np.abs(vals - ref)) <= self._ulp_norm(d, e)
+
+    def _check(self, V, a, b, n, bc):
+        d, e, lo = _tridiag(V, a, b, n, bc)
+        vals = _negative_eigs(d, e, lo)
+        # divide and conquer, with no select, gives the count; its values
+        # stray up to 4.4 ulp ||T||_1 here, so they are not the reference
+        w = eigh_tridiagonal(d, e, eigvals_only=True)
+        assert len(vals) == int(np.sum(w < 0.0)) > 0
+        self._check_values(d, e, vals)
+
+    @pytest.mark.parametrize("bc", ENDS)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_piece_lists(self, seed, bc):
+        V = random_piecewise(seed)
+        lo, hi = V.support()
+        self._check(V, lo - 0.5, hi + 0.5, 1025, bc)
+
+    @pytest.mark.parametrize("bc", ENDS)
+    @pytest.mark.parametrize("n", [257, 2049])
+    def test_gaussian(self, n, bc):
+        self._check(Gaussian(3.0), -4.0, 4.0, n, bc)
+
+    @pytest.mark.parametrize("n", [257, 513, 1025, 2049, 4097])
+    def test_ground_state_at_minus_max_v(self, n):
+        # V = 3 on [0, 2] is constant on every cell, so the Neumann ground
+        # state of T is -max v = -3 itself; only the margin keeps it above
+        # the floor
+        self._check(PiecewiseConstant([0.0, 2.0], [3.0]), 0.0, 2.0, n,
+                    ("neumann", "neumann"))
+
+    @pytest.mark.parametrize("V, b", [
+        (PiecewiseConstant([0.0, 5e-4], [1e6]), 1e-3),
+        # constant on every cell, so the ground state is -max v = -3; the
+        # rounding of the entries (2 / h^2 = 3.4e16) puts it 2 lower, past
+        # the absolute margin of 1
+        (PiecewiseConstant([0.0, 5e-4], [3.0]), 5e-4)],
+        ids=["tall-well", "constant"])
+    def test_rounding_margin_above_one(self, V, b):
+        # 2^16 + 1 rows on [0, b] put ulp ||T||_1 at 4.6 and 18.4, past
+        # the absolute margin; the count must equal that of the lowest
+        # eigenvalues by index, which LAPACK finds with no floor
+        d, e, lo = _tridiag(V, 0.0, b, 2**16 + 1, ("neumann", "neumann"))
+        assert self._ulp_norm(d, e) > 1.0
+        vals = _negative_eigs(d, e, lo)
+        w = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                             select_range=(0, len(vals)))
+        assert len(vals) == int(np.sum(w < 0.0)) == 1
+        self._check_values(d, e, vals)
 
 
 class TestRieszMean:
