@@ -661,10 +661,6 @@ def _build(family, params: dict, domain) -> Potential:
     raise ValueError(f"unknown potential family: {family!r}")
 
 
-def from_json(text: str) -> Potential:
-    return from_json_dict(json.loads(text))
-
-
 def load(path) -> Potential:
     with open(path) as fh:
         return from_json_dict(json.load(fh))

@@ -17,9 +17,9 @@ varsigma(3) and varsigma at small arguments, the real-interpolation
 bound and its crossover with the monotonicity bound, and the
 Glaser-Grosse-Martin minimum.
 Agreement between these and the library is the point of the comparisons.
-The count and ground-state bounds, the Sobolev check, the raw moment
-constant and the index multiplicities at the end are textbook inequalities
-the tests hold the solvers to; the library does not use them.
+The count and ground-state bounds, the Sobolev check and the raw moment
+constant at the end are textbook inequalities the tests hold the solvers
+to; the library does not use them.
 """
 
 import cmath
@@ -115,6 +115,34 @@ def square_well_line_levels(v, half_width=1.0):
             levels.append(-(v - q * q))
         n += 1
     return sorted(levels)
+
+
+def square_well_line_levels_mp(v, half_width=1.0, dps=30):
+    """square_well_line_levels refined in mpmath at dps digits, as mpfs.
+
+    Each float level seeds a bracket kappa (1 -+ 1e-9) on which the even or
+    the odd condition, in kappa, changes sign.
+    """
+    import mpmath as mp
+
+    a = half_width
+    with mp.workdps(dps):
+        def even(k):
+            q = mp.sqrt(v - k * k)
+            return q * mp.tan(q * a) - k
+
+        def odd(k):
+            q = mp.sqrt(v - k * k)
+            return -q / mp.tan(q * a) - k
+
+        levels = []
+        for e in square_well_line_levels(v, half_width):
+            k0 = mp.sqrt(-mp.mpf(e))
+            lo, hi = k0 * (1 - mp.mpf(1e-9)), k0 * (1 + mp.mpf(1e-9))
+            (f,) = [f for f in (even, odd) if f(lo) * f(hi) < 0]
+            k = mp.findroot(f, (lo, hi), solver="anderson")
+            levels.append(-k * k)
+        return levels
 
 
 def square_well_reflection_sq(v, half_width, k):
@@ -498,13 +526,6 @@ def sobolev_pointwise_check(grid, values) -> tuple[float, float]:
     slopes = np.diff(u) / np.diff(x)
     rhs = float(length / 3.0 * np.sum(slopes**2 * np.diff(x)))
     return lhs, rhs
-
-
-def multiplicity_bounds(seqs) -> tuple[int, int]:
-    """Worst reuse count of any source index in seqs.s_index and in
-    seqs.l_index."""
-    return tuple(max((idx.count(i) for i in set(idx)), default=0)
-                 for idx in (seqs.s_index, seqs.l_index))
 
 
 def minimize_1d_scipy(f, lo, hi):

@@ -1,5 +1,6 @@
 """The README and the packaging metadata agree with the code."""
 
+import json
 import re
 from pathlib import Path
 
@@ -21,7 +22,7 @@ def test_readme_json_examples_load():
     examples = _readme_json_examples()
     assert examples
     for doc in examples:
-        V = potential.from_json(doc)
+        V = potential.from_json_dict(json.loads(doc))
         assert V.integrate() > 0.0
 
 

@@ -27,7 +27,8 @@ from lt_spectral.scattering import _transfer, piece_step_array
 from lt_spectral.sturm import (SolverError, riesz_mean, solve_interval,
                                solve_line)
 
-from oracles import prufer_angle, square_well_line_levels, transfer_exact
+from oracles import (prufer_angle, square_well_line_levels,
+                     square_well_line_levels_mp, transfer_exact)
 
 EXAMPLES = settings(max_examples=40, derandomize=True, deadline=None,
                     database=None,
@@ -146,6 +147,28 @@ def test_state_budget(monkeypatch):
     with pytest.raises(SolverError, match="64 states below -1e-05 pass the "
                                           "budget of 63"):
         solve_line(V)
+
+
+@pytest.mark.parametrize("v, w", [(2.0, 1.0), (10.0, 1.0), (50.0, 1.0),
+                                  (4.0, 0.5)])
+def test_bracket_widens_from_one_float(monkeypatch, v, w):
+    # at EXACT_RTOL = 1e-300 the first bracket around each Brent root is
+    # the root alone, of radius 0, where g shows no sign change: it must
+    # widen tenfold until g changes sign, and then hold the exact level
+    import mpmath as mp
+
+    monkeypatch.setattr(sturm, "EXACT_RTOL", 1e-300)
+    V = SquareWell(v, -w, w)
+    steps = sturm._line_steps(V)
+    spec = solve_line(V)
+    exact = square_well_line_levels_mp(v, w)
+    assert len(spec) == len(exact) > 0
+    for e, r, x in zip(spec.eigenvalues, spec.radii, exact):
+        lo, hi = e - r, e + r
+        assert 0.0 < r < 1e-13 * abs(e)
+        assert sturm._shoot(steps, lo, False)[1] \
+            * sturm._shoot(steps, hi, False)[1] <= 0.0
+        assert mp.mpf(lo) <= x <= mp.mpf(hi)
 
 
 def test_tunnelling_pair_below_rounding():

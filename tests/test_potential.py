@@ -484,7 +484,7 @@ class TestPieces:
 def _loads_as(doc, V):
     """The document loads to a potential with V's values at 7 points and
     V's domain."""
-    W = pot.from_json(json.dumps(doc))
+    W = pot.from_json_dict(json.loads(json.dumps(doc)))
     xs = np.linspace(0.1, 1.9, 7)
     assert W.evaluate(xs).tolist() == V.evaluate(xs).tolist()
     assert W.domain == V.domain
@@ -561,7 +561,8 @@ class TestJsonRoundTrip:
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            pot.from_json('{"family": "nonsense", "params": {}}')
+            pot.from_json_dict(
+                json.loads('{"family": "nonsense", "params": {}}'))
 
     @pytest.mark.parametrize("doc, key", [
         ({"family": "gaussian", "params": {"amplitude": 3, "widht": 5}},

@@ -175,6 +175,32 @@ class TestJumpLadder:
         assert spec.threshold >= abs(ground)
 
 
+    @pytest.mark.parametrize("level", [0, 1], ids=["coarse", "fine"])
+    def test_unmatched_count_is_near_threshold(self, monkeypatch, level):
+        # the pair (12, 13) certifies all three levels of this well; with
+        # the shallowest raw value dropped on one level, the other level's
+        # extra value is unmatched: it counts as one near-threshold state
+        # whose bound, twice its raw value, covers the level it stands for
+        V = PiecewiseConstant([0.0, 1.0, 3.0, 4.0], [2.0, 6.0, 2.0])
+        raw = []
+
+        def spy(d, e, lo):
+            vals = _negative_eigs(d, e, lo)
+            if len(raw) == level:
+                vals = vals[:-1]
+            raw.append(vals)
+            return vals
+
+        monkeypatch.setattr(sturm, "_negative_eigs", spy)
+        spec = solve_interval(V, (0.0, 4.0))
+        exact = prufer_neumann_levels(V, 0.0, 4.0)
+        (extra,) = raw[1 - level][len(raw[level]):]
+        assert [len(r) for r in raw] == [2 + level, 3 - level]
+        assert (len(spec), spec.near_threshold) == (2, 1)
+        assert spec.threshold >= 2.0 * abs(extra) >= abs(exact[2])
+        _check_against(spec, exact[:2], tol=JUMP_TOL)
+
+
 class TestBracketingMonotonicity:
     @pytest.mark.parametrize("seed", range(20))
     def test_neumann_below_dirichlet(self, seed):
