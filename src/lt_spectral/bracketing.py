@@ -17,14 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .constants import VARSIGMA_3
+from .constants import L_HALF
 from .numerics import BracketError, InvariantError, NumericsError, find_root
 from .potential import FULL_LINE, HALF_LINE, Potential
 from .sturm import (SOLVER_TOL, RieszMean, Spectrum, riesz_mean,
                     solve_interval, solve_line)
 
 #: upper and lower per-interval factors for lambda_1 in terms of the mass
-UPPER_FACTOR = VARSIGMA_3 / 3.0
+UPPER_FACTOR = L_HALF
 LOWER_FACTOR = 1.0 / math.sqrt(3.0)
 
 #: relative slack allowed on the defining relation (l_{k+1}-l_k)*mass_k = 3
@@ -96,9 +96,6 @@ class Partition:
     def finite_indices(self) -> list[int]:
         """Indices of intervals that carry the full product relation."""
         return [k for k in range(len(self.masses)) if self.proper(k)]
-
-    def to_json_list(self) -> list:
-        return ["inf" if math.isinf(b) else b for b in self.breakpoints]
 
 
 def build_partition(V: Potential) -> Partition:
@@ -245,20 +242,6 @@ class Theorem1Certificate:
     @property
     def verdict(self) -> str:
         return "pass" if all(self.checks.values()) else "fail"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "integral_V": self.integral_V,
-            "sum_sqrt": self.sum_sqrt.value,
-            "sum_sqrt_error": self.sum_sqrt.error,
-            "bracket_sum": self.bracket_sum,
-            "bracket_error": self.bracket_error,
-            "upper": self.upper_bound,
-            "lower": self.lower_bound,
-            "verdict": self.verdict,
-            "checks": dict(self.checks),
-            "partition": [p.to_json_list() for p in self.partitions],
-        }
 
 
 def _bracket_side(V: Potential, tol) -> tuple[Partition, float, float]:

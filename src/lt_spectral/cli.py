@@ -13,6 +13,9 @@ refuses any option it does not read, and --seed next to --potential
 (exit 64).  A command imports the library modules it runs when it runs, so
 constants loads neither numpy nor scipy.
 
+This module is the one writer of the JSON documents (certify, partition,
+sumrule) and CSV tables (constants, scatter); the library returns values.
+
 Exit codes: 0 pass, 1 a certified inequality failed, 2 numerical failure,
 64 usage error.
 """
@@ -20,6 +23,8 @@ Exit codes: 0 pass, 1 a certified inequality failed, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -78,17 +83,34 @@ def random_piecewise(seed: int, domain: str = "full_line",
     return potential.PiecewiseConstant(cuts, vals, domain)
 
 
-def _round15(obj):
-    """15-significant-digit floats everywhere, for reproducible output."""
-    if isinstance(obj, float):
-        if math.isinf(obj) or math.isnan(obj):
-            return obj
-        return float(f"{obj:.15g}")
-    if isinstance(obj, dict):
-        return {k: _round15(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round15(v) for v in obj]
-    return obj
+def _json(doc) -> str:
+    """doc as indented JSON, every float to 15 significant digits (inf and
+    nan pass through), for reproducible output."""
+    def rounded(obj):
+        if isinstance(obj, float):
+            return float(f"{obj:.15g}")
+        if isinstance(obj, dict):
+            return {k: rounded(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [rounded(v) for v in obj]
+        return obj
+    return json.dumps(rounded(doc), indent=2) + "\n"
+
+
+def _csv(header, rows) -> str:
+    """A header line and one line per row; floats to 15 significant digits,
+    None as an empty cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(["" if v is None else f"{v:.15g}" for v in row]
+                     for row in rows)
+    return buf.getvalue()
+
+
+def _breakpoints(part) -> list:
+    """A partition's breakpoints, an infinite last one written "inf"."""
+    return ["inf" if math.isinf(b) else b for b in part.breakpoints]
 
 
 def _emit(text: str, out: str | None):
@@ -137,8 +159,19 @@ def cmd_certify(args) -> int:
     from . import bracketing
     V = _load_potential(args)
     cert = bracketing.certify_theorem1(V, tol=_tol(args))
-    _emit(json.dumps(_round15(cert.to_json_dict()), indent=2) + "\n",
-          args.out)
+    doc = {
+        "integral_V": cert.integral_V,
+        "sum_sqrt": cert.sum_sqrt.value,
+        "sum_sqrt_error": cert.sum_sqrt.error,
+        "bracket_sum": cert.bracket_sum,
+        "bracket_error": cert.bracket_error,
+        "upper": cert.upper_bound,
+        "lower": cert.lower_bound,
+        "verdict": cert.verdict,
+        "checks": cert.checks,
+        "partition": [_breakpoints(p) for p in cert.partitions],
+    }
+    _emit(_json(doc), args.out)
     return EXIT_PASS if cert.verdict == "pass" else EXIT_INEQUALITY
 
 
@@ -148,8 +181,11 @@ def cmd_constants(args) -> int:
     for g in gammas:
         if not 0.5 <= g <= 1.5:
             raise UsageError("gamma must lie in [1/2, 3/2]")
-    rows = [constants.constants_row(g) for g in gammas]
-    text = constants.rows_to_csv(rows)
+    header = ("gamma", "L_cl", "L_LT", "L_GGM", "L_one", "L_star", "L_char",
+              "L_dstar", "L_best")
+    rows = ([getattr(r, name) for name in header]
+            for r in map(constants.constants_row, gammas))
+    text = _csv(header, rows)
     text += f"# crossover_gamma = {constants.crossover():.15g}\n"
     _emit(text, args.out)
     return EXIT_PASS
@@ -160,21 +196,24 @@ def cmd_partition(args) -> int:
     part = bracketing.build_partition(
         _load_potential(args, domain_default="half_line"))
     doc = {
-        "breakpoints": part.to_json_list(),
-        "masses": list(part.masses),
-        "lambda_lower": list(part.lambda_lower),
-        "lambda_upper": list(part.lambda_upper),
+        "breakpoints": _breakpoints(part),
+        "masses": part.masses,
+        "lambda_lower": part.lambda_lower,
+        "lambda_upper": part.lambda_upper,
         "degenerate": part.degenerate,
         "truncated": part.truncated,
     }
-    _emit(json.dumps(_round15(doc), indent=2) + "\n", args.out)
+    _emit(_json(doc), args.out)
     return EXIT_PASS
 
 
 def cmd_scatter(args) -> int:
     from . import scattering
     data = scattering.reflection_coefficient(_load_potential(args))
-    _emit(data.to_csv(), args.out)
+    rows = ((k, r.real, r.imag, abs(r) ** 2, d) for k, r, d in
+            zip(data.k_grid, data.R_values, data.unitarity_defects))
+    _emit(_csv(("k", "re_R", "im_R", "abs_R2", "unitarity_defect"), rows),
+          args.out)
     return EXIT_PASS
 
 
@@ -190,7 +229,7 @@ def cmd_sumrule(args) -> int:
         "budget": budget,
         "pass": bool(abs(residual) <= budget),
     }
-    _emit(json.dumps(_round15(doc), indent=2) + "\n", args.out)
+    _emit(_json(doc), args.out)
     return EXIT_PASS if doc["pass"] else EXIT_INEQUALITY
 
 

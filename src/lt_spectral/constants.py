@@ -21,8 +21,6 @@ factor M(eta).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -61,6 +59,9 @@ def varsigma(y: float) -> float:
 
 
 VARSIGMA_3 = varsigma(3.0)
+
+#: varsigma(3)/3, the paper's bound on L_{1/2,1}
+L_HALF = VARSIGMA_3 / 3.0
 
 
 def classical_constant(gamma: float) -> float:
@@ -127,8 +128,7 @@ def char_interp_constant(gamma: float) -> float:
     proportional to characteristic functions."""
     if not 0.5 <= gamma <= 1.5:
         raise ValueError("gamma must lie in [1/2, 3/2]")
-    return ((VARSIGMA_3 / 3.0) ** (1.5 - gamma)
-            * (3.0 / 16.0) ** (gamma - 0.5))
+    return L_HALF ** (1.5 - gamma) * (3.0 / 16.0) ** (gamma - 0.5)
 
 
 @dataclass(frozen=True)
@@ -338,8 +338,7 @@ def doublestar_constant(gamma: float) -> float:
     if not 0.5 < gamma < 1.5:
         raise ValueError("gamma must lie in (1/2, 3/2)")
     eta = gamma - 0.5
-    return (c_factor(eta) * (VARSIGMA_3 / 3.0) ** (1.0 - eta)
-            * (3.0 / 16.0) ** eta)
+    return c_factor(eta) * L_HALF ** (1.0 - eta) * (3.0 / 16.0) ** eta
 
 
 def crossover() -> float:
@@ -350,7 +349,7 @@ def crossover() -> float:
     return find_root(diff, 1.0, 1.3, 1e-15, 4 * math.ulp(1.0))
 
 
-def density_constants(L_half: float | None = None,
+def density_constants(L_half: float = L_HALF,
                       L_one: float | None = None) -> tuple[float, float]:
     """Kinetic-energy density constants from moment bounds.
 
@@ -358,8 +357,6 @@ def density_constants(L_half: float | None = None,
     on the gamma = 1/2 constant and L_one on the gamma = 1 constant.
     Defaults: varsigma(3)/3 and the star bound at gamma = 1.
     """
-    if L_half is None:
-        L_half = VARSIGMA_3 / 3.0
     if L_one is None:
         L_one = star_constant(1.0)
     if L_half <= 0 or L_one <= 0:
@@ -409,18 +406,3 @@ def constants_row(gamma: float) -> ConstantsRow:
         L_char=char_interp_constant(gamma) if interior else None,
         L_dstar=doublestar_constant(gamma) if interior else None,
     )
-
-
-CSV_HEADER = ["gamma", "L_cl", "L_LT", "L_GGM", "L_one", "L_star",
-              "L_char", "L_dstar", "L_best"]
-
-
-def rows_to_csv(rows) -> str:
-    """Serialize ConstantsRow records; undefined entries are left empty."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in rows:
-        rec = (getattr(r, name) for name in CSV_HEADER)
-        writer.writerow(["" if v is None else f"{v:.15g}" for v in rec])
-    return buf.getvalue()

@@ -9,7 +9,8 @@ Each potential states its structure once.  The constant families (Zero,
 SquareWell, PiecewiseConstant) are one piece list, from which jumps, exact
 cell means, integrals and pieces() are read.  scaled, amplified and
 half_view are one mapped wrapper V(x) = c * inner(s * x) that transforms
-what its inner potential states; Sum adds up what its terms state.  jumps()
+what its inner potential states, a half view keeping the jumps and pieces
+on its own side; Sum adds up what its terms state.  jumps()
 alone says where V is not smooth and by how much it jumps there (0 at a
 kink, such as an interior grid point of Sampled): quadrature takes the
 points as hints, scattering's cell propagator as cell edges, and the
@@ -538,8 +539,6 @@ class _Mapped(Potential):
         self.c = self.mass * abs(self.s)
         image = tuple(sorted(q / self.s for q in inner.domain))
         super().__init__(image if domain is None else domain)
-        # a half view sees only part of the image of inner's domain
-        self._restricts = self.domain != image
 
     def _image(self, a, b):
         # image of [a, b] under x -> s*x, as an ordered interval
@@ -572,10 +571,16 @@ class _Mapped(Potential):
 
     def pieces(self):
         inner = self.inner.pieces()
-        if inner is None or self._restricts:
+        if inner is None:
             return None
-        return [(*sorted((a / self.s, b / self.s)), self.c * v)
-                for a, b, v in inner]
+        # s < 0 reverses the order; a half view keeps what lies past 0
+        lo = self.domain[0]
+        out = []
+        for a, b, v in inner[::1 if self.s > 0 else -1]:
+            a, b = sorted((a / self.s, b / self.s))
+            if b > lo:
+                out.append((max(a, lo), b, self.c * v))
+        return out
 
     def is_nonnegative(self):
         return self.inner.is_nonnegative()

@@ -38,7 +38,6 @@ negative parts:  pi^(-1) int |ln(1-|R|^2)| dk <= int V_- + (4 L - 1) int V_+.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import warnings
 import weakref
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import VARSIGMA_3
+from .constants import L_HALF
 from .numerics import Deferred, InvariantError, NumericsError
 from .potential import FULL_LINE, Potential, piece_steps, truncation_point
 from .sturm import SOLVER_TOL, RieszMean, riesz_mean, solve_line
@@ -154,15 +153,6 @@ class ScatteringData:
 
     def max_reflection(self) -> float:
         return max((abs(r) for r in self.R_values), default=0.0)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("k,re_R,im_R,abs_R2,unitarity_defect\n")
-        for k, r, d in zip(self.k_grid, self.R_values,
-                           self.unitarity_defects):
-            buf.write(f"{k:.15g},{r.real:.15g},{r.imag:.15g},"
-                      f"{abs(r) ** 2:.15g},{d:.15g}\n")
-        return buf.getvalue()
 
 
 def default_k_grid() -> np.ndarray:
@@ -540,8 +530,7 @@ def theorem2_check(V: Potential) -> tuple[float, float]:
     with the attractive part V_+ and repulsive part V_- of V, and the
     paper's L = L_{1/2,1} <= varsigma(3) / 3.
     """
-    L_half = VARSIGMA_3 / 3.0
     lhs = -_log_integral(_Propagator(V))
     plus, minus = V.sign_masses()
-    rhs = minus + (4.0 * L_half - 1.0) * plus
+    rhs = minus + (4.0 * L_HALF - 1.0) * plus
     return lhs, rhs

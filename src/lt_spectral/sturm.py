@@ -33,8 +33,8 @@ nothing.  Every tolerance, the default SOLVER_TOL or a stated one, is
 raised there by one rule to at least JUMP_TOL and 4 x that allowance on
 the finest grid, and the ladder starts one level below the first level
 whose allowance fits it, since no pair below that level can certify a
-resolved eigenvalue.  This covers all interval spectra (solve_interval),
-half views and potentials without pieces().  Their whole-line (and
+resolved eigenvalue.  This covers all interval spectra (solve_interval)
+and potentials without pieces().  Their whole-line (and
 half-line Neumann) spectra are two interval spectra on a box where the
 discarded potential tail is negligible: each eigenvalue is sandwiched
 between the Neumann-truncated value (below) and the Dirichlet-truncated

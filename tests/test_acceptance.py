@@ -27,10 +27,11 @@ so gap/(eta ln(1/eta)) tends to varsigma(3)/2 ~ 1.507, from below here
 (1.45 at eta = 1e-2 .. 1e-4).
 """
 
+import json
 import math
 
-from lt_spectral.bracketing import build_partition, certify_theorem1
-from lt_spectral.cli import random_piecewise
+from lt_spectral.bracketing import certify_theorem1
+from lt_spectral.cli import main, random_piecewise
 from lt_spectral.constants import (VARSIGMA_3, ThetaParams,
                                    char_interp_constant, crossover,
                                    density_constants, doublestar_constant,
@@ -163,14 +164,18 @@ def test_criterion_13_sandwich_random_potentials():
            + (f" (failed seeds {bad})" if bad else ""))
 
 
-def test_criterion_14_partition_exactness():
-    V = SquareWell(3.0, 0.0, 2.0, domain="half_line")
-    p = build_partition(V)
-    ok = (len(p.breakpoints) == 4
-          and abs(p.breakpoints[1] - 1.0) < 1e-8
-          and abs(p.breakpoints[2] - 2.0) < 1e-8
-          and math.isinf(p.breakpoints[3]))
-    report(14, ok, f"square well partition breakpoints {p.to_json_list()} "
+def test_criterion_14_partition_exactness(tmp_path, capsys):
+    path = tmp_path / "well.json"
+    path.write_text(json.dumps(
+        {"family": "square_well", "params": {"v": 3, "a": 0, "b": 2},
+         "domain": "half_line"}))
+    main(["partition", "--potential", str(path)])
+    bp = json.loads(capsys.readouterr().out)["breakpoints"]
+    ok = (len(bp) == 4 and bp[0] == 0.0
+          and abs(bp[1] - 1.0) < 1e-8
+          and abs(bp[2] - 2.0) < 1e-8
+          and bp[3] == "inf")
+    report(14, ok, f"square well partition breakpoints {bp} "
            "= [0, 1, 2, inf] to 1e-8")
 
 

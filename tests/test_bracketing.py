@@ -1,8 +1,9 @@
+import json
 import math
 
 import pytest
 
-from lt_spectral import bracketing
+from lt_spectral import bracketing, cli
 from lt_spectral.bracketing import (LOWER_FACTOR, PARTITION_RTOL,
                                     UPPER_FACTOR, BracketingError, Partition,
                                     build_partition, certify_theorem1,
@@ -36,9 +37,15 @@ class TestPartitionInvariants:
         assert p.lambda_lower[0] == pytest.approx(3.0 / math.sqrt(3.0))
         assert p.lambda_lower[0] <= p.lambda_upper[0]
 
-    def test_json_list(self):
-        p = Partition((0.0, 1.0, math.inf), (3.0, 0.0))
-        assert p.to_json_list() == [0.0, 1.0, "inf"]
+    def test_json_list(self, tmp_path, capsys):
+        # v = 3 on [0, 1] closes one interval at 1; the rest runs to inf
+        path = tmp_path / "well.json"
+        path.write_text(json.dumps(
+            {"family": "square_well", "params": {"v": 3, "a": 0, "b": 1},
+             "domain": "half_line"}))
+        assert cli.main(["partition", "--potential", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["breakpoints"] == [0.0, 1.0, "inf"]
 
 
 class TestBuildPartition:
@@ -290,17 +297,18 @@ class TestCertificate:
         assert len(spec) == spec.near_threshold == 0
         assert err >= UPPER_FACTOR * part.masses[k] > 0.0
 
-    def test_json_schema(self):
-        cert = certify_theorem1(SquareWell(2.0, -1.0, 1.0))
-        d = cert.to_json_dict()
-        assert set(d) == {"integral_V", "sum_sqrt", "sum_sqrt_error",
-                          "bracket_sum", "bracket_error", "upper", "lower",
-                          "verdict", "checks", "partition"}
+    def test_json_schema(self, tmp_path, capsys):
+        path = tmp_path / "well.json"
+        path.write_text(json.dumps(
+            {"family": "square_well", "params": {"v": 2, "a": -1, "b": 1}}))
+        assert cli.main(["certify", "--potential", str(path)]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert list(d) == ["integral_V", "sum_sqrt", "sum_sqrt_error",
+                           "bracket_sum", "bracket_error", "upper", "lower",
+                           "verdict", "checks", "partition"]
         assert d["verdict"] == "pass"
         assert all(isinstance(v, bool) for v in d["checks"].values())
         assert len(d["partition"]) == 2  # one partition per half line
-        import json
-        json.dumps(d)  # serializable end to end
 
 
 #: the certificates the benchmark workloads build (random piece lists,

@@ -630,6 +630,57 @@ class TestNumericalFailures:
         assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
+class TestWriters:
+    """The exact text of cli's JSON and CSV writers at their edge cases."""
+
+    def test_degenerate_partition(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text('{"family": "zero", "domain": "half_line"}')
+        code, out = run(capsys, "partition", "--potential", str(path))
+        assert code == EXIT_PASS
+        assert out == (
+            '{\n  "breakpoints": [\n    0.0,\n    "inf"\n  ],\n'
+            '  "masses": [\n    0.0\n  ],\n'
+            '  "lambda_lower": [\n    0.0\n  ],\n'
+            '  "lambda_upper": [\n    0.0\n  ],\n'
+            '  "degenerate": true,\n  "truncated": false\n}\n')
+
+    @pytest.mark.parametrize("gamma, row", [
+        ("0.5", "0.5,0.25,,,0.5,1.00482759201126,,,1.00482759201126"),
+        ("1.5", "1.5,0.1875,0.974278579257493,0.870002831364831,0.1875,"
+                "0.753620694008444,,,0.753620694008444")])
+    def test_undefined_constants_are_empty_cells(self, capsys, gamma, row):
+        code, out = run(capsys, "constants", "--gamma", gamma)
+        assert code == EXIT_PASS
+        assert out == ("gamma,L_cl,L_LT,L_GGM,L_one,L_star,L_char,L_dstar,"
+                       "L_best\n" + row + "\n"
+                       "# crossover_gamma = 1.16545608708003\n")
+
+    def test_zero_scatters_signed_zeros(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text('{"family": "zero"}')
+        code, out = run(capsys, "scatter", "--potential", str(path))
+        assert code == EXIT_PASS
+        assert out.splitlines()[1] == "0.01,0,-0,0,0"
+
+    def test_half_line_certificate_has_no_lower_check(self, capsys,
+                                                      half_well_file):
+        code, out = run(capsys, "certify", "--potential", half_well_file)
+        assert code == EXIT_PASS
+        assert list(json.loads(out)["checks"]) == [
+            "sum_le_bracket", "bracket_le_upper", "sum_le_upper"]
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--seed", "3"], ["partition", "--seed", "3"],
+        ["scatter", "--seed", "3"], ["sumrule", "--seed", "3"],
+        ["constants", "--gamma", "1.0"]], ids=lambda argv: argv[0])
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, argv):
+        code, out = run(capsys, *argv)
+        target = tmp_path / "out.txt"
+        assert run(capsys, *argv, "--out", str(target)) == (code, "")
+        assert target.read_bytes() == out.encode()
+
+
 class TestRounding:
     def test_fifteen_digits(self, capsys, well_file):
         _, out = run(capsys, "sumrule", "--potential", well_file)

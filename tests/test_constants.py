@@ -4,17 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lt_spectral.constants import (CSV_HEADER, U0, VARSIGMA_3, ThetaParams,
+from lt_spectral.constants import (L_HALF, U0, VARSIGMA_3, ThetaParams,
                                    _theta_log_inf, c_factor,
                                    char_interp_constant,
                                    classical_constant, constants_row,
                                    crossover, density_constants,
                                    doublestar_constant, ggm_constant,
                                    lt_constant, m_factor, one_state_constant,
-                                   rows_to_csv, star_constant, theta_fn,
-                                   theta_weight, varsigma)
+                                   star_constant, theta_fn, theta_weight,
+                                   varsigma)
 
-from lt_spectral import constants
+from lt_spectral import cli, constants
 from lt_spectral.numerics import NumericsError
 from oracles import (crossover_mp, doublestar_mp, ggm_min_mp, star_mp,
                      theta_half_threehalf_mp, theta_half_threehalf_quad_mp,
@@ -28,8 +28,8 @@ class TestVarsigma:
 
     def test_value_at_three(self):
         assert VARSIGMA_3 == pytest.approx(3.014482776033773, abs=1e-12)
-        assert VARSIGMA_3 / 3.0 == pytest.approx(1.0048275920112577,
-                                                 abs=1e-12)
+        assert L_HALF == VARSIGMA_3 / 3.0
+        assert L_HALF == pytest.approx(1.0048275920112577, abs=1e-12)
 
     @pytest.mark.parametrize("y", [1e-300, 1e-100, 1e-20, 1e-8, 1e-3, 0.3,
                                    0.4999])
@@ -270,22 +270,22 @@ class TestRowsAndCsv:
         assert row.L_char is None and row.L_dstar is None
         assert row.L_best == row.L_star
 
-    def test_csv_shape(self):
-        rows = [constants_row(g) for g in (0.5, 1.0, 1.5)]
-        text = rows_to_csv(rows)
-        lines = text.strip().splitlines()
-        assert lines[0].split(",") == CSV_HEADER
-        assert len(lines) == 4
+    def test_csv_shape(self, capsys):
+        assert cli.main(["constants", "--gamma-grid", "0.5:1.5:3"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].split(",") == [
+            "gamma", "L_cl", "L_LT", "L_GGM", "L_one", "L_star", "L_char",
+            "L_dstar", "L_best"]
+        assert len(lines) == 5 and lines[-1].startswith("# crossover_gamma")
         # undefined entries serialize as empty fields
         assert ",," in lines[1]
 
-    def test_csv_best_column(self):
-        rows = [constants_row(1.0)]
-        text = rows_to_csv(rows)
-        lines = text.strip().splitlines()
+    def test_csv_best_column(self, capsys):
+        assert cli.main(["constants", "--gamma", "1.0"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].split(",")[-1] == "L_best"
         assert float(lines[1].split(",")[-1]) == pytest.approx(
-            rows[0].L_best, rel=1e-12)
+            constants_row(1.0).L_best, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):

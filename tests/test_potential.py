@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lt_spectral import potential as pot
 from lt_spectral.cli import random_piecewise
+from lt_spectral.sturm import solve_line
 
 
 class TestEvaluate:
@@ -474,11 +475,28 @@ class TestPieces:
         pot.Sampled([0.0, 1.0], [1.0, 1.0]),
         pot.Sum([pot.SquareWell(1.0, -1.0, 1.0), pot.Gaussian(0.5)]),
         pot.Gaussian(1.0).scaled(2.0),
-        pot.SquareWell(1.0, -1.0, 1.0).half_view(+1),
-        pot.PiecewiseConstant([-2.0, -1.0, 0.5], [1.0, -2.0]).half_view(-1),
     ])
     def test_other_potentials_have_none(self, V):
         assert V.pieces() is None
+
+    @pytest.mark.parametrize("side", [+1, -1])
+    @pytest.mark.parametrize("V", [
+        pot.SquareWell(1.0, -1.0, 1.0),
+        pot.PiecewiseConstant([-2.0, -1.0, 0.5], [1.0, -2.0]),
+        pot.SquareWell(1.0, 0.5, 1.0),
+    ] + [random_piecewise(seed) for seed in range(1, 21)])
+    def test_half_views_keep_their_pieces(self, V, side):
+        # the half-line piece list V.half_view(side) stands for, mirrored
+        # when side < 0 and cut at 0
+        bp = [side * x for x in V.breakpoints.tolist()][::side]
+        vals = V.values.tolist()[::side]
+        k = next((k for k in range(len(vals)) if bp[k + 1] > 0.0), len(vals))
+        W = pot.PiecewiseConstant([max(bp[k], 0.0)] + bp[k + 1:], vals[k:],
+                                  domain="half_line")
+        half = V.half_view(side)
+        assert half.pieces() == W.pieces()
+        # so both take the exact path, bit for bit
+        assert solve_line(half) == solve_line(W)
 
 
 def _loads_as(doc, V):

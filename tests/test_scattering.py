@@ -1,11 +1,12 @@
 import gc
+import json
 import math
 import weakref
 
 import numpy as np
 import pytest
 
-from lt_spectral import scattering
+from lt_spectral import cli, scattering
 from lt_spectral.cli import random_piecewise
 from lt_spectral.constants import VARSIGMA_3
 from lt_spectral.numerics import InvariantError
@@ -582,16 +583,18 @@ class TestApiAndSerialization:
         assert len(ks) == 400
         assert ks[0] == pytest.approx(0.01) and ks[-1] == pytest.approx(100.0)
 
-    def test_csv_format(self):
-        data = reflection_coefficient(SquareWell(2.0, -1.0, 1.0),
-                                      [0.5, 1.0, 2.0])
-        lines = data.to_csv().strip().splitlines()
+    def test_csv_format(self, tmp_path, capsys):
+        path = tmp_path / "well.json"
+        path.write_text(json.dumps(
+            {"family": "square_well", "params": {"v": 2, "a": -1, "b": 1}}))
+        assert cli.main(["scatter", "--potential", str(path)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "k,re_R,im_R,abs_R2,unitarity_defect"
-        assert len(lines) >= 4
-        row = lines[1].split(",")
-        assert float(row[0]) == pytest.approx(0.5)
-        assert float(row[3]) == pytest.approx(
-            square_well_reflection_sq(2.0, 1.0, 0.5), abs=1e-8)
+        assert len(lines) >= 401
+        for line in lines[1::40]:
+            k, _, _, abs_R2, _ = map(float, line.split(","))
+            assert abs_R2 == pytest.approx(
+                square_well_reflection_sq(2.0, 1.0, k), abs=1e-8)
 
     def test_refinement_inserts_midpoints(self):
         # a deep well has sharp |R|^2 drops; the coarse grid gets refined
