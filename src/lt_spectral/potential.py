@@ -17,8 +17,8 @@ points as hints, scattering's cell propagator as cell edges, and the
 finite-difference solver the sizes inside each interval it solves.
 pieces() selects the exact paths, which read the piece list as given
 (sorted, contiguous and inside support()) through piece_steps: transfer
-matrices in scattering and bound states on the whole or half line in
-sturm.
+matrices in scattering, and bound states on the whole or half line and
+Neumann interval spectra in sturm.
 
 The document format that from_json_dict reads::
 
@@ -698,15 +698,16 @@ def piece_steps(pieces, a: float, b: float) -> list[tuple[float, float]]:
     """(length, value) steps of a pieces() list from a to b.
 
     V is zero between and outside the pieces, so free steps fill the gap
-    from a to the first piece and from the last piece to b; pieces that
-    start before a are cut at a.  b must not lie inside a piece.
+    from a to the first piece and from the last piece to b; pieces are cut
+    at a and at b.
     """
     steps, x = [], a
     for p0, p1, v in pieces:
-        if p1 > x:
+        p0, p1 = max(p0, x), min(p1, b)
+        if p1 > p0:
             if p0 > x:
                 steps.append((p0 - x, 0.0))
-            steps.append((p1 - max(p0, x), v))
+            steps.append((p1 - p0, v))
             x = p1
     if b > x:
         steps.append((b - x, 0.0))

@@ -1,14 +1,16 @@
 """Negative-spectrum solvers for H = -d^2/dx^2 - V in one dimension.
 
 Two methods.  A piecewise-constant V (one with pieces()) on the whole or
-half line is solved exactly: the solution decaying to the left is
+half line, or on an interval with Neumann ends, is solved exactly: the
+solution decaying to the left (Neumann: flat at the left end) is
 propagated across the pieces by their exact 2x2 step matrices, its zeros
 are counted exactly to give N(E), the number of eigenvalues below E, and
 each eigenvalue is isolated by bisection on N(E) and found by Brent's
-method on the matching function at the right edge (Pruess's method with
-Sturm indexing; J. D. Pryce, Numerical Solution of Sturm-Liouville
-Problems, OUP 1993).  Its radius is the half-width of a bracket on whose
-ends the matching function changes sign.
+method on the matching function at the right end, the free tail's or the
+Neumann condition's (Pruess's method with Sturm indexing; J. D. Pryce,
+Numerical Solution of Sturm-Liouville Problems, OUP 1993).  Its radius is
+the half-width of a bracket on whose ends the matching function changes
+sign.  So the bracketing side of a piece list is shot, not differenced.
 
 Every other spectrum uses second-order finite differences (FD) on a uniform
 grid (Neumann ends via ghost-point reflection, symmetrized by a diagonal
@@ -33,9 +35,10 @@ nothing.  Every tolerance, the default SOLVER_TOL or a stated one, is
 raised there by one rule to at least JUMP_TOL and 4 x that allowance on
 the finest grid, and the ladder starts one level below the first level
 whose allowance fits it, since no pair below that level can certify a
-resolved eigenvalue.  This covers all interval spectra (solve_interval)
-and potentials without pieces().  Their whole-line (and
-half-line Neumann) spectra are two interval spectra on a box where the
+resolved eigenvalue.  This covers the interval spectra of potentials
+without pieces() (a sum of a jump and a smooth term among them) and those
+with a Dirichlet end.  The whole-line (and half-line Neumann) spectra of
+potentials without pieces() are two interval spectra on a box where the
 discarded potential tail is negligible: each eigenvalue is sandwiched
 between the Neumann-truncated value (below) and the Dirichlet-truncated
 value (above), each widened by a bound on sup V beyond the box.
@@ -223,7 +226,9 @@ def solve_interval(V: Potential, interval, bc="neumann",
     """All negative eigenvalues of -u'' - V u on a finite interval.
 
     bc is "neumann", "dirichlet", or a (left, right) pair.  Values above
-    -10 tol are unresolvable and count as near-threshold candidates.
+    -10 tol are unresolvable and count as near-threshold candidates.  A V
+    with pieces() and Neumann ends is shot exactly (_solve_exact) at tol
+    as given; everything else takes the FD ladder.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -232,9 +237,12 @@ def solve_interval(V: Potential, interval, bc="neumann",
     if not math.isfinite(h * h):
         raise SolverError(f"[{a}, {b}] is too long for a finite-difference "
                           "grid")
+    pair = (bc, bc) if isinstance(bc, str) else tuple(bc)
+    pieces = V.pieces()
+    if pieces is not None and pair == ("neumann", "neumann"):
+        return _solve_exact(piece_steps(pieces, a, b), (True, True), tol)
     jumps = _jump_sum(V, a, b)
     tol = _effective_tol(tol, jumps, b - a)
-    pair = (bc, bc) if isinstance(bc, str) else tuple(bc)
     threshold = -10.0 * tol  # eigenvalues above this are unresolvable
     k = LEVEL_MIN
     # a pair of levels whose jump allowance exceeds tol certifies no
@@ -325,21 +333,25 @@ def _line_steps(V: Potential):
     return piece_steps(pieces, start, pieces[-1][1])
 
 
-def _shoot(steps, E: float, half: bool) -> tuple[int, float]:
+def _shoot(steps, E: float, ends) -> tuple[int, float]:
     """(N(E), g(E)) by exact propagation at energy E = -kappa^2 <= 0.
 
-    The solution starts as e^{kappa x}, decaying to the left, with
-    (u, u') = (1, kappa) (half line: (1, 0), Neumann at 0).  Its zeros are
+    ends = (left, right) marks each Neumann end; an unmarked end is the
+    line's free tail.  The solution starts as e^{kappa x}, decaying to the
+    left, with (u, u') = (1, kappa) (Neumann: (1, 0)).  Its zeros are
     counted exactly on each step (x_a, x_b]: by the Pruefer angle of
     (u, u'/w), which turns at the constant rate w = sqrt(V + E), where V + E
     > 0, and by sign change elsewhere, where a solution has at most one
-    zero.  The free tail beyond the last step adds one zero when u and
-    g = u' + kappa u differ in sign.  By Sturm oscillation the count is
-    N(E), the number of eigenvalues below E; g vanishes exactly at the
-    eigenvalues, where the solution decays to the right as well.
+    zero.  The right end matches on g = u' + kappa u (free tail) or g = u'
+    (Neumann), and u g < 0 adds one to the count: the zero the free tail
+    makes beyond the last step, or the Neumann state whose u' = 0 the
+    angle has passed since the last zero of u.  By Sturm oscillation the
+    count is N(E), the number of eigenvalues below E; g vanishes exactly
+    at the eigenvalues.
     """
     kappa = math.sqrt(-E)
-    u, du = 1.0, (0.0 if half else kappa)
+    left, right = ends
+    u, du = 1.0, (0.0 if left else kappa)
     zeros = 0
     for d, v in steps:
         q = v + E
@@ -364,7 +376,7 @@ def _shoot(steps, E: float, half: bool) -> tuple[int, float]:
             # only the direction of (u, u') matters: keep it near unit size
             scale = max(abs(u), abs(du))
             u, du = u / scale, du / scale
-    g = du + kappa * u
+    g = du if right else du + kappa * u
     return zeros + (u * g < 0.0), g
 
 
@@ -377,8 +389,9 @@ EXACT_RTOL = 1e-12
 EXACT_STATES_MAX = 10**6
 
 
-def _solve_exact(steps, half: bool, tol: float) -> Spectrum:
-    """Negative spectrum of a piecewise-constant V by exact shooting.
+def _solve_exact(steps, ends, tol: float) -> Spectrum:
+    """Negative spectrum of a piecewise-constant V by exact shooting
+    between _shoot's ends.
 
     Eigenvalues below -eps, eps = 10 tol, are isolated by bisection on
     N(E) and found by Brent's method on g.  Each radius is the half-width
@@ -391,10 +404,10 @@ def _solve_exact(steps, half: bool, tol: float) -> Spectrum:
     eps = 10.0 * tol
 
     def count(E):
-        return _shoot(steps, E, half)[0]
+        return _shoot(steps, E, ends)[0]
 
     def g(E):
-        return _shoot(steps, E, half)[1]
+        return _shoot(steps, E, ends)[1]
 
     # -u'' - V u >= -max V, so every eigenvalue lies above -max V
     bottom = -max((v for _, v in steps), default=0.0)
@@ -444,7 +457,7 @@ def solve_line(V: Potential, tol: float = SOLVER_TOL) -> Spectrum:
     half = V.domain == HALF_LINE
     steps = _line_steps(V)
     if steps is not None:
-        return _solve_exact(steps, half, tol)
+        return _solve_exact(steps, (half, False), tol)
     X = _box(V, tol)
     a = 0.0 if half else -X
     tol = _effective_tol(tol, _jump_sum(V, a, X), X - a)
@@ -475,7 +488,7 @@ def riesz_mean(spec: Spectrum, gamma: float) -> RieszMean:
     """Sum of |E_i|^gamma with first-order propagation of the radii."""
     if gamma < 0.5:
         raise ValueError("gamma must be >= 1/2")
-    value = sum(abs(e) ** gamma for e in spec.eigenvalues)
+    value = sum((abs(e) ** gamma for e in spec.eigenvalues), 0.0)
     error = sum(gamma * abs(e) ** (gamma - 1.0) * r
                 for e, r in zip(spec.eigenvalues, spec.radii))
     # unresolved near-threshold states contribute at most threshold^gamma

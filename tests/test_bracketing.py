@@ -273,6 +273,22 @@ class TestCertificate:
         ratio_s = scaled.sum_sqrt.value / scaled.integral_V
         assert ratio_s == pytest.approx(ratio_b, abs=1e-4)
 
+    def test_lemma_constant_approached(self):
+        # a half-line well of mass 1 on [0, w] puts its mass at the Neumann
+        # end of the one interval [0, 3], which the lemma's constant
+        # varsigma(3) / 3 = 1.00483 bounds: the certified ratio climbs
+        # toward it as w shrinks, with radii far below the last gap (6.5e-4)
+        ratios = []
+        for w, want in ((0.1, 0.94680), (0.01, 0.99840), (0.001, 1.00418)):
+            V = SquareWell(1.0 / w, 0.0, w, domain="half_line")
+            cert = certify_theorem1(V)
+            assert cert.partitions[0].breakpoints == (0.0, 3.0, math.inf)
+            ratio = cert.bracket_sum / cert.integral_V
+            assert ratio == pytest.approx(want, abs=5e-6)
+            assert cert.bracket_error / cert.integral_V < 1e-9
+            ratios.append(ratio)
+        assert ratios == sorted(ratios) and ratios[-1] < UPPER_FACTOR
+
     def test_half_line_skips_lower(self):
         V = SquareWell(2.0, 0.0, 1.0, domain="half_line")
         cert = certify_theorem1(V)

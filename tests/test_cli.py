@@ -579,15 +579,19 @@ class TestNumericalFailures:
             "numerical failure: forced failure\n"
 
     @pytest.mark.parametrize("doc", [
-        # jumps of 1e4 over a partition interval of length 50: the FD
-        # solver's first-order floor exceeds any tolerance
-        {"family": "piecewise_constant",
-         "params": {"breakpoints": [-1000, 10, 10.000001, 1000],
-                    "values": [0.001, 10000, 0.001]}},
-        # the partition closes at l = 200.000015, but its first interval
-        # carries a jump of 1000 over length 200: the same FD floor
-        {"family": "square_well", "params": {"v": 1000, "a": 200,
-                                             "b": 200.0001}},
+        # jumps of 1e4 over a partition interval of length 50: with a
+        # smooth term the sum has no pieces() and takes the FD solver,
+        # whose first-order floor exceeds any tolerance
+        {"family": "sum", "params": {"terms": [
+            {"family": "piecewise_constant",
+             "params": {"breakpoints": [-1000, 10, 10.000001, 1000],
+                        "values": [0.001, 10000, 0.001]}},
+            {"family": "gaussian", "params": {"amplitude": 0.001}}]}},
+        # a jump of 1000 at 200 under a smooth term: the same FD floor
+        {"family": "sum", "params": {"terms": [
+            {"family": "square_well",
+             "params": {"v": 1000, "a": 200, "b": 200.0001}},
+            {"family": "gaussian", "params": {"amplitude": 0.001}}]}},
         # int V = 1e-200 closes the truncated interval at about 3e200,
         # which no finite-difference grid can span
         {"family": "square_well", "params": {"v": 1e-200, "a": 0, "b": 1}},
@@ -601,6 +605,35 @@ class TestNumericalFailures:
         path.write_text(json.dumps(doc))
         assert main(["certify", "--potential", str(path)]) == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("numerical failure: ")
+
+    def test_fd_floor_documents_shoot_exactly(self, tmp_path, capsys):
+        # the same piece lists alone are shot exactly on every interval,
+        # so the FD floor no longer applies: the wide jumps certify
+        path = tmp_path / "jumps.json"
+        path.write_text(json.dumps(
+            {"family": "piecewise_constant",
+             "params": {"breakpoints": [-1000, 10, 10.000001, 1000],
+                        "values": [0.001, 10000, 0.001]}}))
+        code, out = run(capsys, "certify", "--potential", str(path))
+        assert code == EXIT_PASS
+        assert json.loads(out)["bracket_error"] < 1e-9
+
+    def test_truncated_interval_breaks_the_lemma(self, tmp_path, capsys):
+        # the partition closes the truncated interval [200.000015,
+        # 230.000015] at l_k + 3 / int V, though the tail's 0.085 of mass
+        # closes a proper one at l_k + 3 / 0.085: its lambda_1 (about
+        # 0.0860) exceeds (varsigma(3) / 3) * 0.085, which the FD radii of
+        # 1e-3 used to hide; exact values show it as exit 1
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(
+            {"family": "square_well",
+             "params": {"v": 1000, "a": 200, "b": 200.0001}}))
+        code, out = run(capsys, "certify", "--potential", str(path))
+        doc = json.loads(out)
+        assert code == EXIT_INEQUALITY
+        assert doc["checks"]["bracket_le_upper"] is False
+        assert doc["bracket_sum"] == pytest.approx(0.101055, abs=1e-6)
+        assert doc["upper"] == pytest.approx(0.100483, abs=1e-6)
 
     @pytest.mark.parametrize("command, domain, budget", [
         ("certify", "full_line", "budget of 10000 intervals"),
@@ -644,6 +677,22 @@ class TestWriters:
             '  "lambda_lower": [\n    0.0\n  ],\n'
             '  "lambda_upper": [\n    0.0\n  ],\n'
             '  "degenerate": true,\n  "truncated": false\n}\n')
+
+    @pytest.mark.parametrize("doc", [
+        '{"family": "zero", "domain": "half_line"}',
+        '{"family": "poschl_teller", "params": {"nu": 0.1}}',
+        '{"family": "gaussian", "params": {"amplitude": 0.05}}',
+        '{"family": "square_well", "params": {"v": 1e8, "a": 0, "b": 1e-11}}'],
+        ids=["zero", "poschl_teller", "gaussian", "square_well"])
+    def test_no_resolved_state_sums_to_float_zero(self, tmp_path, capsys,
+                                                  doc):
+        # with no eigenvalue resolved, sum_sqrt is the float 0.0 like
+        # every other float field, not the int 0
+        path = tmp_path / "shallow.json"
+        path.write_text(doc)
+        code, out = run(capsys, "certify", "--potential", str(path))
+        assert code == EXIT_PASS
+        assert '  "sum_sqrt": 0.0,\n' in out
 
     @pytest.mark.parametrize("gamma, row", [
         ("0.5", "0.5,0.25,,,0.5,1.00482759201126,,,1.00482759201126"),

@@ -8,7 +8,9 @@ the sandwich of the finite-difference (FD) interval spectra with Neumann
 and Dirichlet ends on a box around the support; and for V >= 0 on the
 whole line the moment lies in the window (1/4) int V <= Sigma sqrt|E_i| <=
 (1/2) int V, whose constant 1/2 is sharp (Hundertmark, Lieb and Thomas,
-Adv. Theor. Math. Phys. 2 (1998) 719).
+Adv. Theor. Math. Phys. 2 (1998) 719).  Neumann interval spectra, shot
+exactly as well, are held to FD and to the piecewise Pruefer oracle on
+every proper partition interval of the random seeds.
 """
 
 import math
@@ -20,6 +22,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from lt_spectral import sturm
+from lt_spectral.bracketing import build_partition, interval_spectrum
+from lt_spectral.cli import random_piecewise
 from lt_spectral.numerics import piece_step
 from lt_spectral.potential import (HALF_LINE, PiecewiseConstant, SquareWell,
                                    Sum, piece_steps)
@@ -27,8 +31,10 @@ from lt_spectral.scattering import _transfer, piece_step_array
 from lt_spectral.sturm import (SolverError, riesz_mean, solve_interval,
                                solve_line)
 
-from oracles import (prufer_angle, square_well_line_levels,
-                     square_well_line_levels_mp, transfer_exact)
+from fd_path import FDOnly
+from oracles import (prufer_angle, prufer_neumann_levels,
+                     square_well_line_levels, square_well_line_levels_mp,
+                     transfer_exact)
 
 EXAMPLES = settings(max_examples=40, derandomize=True, deadline=None,
                     database=None,
@@ -93,8 +99,8 @@ def test_inside_fd_sandwich(V):
     box = (a if V.domain == HALF_LINE else a - 1.0, b + 1.0)
     upper_bc = ("neumann", "dirichlet") if V.domain == HALF_LINE \
         else "dirichlet"
-    lower = solve_interval(V, box, "neumann")
-    upper = solve_interval(V, box, upper_bc)
+    lower = solve_interval(FDOnly(V), box, "neumann")
+    upper = solve_interval(FDOnly(V), box, upper_bc)
     spec = solve_line(V)
     assert len(upper) <= len(spec) <= len(lower) + lower.near_threshold
     for i, (e, r) in enumerate(zip(spec.eigenvalues, spec.radii)):
@@ -166,8 +172,8 @@ def test_bracket_widens_from_one_float(monkeypatch, v, w):
     for e, r, x in zip(spec.eigenvalues, spec.radii, exact):
         lo, hi = e - r, e + r
         assert 0.0 < r < 1e-13 * abs(e)
-        assert sturm._shoot(steps, lo, False)[1] \
-            * sturm._shoot(steps, hi, False)[1] <= 0.0
+        assert sturm._shoot(steps, lo, (False, False))[1] \
+            * sturm._shoot(steps, hi, (False, False))[1] <= 0.0
         assert mp.mpf(lo) <= x <= mp.mpf(hi)
 
 
@@ -185,6 +191,71 @@ def test_tunnelling_pair_below_rounding():
     assert len(spec) == 2 * len(single)
     for i, (one, r) in enumerate(zip(single.eigenvalues, single.radii)):
         assert abs(spec.eigenvalues[2 * i] - one) <= spec.radii[2 * i] + r
+
+
+def test_piece_steps_cut_at_both_ends():
+    # a piece across a or b is cut there, one past b is dropped, and free
+    # steps fill the rest
+    pieces = [(-1.0, 1.0, 2.0), (1.0, 3.0, 5.0), (4.0, 6.0, 1.0)]
+    assert piece_steps(pieces, 0.5, 2.0) == [(0.5, 2.0), (1.0, 5.0)]
+    assert piece_steps(pieces, 0.0, 3.5) == \
+        [(1.0, 2.0), (2.0, 5.0), (0.5, 0.0)]
+    assert piece_steps(pieces, 3.5, 5.0) == [(0.5, 0.0), (1.0, 1.0)]
+
+
+def test_neumann_interval_shot_at_tol_as_given(monkeypatch):
+    # with pieces() and Neumann ends no FD matrix is built and tol is not
+    # raised across jumps.  Jumps of 2e4 on [0, 2000], whose FD floor no
+    # tolerance covers, are shot to a relative 1e-10; the spike's state
+    # near -5.237e-3 is resolved at tol 1e-4 and, in [-10 tol, 0) at tol
+    # 1e-3, one near-threshold state
+    def refuse(*args):
+        raise AssertionError("FD eigensolve on a Neumann piece list")
+
+    monkeypatch.setattr(sturm, "_negative_eigs", refuse)
+    spec = solve_interval(SquareWell(1e4, 0.0, 1e-6), (0.0, 2000.0))
+    assert len(spec) == 1 and spec.radii[0] < 1e-10 * abs(spec.eigenvalues[0])
+    V = PiecewiseConstant([4.0, 4.05], [1.0])
+    (ground,) = prufer_neumann_levels(V, 0.0, 10.0)
+    fine = solve_interval(V, (0.0, 10.0), tol=1e-4)
+    assert (len(fine), fine.near_threshold) == (1, 0)
+    assert abs(fine.eigenvalues[0] - ground) <= fine.radii[0] + 1e-10
+    coarse = solve_interval(V, (0.0, 10.0), tol=1e-3)
+    assert (len(coarse), coarse.near_threshold, coarse.threshold) \
+        == (0, 1, 1e-2)
+
+
+#: the FD first Richardson step's radius leaves out the eigensolver's
+#: rounding, which reaches 2.4e-10 on the jump-free intervals below (the
+#: raw values of a constant V stray from -V by up to about 1e-10)
+FD_FIRST_STEP_ROUNDING = 1e-9
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_neumann_intervals_against_fd_and_prufer(seed):
+    # every proper partition interval of both halves holds one state: its
+    # exact value lies in the FD enclosure of the same piece list without
+    # pieces() (across jumps with no allowance beyond FD's own radius) and
+    # matches the piecewise Pruefer oracle
+    V = random_piecewise(seed)
+    count = 0
+    for side in (-1, 1):
+        half = V.half_view(side)
+        part = build_partition(half)
+        for k in part.finite_indices():
+            a, b = part.breakpoints[k:k + 2]
+            spec = interval_spectrum(half, part, k)
+            (e,), (r,) = spec.eigenvalues, spec.radii
+            W = FDOnly(half)
+            fd = solve_interval(W, (a, b), "neumann")
+            (f,), (rf,) = fd.eigenvalues, fd.radii
+            slack = 0.0 if sturm._jump_sum(W, a, b) > 0.0 \
+                else FD_FIRST_STEP_ROUNDING
+            assert abs(e - f) <= r + rf + slack
+            (exact,) = prufer_neumann_levels(half, a, b)
+            assert abs(e - exact) <= r + 1e-10
+            count += 1
+    assert count > 0
 
 
 @pytest.mark.parametrize("q", [2.5, -1.5, 0.0])

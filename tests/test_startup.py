@@ -5,7 +5,8 @@ modules in its handler, and numerics and constants import only the standard
 library, so importing the package and the constants table, as a function or
 as a command, load no numpy or scipy module at all.  sturm, scattering and
 potential bind their scipy routines as numerics' Deferred objects, so the
-exact path of the scattering pipeline loads no scipy module either.  The
+exact paths load no scipy module either: the scattering pipeline's, and
+certify's on a piece list, whose line and interval spectra are shot.  The
 bindings stay module attributes that a test or the benchmark's tracer can
 wrap by name.
 """
@@ -52,7 +53,8 @@ def _last_line(script):
 
 
 @pytest.mark.parametrize("call", [
-    "scattering.reflection_coefficient(cli.random_piecewise(1))"])
+    "scattering.reflection_coefficient(cli.random_piecewise(1))",
+    'cli.main(["certify", "--seed", "1"])'])
 def test_no_scipy_loaded(call):
     assert _last_line(SCIPY_MODULES.format(call=call)) == "[]"
 

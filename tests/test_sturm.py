@@ -125,9 +125,11 @@ class TestPruferOracle:
 
 
 class TestJumpLadder:
-    """Across jumps each radius carries the allowance 0.5 J (b - a) / 2^k,
-    with J the jumps strictly inside [a, b]; the ladder starts one level
-    below the first level k0 whose allowance fits the tolerance."""
+    """On the FD path (FDOnly: with pieces() and Neumann ends, interval
+    spectra are shot exactly) each radius carries the allowance
+    0.5 J (b - a) / 2^k across jumps, with J the jumps strictly inside
+    [a, b]; the ladder starts one level below the first level k0 whose
+    allowance fits the tolerance."""
 
     @staticmethod
     def _spy(monkeypatch):
@@ -144,7 +146,7 @@ class TestJumpLadder:
         # interior jumps 4 and 3 on a length 2: 7 / 2^k <= JUMP_TOL first
         # at k0 = 13, so only the pair (12, 13) is solved; climbing from
         # LEVEL_MIN took seven solves, from 2^8 + 1 to 2^14 + 1 rows
-        V = PiecewiseConstant([0.0, 0.7, 1.3, 2.0], [1.0, 5.0, 2.0])
+        V = FDOnly(PiecewiseConstant([0.0, 0.7, 1.3, 2.0], [1.0, 5.0, 2.0]))
         rows = self._spy(monkeypatch)
         spec = solve_interval(V, (0.0, 2.0))
         assert rows == [2**12 + 1, 2**13 + 1]
@@ -158,7 +160,7 @@ class TestJumpLadder:
         # does not cover LAPACK's bisection error: the raw values at 2^10 + 1
         # and 2^11 + 1 rows are off by 2.8e-11 and 1.1e-10, the extrapolated
         # one by 1.4e-10, and the first Richardson step leaves that out.)
-        V = PiecewiseConstant([0.0, 2.0], [3.0])
+        V = FDOnly(PiecewiseConstant([0.0, 2.0], [3.0]))
         spec = solve_interval(V, (0.0, 2.0))
         exact = [-3.0, -3.0 + 0.25 * math.pi**2]
         assert spec.eigenvalues == pytest.approx(exact, abs=1e-6)
@@ -168,7 +170,7 @@ class TestJumpLadder:
         # the spike's only state lies above -10 tol at every level; solved
         # on the pair (13, 14) it is still one near-threshold candidate
         # whose bound covers it
-        V = PiecewiseConstant([4.0, 4.05], [1.0])
+        V = FDOnly(PiecewiseConstant([4.0, 4.05], [1.0]))
         spec = solve_interval(V, (0.0, 10.0))
         (ground,) = prufer_neumann_levels(V, 0.0, 10.0)
         assert (len(spec), spec.near_threshold) == (0, 1)
@@ -181,7 +183,7 @@ class TestJumpLadder:
         # the shallowest raw value dropped on one level, the other level's
         # extra value is unmatched: it counts as one near-threshold state
         # whose bound, twice its raw value, covers the level it stands for
-        V = PiecewiseConstant([0.0, 1.0, 3.0, 4.0], [2.0, 6.0, 2.0])
+        V = FDOnly(PiecewiseConstant([0.0, 1.0, 3.0, 4.0], [2.0, 6.0, 2.0]))
         raw = []
 
         def spy(d, e, lo):
@@ -317,7 +319,7 @@ class TestSecondStep:
             raise AssertionError("second step tried across a jump")
 
         monkeypatch.setattr(sturm, "_second_step", refuse)
-        spec = solve_interval(SquareWell(50.0, -1.0, 1.0), (-3.0, 3.0))
+        spec = solve_interval(FDOnly(SquareWell(50.0, -1.0, 1.0)), (-3.0, 3.0))
         assert len(spec) > 0
 
     def test_planted_fault_without_order_window(self, monkeypatch):
@@ -448,6 +450,10 @@ class TestRieszMean:
         rm = riesz_mean(spec, 0.5)
         assert rm.error == pytest.approx(2.0 * 1e-2)
 
+    def test_empty_spectrum_sums_to_float_zero(self):
+        rm = riesz_mean(Spectrum((), (), 1, 1e-4), 0.5)
+        assert type(rm.value) is float and rm.value == 0.0
+
     def test_gamma_domain(self):
         spec = Spectrum((), ())
         with pytest.raises(ValueError):
@@ -554,9 +560,10 @@ class TestSolverBehavior:
     def test_jump_floor_in_radii(self):
         # on the FD path, discontinuous potentials carry an explicit
         # first-order allowance
-        spec = solve_line(FDOnly(SquareWell(2.0, -1.0, 1.0)))
+        V = FDOnly(SquareWell(2.0, -1.0, 1.0))
+        spec = solve_line(V)
         assert all(r > 1e-8 for r in spec.radii)
-        spec = solve_interval(SquareWell(2.0, -1.0, 1.0), (-3.0, 3.0))
+        spec = solve_interval(V, (-3.0, 3.0))
         assert all(r > 1e-8 for r in spec.radii)
 
     def test_interval_charged_only_for_its_jumps(self):
@@ -567,9 +574,10 @@ class TestSolverBehavior:
             solve_interval(Gaussian(1.0), (-3.0, 3.0))
 
     def test_stated_tolerance_raised_across_jumps(self):
-        # a tolerance below the jump tolerance means that tolerance, so a
-        # stated 1e-8 solves as the default does instead of refusing
-        V = SquareWell(2.0, -1.0, 1.0)
+        # on the FD path a tolerance below the jump tolerance means that
+        # tolerance, so a stated 1e-8 solves as the default does instead of
+        # refusing
+        V = FDOnly(SquareWell(2.0, -1.0, 1.0))
         assert solve_interval(V, (-3.0, 3.0), tol=1e-8) \
             == solve_interval(V, (-3.0, 3.0))
 
@@ -588,10 +596,11 @@ class TestSolverBehavior:
             assert (e0 - r0) - (e1 - r1) >= 1e-3 - 1e-12
 
     def test_jump_floor_beyond_any_tolerance(self):
-        # jumps of 2e4 over a length 2000 put the first-order floor near
-        # 300: no tolerance covers it, which is a numerical failure
+        # jumps of 2e4 over a length 2000 put the FD path's first-order
+        # floor near 300: no tolerance covers it, which is a numerical
+        # failure
         with pytest.raises(SolverError, match="first-order floor"):
-            solve_interval(SquareWell(1e4, 0.0, 1e-6), (0.0, 2000.0))
+            solve_interval(FDOnly(SquareWell(1e4, 0.0, 1e-6)), (0.0, 2000.0))
 
     def test_interval_too_long_for_a_grid(self):
         # h = 3e200 / 2^LEVEL_MIN squares past the float range: a numerical
