@@ -11,6 +11,8 @@ Neumann condition's (Pruess's method with Sturm indexing; J. D. Pryce,
 Numerical Solution of Sturm-Liouville Problems, OUP 1993).  Its radius is
 the half-width of a bracket on whose ends the matching function changes
 sign.  So the bracketing side of a piece list is shot, not differenced.
+Each exact spectrum is kept for the last EXACT_MEMO (steps, ends, tol),
+so a piece list asked for its spectrum again is shot once.
 
 Every other spectrum uses second-order finite differences (FD) on a uniform
 grid (Neumann ends via ghost-point reflection, symmetrized by a diagonal
@@ -51,6 +53,7 @@ kyfan).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -233,14 +236,15 @@ def solve_interval(V: Potential, interval, bc="neumann",
     a, b = float(interval[0]), float(interval[1])
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("need a finite interval with a < b")
+    pair = (bc, bc) if isinstance(bc, str) else tuple(bc)
+    pieces = V.pieces()
+    if pieces is not None and pair == ("neumann", "neumann"):
+        return _solve_exact(tuple(piece_steps(pieces, a, b)), (True, True),
+                            tol)
     h = (b - a) / 2**LEVEL_MIN  # the coarsest grid's spacing
     if not math.isfinite(h * h):
         raise SolverError(f"[{a}, {b}] is too long for a finite-difference "
                           "grid")
-    pair = (bc, bc) if isinstance(bc, str) else tuple(bc)
-    pieces = V.pieces()
-    if pieces is not None and pair == ("neumann", "neumann"):
-        return _solve_exact(piece_steps(pieces, a, b), (True, True), tol)
     jumps = _jump_sum(V, a, b)
     tol = _effective_tol(tol, jumps, b - a)
     threshold = -10.0 * tol  # eigenvalues above this are unresolvable
@@ -328,9 +332,9 @@ def _line_steps(V: Potential):
     if pieces is None:
         return None
     if not pieces:
-        return []
+        return ()
     start = 0.0 if V.domain == HALF_LINE else pieces[0][0]
-    return piece_steps(pieces, start, pieces[-1][1])
+    return tuple(piece_steps(pieces, start, pieces[-1][1]))
 
 
 def _shoot(steps, E: float, ends) -> tuple[int, float]:
@@ -388,7 +392,14 @@ EXACT_RTOL = 1e-12
 #: of depth v on [0, 1] about sqrt(v) / pi (31,831 at v = 1e10)
 EXACT_STATES_MAX = 10**6
 
+#: exact spectra kept, keyed by (steps, ends, tol): on one piece list,
+#: certify_theorem1, sum_rule_residual and verify_splitting each ask for
+#: its line spectrum, and the even split's two shares (V/2 amplified by 2)
+#: ask twice more; a deep well's spectrum can hold EXACT_STATES_MAX states
+EXACT_MEMO = 4
 
+
+@functools.lru_cache(maxsize=EXACT_MEMO)
 def _solve_exact(steps, ends, tol: float) -> Spectrum:
     """Negative spectrum of a piecewise-constant V by exact shooting
     between _shoot's ends.
@@ -399,15 +410,25 @@ def _solve_exact(steps, ends, tol: float) -> Spectrum:
     eigenvalues closer than EXACT_RTOL share the bracket the counts put
     them in.  The N(0) - N(-eps) states in [-eps, 0) are near-threshold
     candidates with threshold eps.  More than EXACT_STATES_MAX states
-    below -eps raise SolverError before any is bracketed.
+    below -eps raise SolverError before any is bracketed.  steps is a
+    tuple, the memo's key; a caller shares the Spectrum, which is frozen.
     """
     eps = 10.0 * tol
+    # (N, g) at the bisection's energies and the bracket ends, each shot
+    # once (_shoot is deterministic); Brent's inner energies are new and
+    # not kept, so the dict grows with the bracket list
+    shots = {}
+
+    def shot(E):
+        if E not in shots:
+            shots[E] = _shoot(steps, E, ends)
+        return shots[E]
 
     def count(E):
-        return _shoot(steps, E, ends)[0]
+        return shot(E)[0]
 
     def g(E):
-        return _shoot(steps, E, ends)[1]
+        return (shots[E] if E in shots else _shoot(steps, E, ends))[1]
 
     # -u'' - V u >= -max V, so every eigenvalue lies above -max V
     bottom = -max((v for _, v in steps), default=0.0)
@@ -430,6 +451,7 @@ def _solve_exact(steps, ends, tol: float) -> Spectrum:
     for a, b, k in sorted(brackets):
         lo, hi = a, b
         if k == 1:
+            shot(a)  # -max V, the one end no count has shot
             # Brent stops well inside the EXACT_RTOL bracket checked next
             root = find_root(g, a, b, 1e-15, 1e-14)
             h = EXACT_RTOL * abs(root)

@@ -594,7 +594,6 @@ class TestNumericalFailures:
             {"family": "gaussian", "params": {"amplitude": 0.001}}]}},
         # int V = 1e-200 closes the truncated interval at about 3e200,
         # which no finite-difference grid can span
-        {"family": "square_well", "params": {"v": 1e-200, "a": 0, "b": 1}},
         {"family": "gaussian", "params": {"amplitude": 1e-200}},
         {"family": "poschl_teller", "params": {"nu": 1e-200}},
         {"family": "sampled",
@@ -617,6 +616,22 @@ class TestNumericalFailures:
         code, out = run(capsys, "certify", "--potential", str(path))
         assert code == EXIT_PASS
         assert json.loads(out)["bracket_error"] < 1e-9
+
+    def test_tiny_mass_piece_list_shoots_its_long_interval(self, tmp_path,
+                                                           capsys):
+        # int V = 1e-200 closes the interval [0, 3e200], which a piece list
+        # shoots instead of gridding: its state, above -10 tol, is budgeted
+        # at the threshold, as for other unresolved weak wells
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(
+            {"family": "square_well", "params": {"v": 1e-200, "a": 0,
+                                                 "b": 1}}))
+        code, out = run(capsys, "certify", "--potential", str(path))
+        doc = json.loads(out)
+        assert code == EXIT_PASS and doc["verdict"] == "pass"
+        assert doc["sum_sqrt"] == doc["bracket_sum"] == 0.0
+        assert doc["bracket_error"] == pytest.approx(math.sqrt(1e-5))
+        assert doc["partition"][1] == [0.0, 3e200, "inf"]
 
     def test_truncated_interval_breaks_the_lemma(self, tmp_path, capsys):
         # the partition closes the truncated interval [200.000015,

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from lt_spectral import sturm
 from lt_spectral.bracketing import build_partition, interval_spectrum
 from lt_spectral.cli import random_piecewise
+from lt_spectral.kyfan import Splitting, verify_splitting
 from lt_spectral.numerics import piece_step
 from lt_spectral.potential import (HALF_LINE, PiecewiseConstant, SquareWell,
                                    Sum, piece_steps)
@@ -150,9 +151,70 @@ def test_state_budget(monkeypatch):
     monkeypatch.setattr(sturm, "EXACT_STATES_MAX", 64)
     assert len(solve_line(V)) == 64
     monkeypatch.setattr(sturm, "EXACT_STATES_MAX", 63)
+    sturm._solve_exact.cache_clear()  # the memo would serve the first solve
     with pytest.raises(SolverError, match="64 states below -1e-05 pass the "
                                           "budget of 63"):
         solve_line(V)
+
+
+def test_memo_keys_on_step_content():
+    # a fresh potential with the same steps, bit for bit, is served the
+    # same frozen Spectrum; another tolerance is another entry
+    V = random_piecewise(1)
+    spec = solve_line(V)
+    assert solve_line(V.amplified(0.5).amplified(2.0)) is spec
+    fine = solve_line(V, tol=1e-9)
+    assert fine is not spec and solve_line(V, tol=1e-9) is fine
+    info = sturm._solve_exact.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
+def test_memo_keeps_no_failure(monkeypatch):
+    # a SolverError is raised again on the second call, not remembered
+    V = SquareWell(400.0, -5.0, 5.0)
+    monkeypatch.setattr(sturm, "EXACT_STATES_MAX", 63)
+    for _ in range(2):
+        with pytest.raises(SolverError, match="budget of 63"):
+            solve_line(V)
+    info = sturm._solve_exact.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_even_split_solves_once(seed):
+    # V and its even split's shares (V/2 amplified by 2) have the same
+    # steps, so the Ky Fan check shoots one spectrum for all three
+    V = random_piecewise(seed)
+    half = V.amplified(0.5)
+    verify_splitting(V, Splitting(theta=0.5, V0=half, V1=half, N=1), 6)
+    info = sturm._solve_exact.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_each_energy_shot_once_per_solve(monkeypatch, seed):
+    # N(E) and g(E) come from one shot, and find_root's bracket ends from
+    # the bisection's shots: on the line, the half line and every finite
+    # partition interval, no run of the body past the memo shoots an
+    # energy twice
+    V = random_piecewise(seed)
+    half = random_piecewise(seed, domain="half_line")
+    bp = build_partition(half).breakpoints
+    solves = [(sturm._line_steps(V), (False, False)),
+              (sturm._line_steps(half), (True, False))]
+    solves += [(tuple(piece_steps(half.pieces(), a, b)), (True, True))
+               for a, b in zip(bp, bp[1:]) if math.isfinite(b)]
+    shoot = sturm._shoot
+    for steps, ends in solves:
+        energies = []
+
+        def spy(steps, E, ends):
+            energies.append(E)
+            return shoot(steps, E, ends)
+
+        monkeypatch.setattr(sturm, "_shoot", spy)
+        sturm._solve_exact.__wrapped__(steps, ends, sturm.SOLVER_TOL)
+        assert len(set(energies)) == len(energies) > 0
 
 
 @pytest.mark.parametrize("v, w", [(2.0, 1.0), (10.0, 1.0), (50.0, 1.0),
