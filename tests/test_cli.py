@@ -582,22 +582,30 @@ class TestNumericalFailures:
         # jumps of 1e4 over a partition interval of length 50: with a
         # smooth term the sum has no pieces() and takes the FD solver,
         # whose first-order floor exceeds any tolerance
-        {"family": "sum", "params": {"terms": [
+        pytest.param({"family": "sum", "params": {"terms": [
             {"family": "piecewise_constant",
              "params": {"breakpoints": [-1000, 10, 10.000001, 1000],
                         "values": [0.001, 10000, 0.001]}},
             {"family": "gaussian", "params": {"amplitude": 0.001}}]}},
+            id="doc0"),
         # a jump of 1000 at 200 under a smooth term: the same FD floor
-        {"family": "sum", "params": {"terms": [
+        pytest.param({"family": "sum", "params": {"terms": [
             {"family": "square_well",
              "params": {"v": 1000, "a": 200, "b": 200.0001}},
             {"family": "gaussian", "params": {"amplitude": 0.001}}]}},
+            id="doc1"),
         # int V = 1e-200 closes the truncated interval at about 3e200,
-        # which no finite-difference grid can span
-        {"family": "gaussian", "params": {"amplitude": 1e-200}},
-        {"family": "poschl_teller", "params": {"nu": 1e-200}},
-        {"family": "sampled",
-         "params": {"grid": [0, 1], "values": [1e-200, 1e-200]}},
+        # which no finite-difference grid can span; the square well that
+        # was doc2 is a piece list, shot exactly (see
+        # test_tiny_mass_piece_list_shoots_its_long_interval)
+        pytest.param({"family": "gaussian", "params": {"amplitude": 1e-200}},
+                     id="doc3"),
+        pytest.param({"family": "poschl_teller", "params": {"nu": 1e-200}},
+                     id="doc4"),
+        pytest.param({"family": "sampled",
+                      "params": {"grid": [0, 1],
+                                 "values": [1e-200, 1e-200]}},
+                     id="doc5"),
     ])
     def test_valid_input_numerical_failure(self, tmp_path, capsys, doc):
         path = tmp_path / "hard.json"
